@@ -177,8 +177,17 @@ def _cmd_search_rep(args) -> int:
     return 0
 
 
+def _solve_args(args):
+    """The pattern of an la or lambda run, after checking its sizes."""
+    if args.n < 1:
+        raise _InputError("--n must be at least 1")
+    if args.copy_cap < 0:
+        raise _InputError("--copy-cap must be nonnegative")
+    return _pattern_arg(args.pattern)
+
+
 def _cmd_la(args) -> int:
-    pattern = _pattern_arg(args.pattern)
+    pattern = _solve_args(args)
     res = la_exact(args.n, pattern, _budget_arg(args), args.copy_cap)
     _emit(
         {
@@ -193,7 +202,7 @@ def _cmd_la(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    pattern = _pattern_arg(args.pattern)
+    pattern = _solve_args(args)
     res = lambda_exact(args.n, pattern, _budget_arg(args), args.copy_cap)
     _emit(
         {

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
 from .lattice import SubsetFamily, canonical_sort_key, lubell_value, middle_levels
@@ -78,132 +78,140 @@ def enumerate_copies(
     return CopyHypergraph(n, verts, tuple(sorted(images)), True)
 
 
-class _Found(Exception):
-    def __init__(self, witness: int):
-        self.witness = witness
-
-
 class _Engine:
-    """Branch and bound for a maximum-weight family hitting no copy.
+    """Branch and bound for a maximum-weight vertex set that holds no copy.
 
-    Branch vertex: the free vertex lying in the most still-alive copies,
-    ties to the smallest canonical index.  Bound: total weight of included
-    and free vertices, minus one minimum-weight vertex for each copy in a
-    greedy disjoint packing of alive copies.
+    Weights are integers; equal weights form one class, so a weight sum
+    costs one popcount per class.  Sets of copies are int bitsets: bit b
+    stands for by_bit[b], the copies in reverse order, so `bit_length`
+    finds the first one.  inc[v] holds the copies through vertex v, and
+    `alive` the copies that no excluded vertex hits.
+
+    Branch vertex: the free vertex in the most alive copies, ties to the
+    smallest index; the include branch is searched first.  Bound: the
+    weight of the included and free vertices, minus one minimum-weight
+    vertex per copy of a greedy disjoint packing: take the first alive
+    copy, drop every copy that meets its free part, repeat.  Every alive
+    copy keeps a free vertex, as it avoids the excluded vertices and no
+    include completes it.  A feasibility search for weight >= target starts
+    from best_val = target - 1 and stops at its first improvement.
     """
 
     def __init__(self, nverts: int, weights, copies, budget: Budget | None):
         self.nverts = nverts
-        self.weights = weights
-        self.copies = copies
+        self.by_bit = copies[::-1]
         self.universe = (1 << nverts) - 1
         self.budget = budget
         self.best_val = None
         self.best_wit = None
-        self._mode = "max"
-        self._target = None
+        classes: dict[int, int] = {}
+        for v, w in enumerate(weights):
+            classes[w] = classes.get(w, 0) | 1 << v
+        self.classes = sorted(classes.items())
+        nbytes = len(copies) // 8 + 1
+        through = [bytearray(nbytes) for _ in range(nverts)]
+        last = [bytearray(nbytes) for _ in range(nverts)]
+        for b, c in enumerate(self.by_bit):
+            last[c.bit_length() - 1][b >> 3] |= 1 << (b & 7)
+            while c:
+                low = c & -c
+                through[low.bit_length() - 1][b >> 3] |= 1 << (b & 7)
+                c ^= low
+        self.all_copies = (1 << len(copies)) - 1
+        self.inc = [int.from_bytes(m, "little") for m in through]
+        self.miss = [self.all_copies ^ m for m in self.inc]
+        # last[v]: the copies whose highest vertex is v
+        self.last = [int.from_bytes(m, "little") for m in last]
 
-    def weight_of(self, mask: int):
-        t = 0
-        while mask:
-            low = mask & -mask
-            t += self.weights[low.bit_length() - 1]
-            mask ^= low
-        return t
+    def weight_of(self, mask: int) -> int:
+        return sum(w * (mask & members).bit_count() for w, members in self.classes)
 
-    def _packing_loss(self, alive, included: int, free: int):
-        taken = 0
+    def _packing_loss(self, alive: int, free: int) -> int:
+        by_bit, miss, classes = self.by_bit, self.miss, self.classes
         loss = 0
-        for c in alive:
-            fp = c & free
-            if fp and not fp & taken:
-                taken |= fp
-                m = None
-                while fp:
-                    low = fp & -fp
-                    w = self.weights[low.bit_length() - 1]
-                    if m is None or w < m:
-                        m = w
-                    fp ^= low
-                loss += m
-        return loss
-
-    def _note(self, witness: int, val):
-        if self._mode == "feas":
-            if val >= self._target:
-                raise _Found(witness)
-            return
-        if self.best_val is None or val > self.best_val:
-            self.best_val = val
-            self.best_wit = witness
-
-    def _keeps_searching(self, ub) -> bool:
-        if self._mode == "feas":
-            return ub >= self._target
-        return self.best_val is None or ub > self.best_val
-
-    def _search(self, included: int, excluded: int, alive):
-        if self.budget is not None:
-            self.budget.tick()
-        free = self.universe & ~included & ~excluded
-        if not alive:
-            self._note(included | free, self.weight_of(included | free))
-            return
-        ub = self.weight_of(included | free) - self._packing_loss(
-            alive, included, free
-        )
-        if not self._keeps_searching(ub):
-            return
-        deg: dict[int, int] = {}
-        for c in alive:
-            fp = c & free
+        while alive:
+            fp = by_bit[alive.bit_length() - 1] & free
+            for w, members in classes:
+                if fp & members:
+                    loss += w
+                    break
             while fp:
                 low = fp & -fp
-                i = low.bit_length() - 1
-                deg[i] = deg.get(i, 0) + 1
+                alive &= miss[low.bit_length() - 1]
                 fp ^= low
-        v = max(deg, key=lambda i: (deg[i], -i))
-        bit = 1 << v
-        if all(c & ~(included | bit) for c in alive):
-            self._search(included | bit, excluded, alive)
-        self._search(included, excluded | bit, [c for c in alive if not c & bit])
+        return loss
 
-    def maximize(self, seed_val, seed_wit: int):
-        self._mode = "max"
-        self.best_val = seed_val
-        self.best_wit = seed_wit
-        self._search(0, 0, list(self.copies))
-
-    def feasible(self, forced_in: int, forced_out: int, target) -> bool:
-        for c in self.copies:
-            if not c & ~forced_in:
-                return False
-        self._mode = "feas"
-        self._target = target
-        alive = [c for c in self.copies if not c & forced_out]
-        try:
-            self._search(forced_in, forced_out, alive)
-        except _Found:
-            return True
-        finally:
-            self._mode = "max"
-            self._target = None
+    def _search(self, included: int, excluded: int, alive: int, first: bool):
+        """Depth-first search below one node, raising best_val and best_wit;
+        with first=True, True as soon as best_val rises."""
+        inc = self.inc
+        stack = [(included, excluded, alive, None)]
+        while stack:
+            # degs: (u, alive copies through u) for each free u in one; an
+            # include child keeps its parent's, as its alive copies stay
+            included, excluded, alive, degs = stack.pop()
+            if self.budget is not None:
+                self.budget.tick()
+            free = self.universe & ~included & ~excluded
+            if not alive:
+                val = self.weight_of(included | free)
+                if val > self.best_val:
+                    self.best_val, self.best_wit = val, included | free
+                    if first:
+                        return True
+                continue
+            ub = self.weight_of(included | free) - self._packing_loss(alive, free)
+            if ub <= self.best_val:
+                continue
+            if degs is None:
+                degs = []
+                rest = free
+                while rest:
+                    low = rest & -rest
+                    u = low.bit_length() - 1
+                    rest ^= low
+                    d = (inc[u] & alive).bit_count()
+                    if d:
+                        degs.append((u, d))
+            v, best = degs[0]
+            for u, d in degs:
+                if d > best:
+                    v, best = u, d
+            bit = 1 << v
+            stack.append((included, excluded | bit, alive & self.miss[v], None))
+            others = 0  # the copies through a free vertex other than v
+            for u, _ in degs:
+                if u != v:
+                    others |= inc[u]
+            if not inc[v] & alive & ~others:
+                kept = [(u, d) for u, d in degs if u != v]
+                stack.append((included | bit, excluded, alive, kept))
         return False
 
-    def lexmin_witness(self, target) -> int:
+    def maximize(self, seed_wit: int) -> None:
+        self.best_val = self.weight_of(seed_wit)
+        self.best_wit = seed_wit
+        self._search(0, 0, self.all_copies, False)
+
+    def lexmin_witness(self, target: int) -> int:
+        """The set of weight target whose sorted vertex list is
+        lexicographically least: each vertex in index order goes in when a
+        feasibility search still reaches the target with it.  Overwrites
+        best_val and best_wit."""
         decided_in = 0
         decided_out = 0
+        alive = self.all_copies  # the copies avoiding every vertex decided out
         for i in range(self.nverts):
             bit = 1 << i
-            completes = any(
-                not c & ~(decided_in | bit)
-                for c in self.copies
-                if not c & decided_out
-            )
-            if not completes and self.feasible(decided_in | bit, decided_out, target):
+            self.best_val = target - 1
+            # an alive copy ending at i has all its other vertices in
+            if not self.last[i] & alive and self._search(
+                decided_in | bit, decided_out, alive, True
+            ):
                 decided_in |= bit
             else:
                 decided_out |= bit
+                alive &= self.miss[i]
         return decided_in
 
 
@@ -236,11 +244,9 @@ def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> Extr
     return ExtremalResult(len(fam.members), fam, "lower-bound-only")
 
 
-def _copy_free(copies, wit_mask: int) -> bool:
-    return all(c & ~wit_mask for c in copies)
-
-
-def _run_exact(n, pattern, budget, copy_cap, weights_of, seed_result, seed_val):
+def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
+    """Branch and bound over the copies, each vertex weighing
+    level_weight[|set|] units of `unit`; seed_result is the band bound."""
     try:
         ch = enumerate_copies(n, pattern, budget, copy_cap)
     except BudgetExceeded:
@@ -248,22 +254,22 @@ def _run_exact(n, pattern, budget, copy_cap, weights_of, seed_result, seed_val):
     if not ch.complete:
         return seed_result
     verts, _ = _lattice_vertices(n)
-    engine = _Engine(len(verts), weights_of(verts), ch.copies, budget)
-    seed_mask = _vertex_mask_of_family(seed_result.witness)
+    weights = [level_weight[m.bit_count()] for m in verts]
+    engine = _Engine(len(verts), weights, ch.copies, budget)
     try:
-        engine.maximize(seed_val, seed_mask)
+        engine.maximize(_vertex_mask_of_family(seed_result.witness))
     except BudgetExceeded:
         wit = _family_from_vertex_mask(n, engine.best_wit)
-        return ExtremalResult(engine.best_val, wit, "lower-bound-only")
-    best = engine.best_val
+        return ExtremalResult(engine.best_val * unit, wit, "lower-bound-only")
+    best, wit_mask = engine.best_val, engine.best_wit
     try:
         wit_mask = engine.lexmin_witness(best)
     except BudgetExceeded:
-        wit_mask = engine.best_wit
-    if not _copy_free(ch.copies, wit_mask):
+        pass  # keep the search's optimal witness, not the least one
+    if any(not c & ~wit_mask for c in ch.copies):
         raise AssertionError("optimal witness hosts a copy of the pattern")
     wit = _family_from_vertex_mask(n, wit_mask)
-    return ExtremalResult(best, wit, "proven")
+    return ExtremalResult(best * unit, wit, "proven")
 
 
 def la_exact(
@@ -279,15 +285,7 @@ def la_exact(
     best witness found so far.
     """
     seed = la_lower_bound(n, pattern)
-    return _run_exact(
-        n,
-        pattern,
-        budget,
-        copy_cap,
-        lambda verts: [1] * len(verts),
-        seed,
-        seed.value,
-    )
+    return _run_exact(n, pattern, budget, copy_cap, [1] * (n + 1), 1, seed)
 
 
 def lambda_exact(
@@ -301,8 +299,10 @@ def lambda_exact(
     seed = ExtremalResult(
         lubell_value(seed_band.witness), seed_band.witness, "lower-bound-only"
     )
-
-    def weights_of(verts):
-        return [Fraction(1, comb(n, m.bit_count())) for m in verts]
-
-    return _run_exact(n, pattern, budget, copy_cap, weights_of, seed, seed.value)
+    # weights counted in units of 1/scale, scale the lcm of the level sizes,
+    # keep the search in integers
+    scale = lcm(*(comb(n, i) for i in range(n + 1)))
+    level_weight = [scale // comb(n, i) for i in range(n + 1)]
+    return _run_exact(
+        n, pattern, budget, copy_cap, level_weight, Fraction(1, scale), seed
+    )

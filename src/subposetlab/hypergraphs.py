@@ -4,7 +4,7 @@ Edges are bitmasks (bit i-1 = vertex i), kept sorted by numeric value.
 Covers partiteness testing, complete-k-partite subhypergraph detection,
 crossing-edge machinery for balanced partitions, monochromatic ordered-copy
 counting with its extension-count identities, cover multiplicity, and an
-exhaustive small-n Turan oracle.
+exact small-n Turan oracle that runs on the extremal branch and bound.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .budget import Budget
+from .extremal import _Engine
 from .lattice import elements_of_mask, mask_from_elements
 
 
@@ -443,11 +444,40 @@ def turan_delta(sizes) -> Fraction:
     return Fraction(1, prod(sizes[:-1])) if len(sizes) > 1 else Fraction(1)
 
 
-def _has_complete_kpartite(edges: set[int], k: int, l: int, sizes) -> bool:
-    if not edges:
-        return False
-    h = Hypergraph(k, l, tuple(edges))
-    return contains_complete_kpartite(h, sizes) is not None
+# Bits of copies times candidate edges that turan_oracle may hold.  The
+# copy list and each incidence index take about this much memory, and an
+# instance near the limit is far beyond what the exact search finishes.
+TURAN_SIZE_LIMIT = 1 << 27
+
+
+def _kpartite_copies(
+    edges: list[int], n: int, sizes, budget: Budget | None
+) -> tuple[int, ...]:
+    """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
+    positions of its edges in `edges`; one tick per part choice."""
+    if sum(sizes) > n:
+        return ()
+    index = {e: i for i, e in enumerate(edges)}
+    copies: set[int] = set()
+
+    def place(i: int, used: int, stems: list[int]) -> None:
+        if i == len(sizes):
+            copies.add(sum(1 << index[e] for e in stems))
+            if len(copies) * len(edges) > TURAN_SIZE_LIMIT:
+                raise ValueError(
+                    f"more than {TURAN_SIZE_LIMIT // len(edges)} forbidden copies "
+                    f"on {len(edges)} edges: too large for the exact search"
+                )
+            return
+        rest = [v for v in range(n) if not used >> v & 1]
+        for combo in itertools.combinations(rest, sizes[i]):
+            if budget is not None:
+                budget.tick()
+            mask = sum(1 << v for v in combo)
+            place(i + 1, used | mask, [s | 1 << v for s in stems for v in combo])
+
+    place(0, 0, [0])
+    return tuple(sorted(copies))
 
 
 def turan_oracle(
@@ -457,10 +487,12 @@ def turan_oracle(
     no complete k-partite subhypergraph of the given part sizes, plus a
     canonical extremal witness.
 
-    Branch and bound over candidate edges in ascending mask order.  The
-    value phase fixes the smallest edge as included (any nonempty extremal
-    hypergraph can be relabeled to contain it); the witness phase re-runs
-    feasibility tests to emit the lexicographically least optimal edge set.
+    The candidate edges, in ascending mask order, are the vertices of the
+    extremal engine and the complete k-partite copies its copies: the value
+    comes from its branch and bound, the witness is the optimal edge set
+    whose sorted mask list is lexicographically least, re-checked free of
+    the forbidden copy.  The budget bounds copy enumeration and both
+    searches; an instance past TURAN_SIZE_LIMIT raises ValueError.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -470,68 +502,24 @@ def turan_oracle(
     if n < 0:
         raise ValueError("n must be nonnegative")
     delta = turan_delta(sizes)
-    empty = Hypergraph(k, n, ())
-    if n < k:
-        return TuranResult(0, empty, delta)
+    empty = Hypergraph(k, n, ())  # checks k
     if all(s == 1 for s in sizes):
         # a single edge is already a complete (1,...,1) copy
         return TuranResult(0, empty, delta)
 
-    candidates = []
-    for combo in itertools.combinations(range(n), k):
-        mask = 0
-        for b in combo:
-            mask |= 1 << b
-        candidates.append(mask)
-    candidates.sort()
-
-    def extend_best(idx: int, chosen: list[int], best: int) -> int:
-        """Largest K-free superset size reachable from this prefix."""
-        if budget is not None:
-            budget.tick()
-        if len(chosen) + (len(candidates) - idx) <= best:
-            return best
-        if idx == len(candidates):
-            return max(best, len(chosen))
-        e = candidates[idx]
-        chosen.append(e)
-        if not _has_complete_kpartite(set(chosen), k, n, sizes):
-            best = extend_best(idx + 1, chosen, best)
-        chosen.pop()
-        return extend_best(idx + 1, chosen, best)
-
-    first = [candidates[0]]
-    value = extend_best(1, first, 0)
-
-    def feasible(idx: int, chosen: list[int], target: int) -> bool:
-        if budget is not None:
-            budget.tick()
-        if len(chosen) >= target:
-            return True
-        if len(chosen) + (len(candidates) - idx) < target:
-            return False
-        if idx == len(candidates):
-            return False
-        e = candidates[idx]
-        chosen.append(e)
-        if not _has_complete_kpartite(set(chosen), k, n, sizes):
-            if feasible(idx + 1, chosen, target):
-                chosen.pop()
-                return True
-        chosen.pop()
-        return feasible(idx + 1, chosen, target)
-
-    included = [candidates[0]]
-    next_idx = 1
-    while len(included) < value:
-        # the least optimal witness contains the smallest edge, so greedily
-        # accept each next edge whose inclusion still reaches the optimum
-        e = candidates[next_idx]
-        trial = included + [e]
-        if not _has_complete_kpartite(set(trial), k, n, sizes) and feasible(
-            next_idx + 1, trial, value
-        ):
-            included = trial
-        next_idx += 1
-    witness = Hypergraph(k, n, tuple(included))
+    if comb(n, k) > TURAN_SIZE_LIMIT:
+        raise ValueError(f"{comb(n, k)} edges: too large for the exact search")
+    edges = sorted(
+        sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k)
+    )
+    copies = _kpartite_copies(edges, n, sizes, budget)
+    engine = _Engine(len(edges), [1] * len(edges), copies, budget)
+    engine.maximize(0)
+    value = engine.best_val
+    wit_mask = engine.lexmin_witness(value)
+    witness = Hypergraph(
+        k, n, tuple(e for i, e in enumerate(edges) if wit_mask >> i & 1)
+    )
+    if contains_complete_kpartite(witness, sizes) is not None:
+        raise AssertionError("extremal witness hosts the forbidden copy")
     return TuranResult(value, witness, delta)

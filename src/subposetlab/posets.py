@@ -95,22 +95,24 @@ def from_cover_relations(size: int, covers) -> Poset:
             raise ValueError("relations must be strict")
         succ[u].add(v)
 
-    up = [1 << i for i in range(size)]
-    state = [0] * size  # 0 unvisited, 1 on stack, 2 done
-
-    def visit(i: int):
-        state[i] = 1
-        for j in succ[i]:
-            if state[j] == 1:
-                raise ValueError("relation list contains a cycle")
-            if state[j] == 0:
-                visit(j)
-            up[i] |= up[j]
-        state[i] = 2
-
+    # Kahn's topological order, then closure from the top down; no
+    # recursion, so chains of any length close
+    indegree = [0] * size
     for i in range(size):
-        if state[i] == 0:
-            visit(i)
+        for j in succ[i]:
+            indegree[j] += 1
+    order = [i for i in range(size) if indegree[i] == 0]
+    for i in order:
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                order.append(j)
+    if len(order) < size:
+        raise ValueError("relation list contains a cycle")
+    up = [1 << i for i in range(size)]
+    for i in reversed(order):
+        for j in succ[i]:
+            up[i] |= up[j]
     return Poset(size, tuple(up))
 
 

@@ -5,6 +5,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -19,6 +20,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def child_env():
+    """The environment for a child Python that imports this subposetlab."""
+    package_root = str(pathlib.Path(subposetlab.__file__).resolve().parent.parent)
+    pythonpath = os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])
+    )
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 def write_json(tmp_path, name, obj):
@@ -133,6 +143,31 @@ def test_la_command(capsys):
     assert res["witness"] == {"n": 3, "sets": [[1], [2], [3]]}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["la", "--n", "0", "--pattern", "chain:2"], "--n"),
+        (["la", "--n", "-1", "--pattern", "chain:2"], "--n"),
+        (["lambda", "--n", "0", "--pattern", "chain:2"], "--n"),
+        (["la", "--n", "4", "--pattern", "chain:2", "--copy-cap", "-5"], "--copy"),
+        (["lambda", "--n", "4", "--pattern", "chain:2", "--copy-cap", "-1"], "--copy"),
+    ],
+)
+def test_la_lambda_reject_bad_sizes(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+
+
+def test_la_long_chain_pattern(capsys):
+    # the pattern's order is closed without recursion, so a 3000-chain is
+    # no deeper a problem than a short one: it fits nowhere in B_3
+    code, out, _ = run(capsys, "la", "--n", "3", "--pattern", "chain:3000")
+    assert code == 0
+    res = json.loads(out)
+    assert res["value"] == 8 and res["optimality"] == "proven"
+
+
 def test_lambda_command(capsys):
     code, out, _ = run(capsys, "lambda", "--n", "2", "--pattern", "crown:4")
     assert code == 0
@@ -179,6 +214,31 @@ def test_turan_command(capsys):
     assert len(res["witness"]["edges"]) == 6
     assert run(capsys, "turan", "--n", "4", "--k", "2", "--sizes", "2,x")[0] == 2
     assert run(capsys, "turan", "--n", "4", "--k", "2", "--sizes", "2,2,2")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        (["--budget", "1000"], 3, "budget of 1000 ticks exhausted"),
+        ([], 2, "error: more than 13584 forbidden copies"),
+    ],
+)
+def test_turan_bounds_copy_enumeration(extra, code, message):
+    # K_40^(3) holds tens of millions of complete (2,2,2) copies: listing
+    # them ticks the budget, and past TURAN_SIZE_LIMIT the run stops with
+    # an input error before the copy list outgrows memory
+    argv = ["turan", "--n", "40", "--k", "3", "--sizes", "2,2,2", *extra]
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "subposetlab.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == code and proc.stdout == ""
+    assert message in proc.stderr
+    assert time.monotonic() - t0 < 20
 
 
 def test_partite_command(capsys, tmp_path):
@@ -324,13 +384,11 @@ def test_console_script_entry_point():
         f"import sys\nfrom {module} import {func}\n"
         f"sys.argv[0] = 'subposetlab'\nsys.exit({func}())"
     )
-    package_root = str(pathlib.Path(subposetlab.__file__).resolve().parent.parent)
-    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", wrapper, *SCRIPT_ARGV],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        env=child_env(),
     )
     assert_tail_check_ran(proc)
 

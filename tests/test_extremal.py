@@ -146,3 +146,26 @@ def test_witness_round_trip_consistency():
     lam = lambda_exact(4, crown(4))
     assert lam.optimality == "proven"
     assert lam.value >= Fraction(res.value, comb(4, 2))
+
+
+@pytest.mark.parametrize(
+    "solver,n,pattern,ticks",
+    [
+        (la_exact, 4, "fork:3", 4275),
+        (la_exact, 5, "butterfly", 12063),
+        (la_exact, 5, "fork:2", 12584),
+        (la_exact, 5, "diamond:2", 7910),
+        (lambda_exact, 4, "diamond:2", 1289),
+        (lambda_exact, 5, "butterfly", 13919),
+        (lambda_exact, 5, "fork:2", 4102),
+    ],
+)
+def test_search_tree_tick_counts(solver, n, pattern, ticks):
+    """Budget ticks count the nodes of the copy enumeration and of every
+    branch-and-bound search, so equal counts mean the same search trees.
+    These are the counts of the engine as first written, which scanned
+    lists of copies at every node; a change of branching rule, bound or
+    witness search changes them."""
+    budget = Budget()
+    assert solver(n, make_poset(pattern), budget).optimality == "proven"
+    assert budget.used == ticks

@@ -303,6 +303,35 @@ def test_turan_oracle_matches_brute():
         assert contains_complete_kpartite(res.witness, (2, 2)) is None
 
 
+def brute_turan(n, k, sizes):
+    """Largest edge count with no complete K(sizes), and the extremal edge
+    set whose sorted mask list is lexicographically least."""
+    all_edges = sorted(
+        sum(1 << (v - 1) for v in e)
+        for e in itertools.combinations(range(1, n + 1), k)
+    )
+    best = None
+    for picks in range(1 << len(all_edges)):
+        edges = tuple(e for i, e in enumerate(all_edges) if picks >> i & 1)
+        if best is not None and len(edges) < len(best):
+            continue
+        if contains_complete_kpartite(Hypergraph(k, n, edges), sizes) is not None:
+            continue
+        if best is None or len(edges) > len(best) or edges < best:
+            best = edges
+    return len(best), best
+
+
+@pytest.mark.parametrize("sizes", [(1, 2), (2, 2), (2, 3), (1, 1, 2)])
+def test_turan_oracle_matches_brute_value_and_witness(sizes):
+    k = len(sizes)
+    for n in range(k, 6):
+        value, edges = brute_turan(n, k, sizes)
+        res = turan_oracle(n, k, sizes)
+        assert res.value == value, (n, sizes)
+        assert res.witness.edges == edges, (n, sizes)
+
+
 def test_turan_oracle_frozen_values():
     assert turan_oracle(3, 2, (2, 2)).value == 3
     assert turan_oracle(4, 2, (2, 2)).value == 4
@@ -326,3 +355,12 @@ def test_turan_oracle_edges_and_delta():
 def test_turan_oracle_budget():
     with pytest.raises(BudgetExceeded):
         turan_oracle(6, 2, (2, 2), Budget(5))
+
+
+def test_turan_oracle_size_limit():
+    with pytest.raises(ValueError, match="too large"):
+        turan_oracle(40, 3, (2, 2, 2))
+    with pytest.raises(ValueError, match="too large"):
+        turan_oracle(40, 20, (1,) * 19 + (2,))
+    # parts too large for [n]: no copy, so every edge stays
+    assert turan_oracle(60, 2, (30, 31)).value == comb(60, 2)

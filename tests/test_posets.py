@@ -45,6 +45,16 @@ def test_from_cover_relations_rejects_cycles():
         from_cover_relations(1, [(0, 0)])
 
 
+def test_from_cover_relations_deep_orders():
+    # closure depth far beyond the interpreter's recursion limit
+    n = 3000
+    p = from_cover_relations(n, [(i, i + 1) for i in range(n - 1)])
+    assert p.leq(0, n - 1) and not p.leq(n - 1, 0)
+    assert height(p) == n
+    with pytest.raises(ValueError):
+        from_cover_relations(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 def test_generator_shapes():
     assert height(chain(5)) == 5
     assert height(antichain(4)) == 1
