@@ -144,12 +144,15 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
     k, l = h.k, h.l
     adj = h.covertex_masks()
     active = [v for v in range(1, l + 1) if adj[v - 1]]
-    color = {}
-
-    def assign(idx: int, used: int) -> bool:
-        if idx == len(active):
-            return True
+    color: dict[int, int] = {}
+    # backtracking on an explicit index: tried[idx] is the next color to
+    # try at active[idx], used[idx] the number of colors before it
+    tried = [0] * len(active)
+    used = [0] * (len(active) + 1)
+    idx = 0
+    while 0 <= idx < len(active):
         v = active[idx]
+        color.pop(v, None)
         conflict = set()
         rest = adj[v - 1]
         while rest:
@@ -158,17 +161,19 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
             rest ^= low
             if u in color:
                 conflict.add(color[u])
-        cap = min(used + 1, k)
-        for c in range(cap):
-            if c in conflict:
-                continue
-            color[v] = c
-            if assign(idx + 1, max(used, c + 1)):
-                return True
-            del color[v]
-        return False
-
-    if not assign(0, 0):
+        cap = min(used[idx] + 1, k)
+        c = tried[idx]
+        while c < cap and c in conflict:
+            c += 1
+        if c >= cap:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        color[v] = c
+        tried[idx] = c + 1
+        used[idx + 1] = max(used[idx], c + 1)
+        idx += 1
+    if idx < 0:
         return None
     parts: list[list[int]] = [[] for _ in range(k)]
     for v in active:

@@ -287,6 +287,20 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     pattern element i.  Strict pattern relations map to strict host
     relations; injective; the host may add relations the pattern lacks.
 
+    Order: pattern elements are placed in `_pattern_order`, each on its
+    candidate hosts in ascending index, so the embeddings come out sorted by
+    (phi[o] for o in _pattern_order(pattern)).  The budget ticks once per
+    candidate tried.
+
+    Pruning cuts only subtrees that hold no embedding.  Before the first
+    tick, the elements must be matchable to distinct hosts within their
+    static candidate sets (Hall's condition, checked by augmenting paths);
+    otherwise nothing is yielded.  During the search every unplaced element
+    keeps a domain: placing i at v narrows it to the hosts strictly above v
+    when i < j, strictly below v when j < i, and removes v; a placement
+    that empties any domain is dropped after its tick.  The search runs on
+    an explicit stack, so patterns of any size are searched.
+
     Raises BudgetExceeded through the budget object if one is supplied.
     """
     p, h = pattern.size, host.size
@@ -296,50 +310,103 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     if p > h:
         return
     order = _pattern_order(pattern)
-    host_all = (1 << h) - 1
+    up = [host.strict_up(v) for v in range(h)]
+    down = [host.strict_down(v) for v in range(h)]
     # static pruning: a host slot must offer at least as many elements
-    # above and below as the pattern element demands
-    static_cand = []
-    for i in range(p):
+    # above and below as the pattern element demands; static[d] is the
+    # candidate set of the element at position d of the order
+    static = []
+    for i in order:
         need_up = pattern.strict_up(i).bit_count()
         need_dn = pattern.strict_down(i).bit_count()
         mask = 0
         for v in range(h):
-            if (
-                host.strict_up(v).bit_count() >= need_up
-                and host.strict_down(v).bit_count() >= need_dn
-            ):
+            if up[v].bit_count() >= need_up and down[v].bit_count() >= need_dn:
                 mask |= 1 << v
-        static_cand.append(mask)
+        static.append(mask)
+    if not _has_distinct_hosts(static):
+        return
+    # links[d]: (q, below) for each later position q comparable with the
+    # element at position d; below says that element lies below it
+    position = [0] * p
+    for d, i in enumerate(order):
+        position[i] = d
+    links = []
+    for d, i in enumerate(order):
+        row = []
+        for rel, below in ((pattern.strict_up(i), True), (pattern.strict_down(i), False)):
+            while rel:
+                low = rel & -rel
+                rel ^= low
+                q = position[low.bit_length() - 1]
+                if q > d:
+                    row.append((q, below))
+        links.append(row)
 
+    # a frame holds the domains by position, the hosts in use and the
+    # candidates left at its depth; a domain holds the order constraints
+    # only, and the hosts in use are removed on reading, as dom[q] & ~used
     phi = [-1] * p
-
-    def extend(depth: int, used: int):
-        if depth == p:
+    stack = [(0, static, 0, static[0])]
+    while stack:
+        depth, dom, used, rest = stack[-1]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        stack[-1] = (depth, dom, used, rest ^ low)
+        v = low.bit_length() - 1
+        if budget is not None:
+            budget.tick()
+        phi[order[depth]] = v
+        if depth + 1 == p:
             yield tuple(phi)
-            return
-        i = order[depth]
-        cand = static_cand[i] & host_all & ~used
-        for k in range(depth):
-            j = order[k]
-            if pattern.leq(j, i):
-                cand &= host.strict_up(phi[j])
-            elif pattern.leq(i, j):
-                cand &= host.strict_down(phi[j])
-            if not cand:
-                return
-        rest = cand
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            rest ^= low
-            if budget is not None:
-                budget.tick()
-            phi[i] = v
-            yield from extend(depth + 1, used | low)
-            phi[i] = -1
+            continue
+        free = ~(used | low)
+        narrowed = dom.copy()
+        for q, below in links[depth]:
+            narrowed[q] &= up[v] if below else down[v]
+        for q in range(depth + 1, p):
+            if not narrowed[q] & free:
+                break
+        else:
+            stack.append((depth + 1, narrowed, used | low, narrowed[depth + 1] & free))
 
-    yield from extend(0, 0)
+
+def _has_distinct_hosts(domains: list[int]) -> bool:
+    """Whether the domains admit distinct representatives, by one
+    breadth-first augmenting path per domain over host bitsets."""
+    owner: dict[int, int] = {}  # host -> domain index holding it
+    taken = 0
+    for s in range(len(domains)):
+        # via[y] = (x, v): y holds v, and x would take v from it
+        via: dict[int, tuple[int, int]] = {}
+        seen = 0
+        queue = [s]
+        end = None
+        for x in queue:
+            fresh = domains[x] & ~seen
+            seen |= fresh
+            free = fresh & ~taken
+            if free:
+                end = (x, (free & -free).bit_length() - 1)
+                break
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                v = low.bit_length() - 1
+                via[owner[v]] = (x, v)
+                queue.append(owner[v])
+        if end is None:
+            return False
+        x, v = end
+        taken |= 1 << v
+        while True:
+            owner[v] = x
+            if x == s:
+                break
+            x, v = via[x]
+    return True
 
 
 def find_embedding(host: Poset, pattern: Poset, budget: Budget | None = None):

@@ -166,17 +166,22 @@ def _traversal_order(target: Poset) -> list[int]:
     adj = target.hasse_neighbors()
     seen = [False] * target.size
     order = []
-
-    def walk(v: int):
+    for v in range(target.size):
+        if seen[v] or not adj[v]:
+            continue
         seen[v] = True
         order.append(v)
-        for u in adj[v]:
-            if not seen[u]:
-                walk(u)
-
-    for v in range(target.size):
-        if not seen[v] and adj[v]:
-            walk(v)
+        # one iterator per open vertex, resumed where the last visit left it
+        stack = [iter(adj[v])]
+        while stack:
+            for u in stack[-1]:
+                if not seen[u]:
+                    seen[u] = True
+                    order.append(u)
+                    stack.append(iter(adj[u]))
+                    break
+            else:
+                stack.pop()
     for v in range(target.size):
         if not seen[v]:
             order.append(v)

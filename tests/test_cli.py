@@ -118,6 +118,15 @@ def test_search_rep(capsys):
     assert code == 2
 
 
+def test_search_rep_large_target(capsys):
+    # the element order of a 4000-element crown is built without recursion
+    code, out, _ = run(
+        capsys, "search-rep", "--target", "crown:4000", "--k", "2", "--l-max", "10"
+    )
+    assert code == 1
+    assert json.loads(out) == {"found": False}
+
+
 def test_search_rep_budget_exhaustion(capsys):
     code, out, err = run(
         capsys,
@@ -257,6 +266,18 @@ def test_partite_command(capsys, tmp_path):
     code, out, _ = run(capsys, "partite", "--file", triangle)
     assert code == 1
     assert json.loads(out) == {"partite": False}
+
+
+def test_partite_long_path(capsys, tmp_path):
+    l = 3000
+    path = write_json(
+        tmp_path, "path.json", {"k": 2, "l": l, "edges": [[i, i + 1] for i in range(1, l)]}
+    )
+    code, out, _ = run(capsys, "partite", "--file", path)
+    assert code == 0
+    res = json.loads(out)
+    assert res["partite"] is True
+    assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
 
 
 def test_scd_command(capsys):

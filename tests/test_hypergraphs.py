@@ -100,6 +100,14 @@ def test_is_k_partite_canonical_crown14_target():
     assert p.parts == ((1, 4), (2, 6), (3, 5, 7))
 
 
+def test_is_k_partite_long_path():
+    # coloring depth far beyond the interpreter's recursion limit
+    l = 3000
+    p = is_k_partite(graph(l, [[i, i + 1] for i in range(1, l)]))
+    assert p is not None
+    assert p.parts == (tuple(range(1, l + 1, 2)), tuple(range(2, l + 1, 2)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(3, 6), st.data())
 def test_is_k_partite_matches_brute_bipartiteness(l, data):

@@ -1,5 +1,5 @@
 import random
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from subposetlab import (
     Budget,
     BudgetExceeded,
+    RepresentationCertificate,
     SubsetFamily,
     antichain,
     butterfly,
@@ -27,7 +28,11 @@ from subposetlab import (
     iter_embeddings,
     make_poset,
     middle_levels,
+    rep_even_cycle,
+    rep_tight_cycle,
+    verify_representation,
 )
+from subposetlab.posets import _pattern_order
 from conftest import random_family
 
 
@@ -158,6 +163,64 @@ def test_embeddings_are_exactly_the_weak_maps():
                 if is_weak_embedding(host, pattern, perm):
                     expected.add(perm)
             assert got == expected
+
+
+def test_embeddings_come_in_search_order():
+    """The yielded list is the brute-force list of weak maps, sorted by the
+    hosts of the pattern elements in placement order."""
+    rng = random.Random(9)
+    for _ in range(25):
+        fam = random_family(3, rng, rng.randint(3, 7))
+        host = family_as_poset(fam)
+        for pattern in (chain(2), chain(3), antichain(3), fork(2), crown(4), diamond(2)):
+            order = _pattern_order(pattern)
+            expected = sorted(
+                (
+                    perm
+                    for perm in permutations(range(host.size), pattern.size)
+                    if is_weak_embedding(host, pattern, perm)
+                ),
+                key=lambda phi: tuple(phi[o] for o in order),
+            )
+            assert list(iter_embeddings(host, pattern)) == expected
+
+
+def test_relabeled_negative_crown_fails_before_search():
+    """One k-set of the crown:24 representation swapped for an absent one
+    leaves a (k-1)-set with a single superset, so the twelve crown bottoms
+    have eleven possible hosts: the root matching check rejects it."""
+    rep = rep_tight_cycle(3, 4)
+    rng = random.Random(4)
+    relabel = list(range(1, rep.l + 1))
+    rng.shuffle(relabel)
+
+    def relabeled(mask):
+        return sorted(relabel[b] for b in range(rep.l) if mask >> b & 1)
+
+    small = [relabeled(m) for m in rep.small_members()]
+    large = [relabeled(m) for m in rep.large_members()]
+    rng.shuffle(large)
+    # the cap turns a search that has lost its pruning into a failure
+    budget = Budget(100_000)
+    host = family_as_poset(SubsetFamily.from_sets(rep.l, small + large))
+    assert find_embedding(host, rep.target, budget) is not None
+    assert budget.used > 0
+
+    absent = next(
+        list(c) for c in combinations(range(1, rep.l + 1), 3) if list(c) not in large
+    )
+    swapped = SubsetFamily.from_sets(rep.l, small + large[1:] + [absent])
+    budget = Budget(100_000)
+    assert find_embedding(family_as_poset(swapped), rep.target, budget) is None
+    assert budget.used == 0
+
+
+def test_verify_large_even_cycle_representation():
+    # a 1200-element crown: placement depth far beyond the recursion limit
+    rep = rep_even_cycle(300)
+    cert = verify_representation(rep)
+    assert isinstance(cert, RepresentationCertificate)
+    assert is_weak_embedding(family_as_poset(rep.family), rep.target, cert.embedding)
 
 
 def test_embedding_budget_raises():

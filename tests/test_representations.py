@@ -13,6 +13,7 @@ from subposetlab import (
     crown,
     family_as_poset,
     is_weak_embedding,
+    make_poset,
     partite_graph,
     rep_crown14,
     rep_even_cycle,
@@ -20,6 +21,7 @@ from subposetlab import (
     search_representation,
     verify_representation,
 )
+from subposetlab.representations import _traversal_order
 
 
 def assert_certificate(rep, cert):
@@ -172,3 +174,42 @@ def test_search_rejects_wrong_height():
 def test_search_budget():
     with pytest.raises(BudgetExceeded):
         search_representation(crown(8), 2, 4, Budget(2))
+
+
+def recursive_traversal_order(target):
+    """Reference: recursive preorder over the Hasse graph, smallest neighbor
+    first, then the elements on no relation."""
+    adj = target.hasse_neighbors()
+    order = []
+
+    def walk(v):
+        order.append(v)
+        for u in adj[v]:
+            if u not in order:
+                walk(u)
+
+    for v in range(target.size):
+        if v not in order and adj[v]:
+            walk(v)
+    return order + [v for v in range(target.size) if v not in order]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "chain:1",
+        "chain:6",
+        "antichain:3",
+        "crown:4",
+        "crown:14",
+        "butterfly",
+        "fork:3",
+        "diamond:3",
+        "harp:5,4,3",
+        "harp:2,3",
+        "complete_two_level:2,3",
+    ],
+)
+def test_traversal_order_matches_recursive_preorder(spec):
+    target = make_poset(spec)
+    assert _traversal_order(target) == recursive_traversal_order(target)
