@@ -34,7 +34,7 @@ from .lattice import (
 )
 from .posets import make_poset
 from .representations import (
-    KPartiteRepresentation,
+    RepresentationSizeError,
     VerificationFailure,
     rep_crown14,
     rep_even_cycle,
@@ -45,6 +45,13 @@ from .representations import (
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
 DEFAULT_SOLVE_BUDGET = 50_000_000
+# Largest --n for la and lambda: their work before the first budget tick
+# (the middle bands as posets, the lattice poset) grows like 4^n and takes
+# about 0.4 s at n = 10, 3 s at n = 12.
+MAX_SOLVE_N = 10
+# Largest --n for scd: n = 16 takes about 0.6 s and 80 MB for 7 MB of
+# output, and each step up doubles all three.
+MAX_SCD_N = 16
 
 
 class _InputError(Exception):
@@ -101,23 +108,13 @@ def _hist_json(hist) -> dict:
 
 def _cmd_verify_rep(args) -> int:
     obj = _load_json(args.file)
-    if not isinstance(obj, dict) or not {"k", "l", "family", "target"} <= set(obj):
-        raise _InputError(
-            f"{args.file}: a representation needs keys k, l, family, target"
-        )
     try:
-        k = jsonio.decode_int(obj["k"])
-        l = jsonio.decode_int(obj["l"])
-        fam = SubsetFamily.from_sets(l, obj["family"])
-        target = jsonio.poset_from_json(obj["target"])
-    except (ValueError, TypeError, KeyError) as e:
-        raise _InputError(f"{args.file}: {e}") from e
-    name = obj["target"] if isinstance(obj["target"], str) else None
-    try:
-        rep = KPartiteRepresentation(k, l, fam, target, name)
-    except ValueError as e:
+        rep = jsonio.representation_from_json(obj)
+    except RepresentationSizeError as e:
         _emit({"verified": False, "reason": "sizes", "detail": str(e)})
         return 1
+    except (ValueError, TypeError, KeyError) as e:
+        raise _InputError(f"{args.file}: {e}") from e
     outcome = verify_representation(rep, _budget_arg(args))
     if isinstance(outcome, VerificationFailure):
         _emit({"verified": False, "reason": outcome.reason, "detail": outcome.detail})
@@ -177,38 +174,23 @@ def _cmd_search_rep(args) -> int:
     return 0
 
 
-def _solve_args(args):
-    """The pattern of an la or lambda run, after checking its sizes."""
-    if args.n < 1:
-        raise _InputError("--n must be at least 1")
+def _cmd_solve(args) -> int:
+    """la and lambda; a degraded result names its cause on stderr."""
+    if not 1 <= args.n <= MAX_SOLVE_N:
+        raise _InputError(f"--n must be between 1 and {MAX_SOLVE_N}")
     if args.copy_cap < 0:
         raise _InputError("--copy-cap must be nonnegative")
-    return _pattern_arg(args.pattern)
-
-
-def _cmd_la(args) -> int:
-    pattern = _solve_args(args)
-    res = la_exact(args.n, pattern, _budget_arg(args), args.copy_cap)
+    pattern = _pattern_arg(args.pattern)
+    lam = args.command == "lambda"
+    solver = lambda_exact if lam else la_exact
+    res = solver(args.n, pattern, _budget_arg(args), args.copy_cap)
+    if res.degraded is not None:
+        print(f"degraded: {res.degraded}", file=sys.stderr)
     _emit(
         {
             "n": args.n,
             "pattern": args.pattern,
-            "value": jsonio.encode_int(res.value),
-            "optimality": res.optimality,
-            "witness": jsonio.family_to_json(res.witness),
-        }
-    )
-    return 0
-
-
-def _cmd_lambda(args) -> int:
-    pattern = _solve_args(args)
-    res = lambda_exact(args.n, pattern, _budget_arg(args), args.copy_cap)
-    _emit(
-        {
-            "n": args.n,
-            "pattern": args.pattern,
-            "value": _fraction_json(res.value),
+            "value": _fraction_json(res.value) if lam else jsonio.encode_int(res.value),
             "optimality": res.optimality,
             "witness": jsonio.family_to_json(res.witness),
         }
@@ -280,6 +262,8 @@ def _cmd_partite(args) -> int:
 
 
 def _cmd_scd(args) -> int:
+    if args.n > MAX_SCD_N:
+        raise _InputError(f"--n must be at most {MAX_SCD_N}")
     lo = 0 if args.lo is None else args.lo
     hi = args.n if args.hi is None else args.hi
     try:
@@ -404,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max pattern copies to enumerate before degrading to the band bound",
     )
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_la)
+    sp.set_defaults(run=_cmd_solve)
 
     sp = sub.add_parser(
         "lambda", help="largest Lubell mass of a pattern-free family"
@@ -413,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--copy-cap", type=int, default=2_000_000)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_lambda)
+    sp.set_defaults(run=_cmd_solve)
 
     sp = sub.add_parser("lubell", help="exact Lubell value of a family file")
     sp.add_argument("--file", required=True, help="family JSON ('-' for stdin)")

@@ -10,7 +10,7 @@ pattern-free before being returned.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, lcm
 
@@ -39,6 +39,11 @@ class ExtremalResult:
     value: int | Fraction
     witness: SubsetFamily
     optimality: str  # "proven" | "lower-bound-only"
+    # why the result falls short of an unlimited run: None, "copy-cap",
+    # or the phase the budget ran out in, "budget-enumerate",
+    # "budget-search" or "budget-witness" (value proven, witness not the
+    # least one)
+    degraded: str | None = None
 
 
 @functools.lru_cache(maxsize=32)
@@ -234,12 +239,13 @@ def _vertex_mask_of_family(fam: SubsetFamily) -> int:
 
 
 def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
-    """Size of the widest middle band free of the pattern, re-verified."""
+    """Size of the widest middle band free of the pattern, re-verified;
+    the budget bounds the band scan and the re-check."""
     m = e_level(pattern, n, budget)
     if m == 0:
         return ExtremalResult(0, SubsetFamily(n, ()), "lower-bound-only")
     fam = middle_levels(n, m)
-    if contains_weak(family_as_poset(fam), pattern):
+    if contains_weak(family_as_poset(fam), pattern, budget):
         raise AssertionError("band reported free still hosts the pattern")
     return ExtremalResult(len(fam.members), fam, "lower-bound-only")
 
@@ -250,9 +256,9 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     try:
         ch = enumerate_copies(n, pattern, budget, copy_cap)
     except BudgetExceeded:
-        return seed_result
+        return replace(seed_result, degraded="budget-enumerate")
     if not ch.complete:
-        return seed_result
+        return replace(seed_result, degraded="copy-cap")
     verts, _ = _lattice_vertices(n)
     weights = [level_weight[m.bit_count()] for m in verts]
     engine = _Engine(len(verts), weights, ch.copies, budget)
@@ -260,16 +266,19 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
         engine.maximize(_vertex_mask_of_family(seed_result.witness))
     except BudgetExceeded:
         wit = _family_from_vertex_mask(n, engine.best_wit)
-        return ExtremalResult(engine.best_val * unit, wit, "lower-bound-only")
+        return ExtremalResult(
+            engine.best_val * unit, wit, "lower-bound-only", "budget-search"
+        )
     best, wit_mask = engine.best_val, engine.best_wit
+    degraded = None
     try:
         wit_mask = engine.lexmin_witness(best)
     except BudgetExceeded:
-        pass  # keep the search's optimal witness, not the least one
+        degraded = "budget-witness"  # keep the search's optimal witness
     if any(not c & ~wit_mask for c in ch.copies):
         raise AssertionError("optimal witness hosts a copy of the pattern")
     wit = _family_from_vertex_mask(n, wit_mask)
-    return ExtremalResult(best * unit, wit, "proven")
+    return ExtremalResult(best * unit, wit, "proven", degraded)
 
 
 def la_exact(
@@ -282,9 +291,11 @@ def la_exact(
 
     Degrades to the middle-band lower bound (optimality="lower-bound-only")
     when the copy cap is hit; a budget that runs out mid-search yields the
-    best witness found so far.
+    best witness found so far, and `degraded` names the cause.  The budget
+    also bounds the lower bound, and BudgetExceeded propagates when it runs
+    out there.
     """
-    seed = la_lower_bound(n, pattern)
+    seed = la_lower_bound(n, pattern, budget)
     return _run_exact(n, pattern, budget, copy_cap, [1] * (n + 1), 1, seed)
 
 
@@ -294,8 +305,9 @@ def lambda_exact(
     budget: Budget | None = None,
     copy_cap: int | None = DEFAULT_COPY_CAP,
 ) -> ExtremalResult:
-    """Largest Lubell mass of a pattern-free family in B_n, exact rational."""
-    seed_band = la_lower_bound(n, pattern)
+    """Largest Lubell mass of a pattern-free family in B_n, exact rational;
+    degrades, and charges the budget, as la_exact does."""
+    seed_band = la_lower_bound(n, pattern, budget)
     seed = ExtremalResult(
         lubell_value(seed_band.witness), seed_band.witness, "lower-bound-only"
     )

@@ -9,11 +9,10 @@ float.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-
-import mpmath
 
 
 def binomial(n: int, k: int) -> int:
@@ -48,10 +47,6 @@ def elements_of_mask(mask: int) -> tuple[int, ...]:
         mask >>= 1
         i += 1
     return tuple(out)
-
-
-def popcount(mask: int) -> int:
-    return mask.bit_count()
 
 
 def canonical_sort_key(mask: int) -> tuple[int, int]:
@@ -133,36 +128,6 @@ def lubell_value(family: SubsetFamily) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class FullChain:
-    """A maximal chain of nested subsets, generated by a permutation.
-
-    ``order`` lists 0-based bit indices; prefix i of the order gives the
-    chain's subset of size i.
-    """
-
-    n: int
-    order: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.order) != list(range(self.n)):
-            raise ValueError("order must be a permutation of the bit indices")
-
-    def prefixes(self) -> tuple[int, ...]:
-        masks = [0]
-        m = 0
-        for bit in self.order:
-            m |= 1 << bit
-            masks.append(m)
-        return tuple(masks)
-
-
-def all_full_chains(n: int):
-    """All n! full chains of the lattice on [n]."""
-    for perm in itertools.permutations(range(n)):
-        yield FullChain(n, perm)
-
-
 def expected_chain_hits(family: SubsetFamily, mode: str = "identity") -> Fraction:
     """Expected number of family members on a uniform random full chain.
 
@@ -189,26 +154,22 @@ def expected_chain_hits(family: SubsetFamily, mode: str = "identity") -> Fractio
     return Fraction(total_hits, factorial(n))
 
 
-def _bracket_match(mask: int, n: int) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """Match each set bit with a later unset bit, parenthesis style.
+def _bracket_match(mask: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Match each set bit with a later unset bit, parenthesis style, and
+    return the matched (one, zero) positions in order of the zero.
 
-    Returns (matched pairs as a sorted tuple of (one, zero) positions,
-    unmatched positions in increasing order).  Subsets sharing a matching
-    form one saturated chain symmetric about n/2; the pairing itself is the
-    key, since distinct matchings can cover the same positions.
+    Subsets sharing a matching form one saturated chain symmetric about
+    n/2; the pairing itself is the key, since distinct matchings can cover
+    the same positions.
     """
     stack = []
     matched = []
-    unmatched_zeros = []
     for i in range(n):
         if mask >> i & 1:
             stack.append(i)
         elif stack:
             matched.append((stack.pop(), i))
-        else:
-            unmatched_zeros.append(i)
-    unmatched = sorted(unmatched_zeros + stack)
-    return tuple(sorted(matched)), tuple(unmatched)
+    return tuple(matched)
 
 
 @dataclass(frozen=True)
@@ -225,35 +186,29 @@ class ChainDecomposition:
 
 
 def full_symmetric_chains(n: int) -> tuple[tuple[int, ...], ...]:
-    """Symmetric chain decomposition of the whole lattice via bracket
-    matching; each chain's sizes run symmetrically about n/2."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for mask in range(1 << n):
-        key, _ = _bracket_match(mask, n)
-        groups.setdefault(key, []).append(mask)
-    chains = []
-    for masks in groups.values():
-        masks.sort(key=canonical_sort_key)
-        chains.append(tuple(masks))
-    chains.sort(key=lambda c: canonical_sort_key(c[0]))
-    return tuple(chains)
+    """Symmetric chain decomposition of the whole lattice; each chain's
+    sizes run symmetrically about n/2."""
+    return symmetric_chain_decomposition(n, 0, n).chains
 
 
 def symmetric_chain_decomposition(n: int, level_lo: int, level_hi: int) -> ChainDecomposition:
-    """Restrict the symmetric chain decomposition of the lattice to a band.
+    """The symmetric chain decomposition of the lattice, restricted to a
+    band: the subsets with sizes in [level_lo, level_hi], grouped by their
+    bracket matching.
 
-    The band [level_lo, level_hi] is partitioned into exactly C(n, s0)
-    chains, where s0 is the band level with the largest binomial.
+    The band is partitioned into exactly C(n, s0) chains, where s0 is the
+    band level with the largest binomial.
     """
     if not 0 <= level_lo <= level_hi <= n:
         raise ValueError(f"invalid band [{level_lo}, {level_hi}] for n={n}")
-    restricted = []
-    for chain in full_symmetric_chains(n):
-        part = tuple(m for m in chain if level_lo <= m.bit_count() <= level_hi)
-        if part:
-            restricted.append(part)
-    restricted.sort(key=lambda c: canonical_sort_key(c[0]))
-    return ChainDecomposition(n, level_lo, level_hi, tuple(restricted))
+    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
+    for mask in range(1 << n):
+        if level_lo <= mask.bit_count() <= level_hi:
+            groups.setdefault(_bracket_match(mask, n), []).append(mask)
+    # masks arrive in increasing order, which on a chain of nested subsets
+    # is the canonical order
+    chains = sorted(map(tuple, groups.values()), key=lambda c: canonical_sort_key(c[0]))
+    return ChainDecomposition(n, level_lo, level_hi, tuple(chains))
 
 
 def band_peak_level(n: int, level_lo: int, level_hi: int) -> int:
@@ -264,49 +219,69 @@ def band_peak_level(n: int, level_lo: int, level_hi: int) -> int:
     return max(range(level_lo, level_hi + 1), key=lambda s: (comb(n, s), -s))
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    frac = Fraction(man, 1) * Fraction(2) ** exp
-    return -frac if sign else frac
+def _atanh_bracket(a: int, b: int, prec: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= atanh(a/b) * 2^prec < hi, for
+    0 <= a/b <= 1/3.
+
+    With x = a/b, lo sums floor(x^(2k+1) 2^prec / (2k+1)) over the K
+    leading terms, those with x^(2k+1) 2^prec >= 1, so lo is at most the
+    series.  The K floors lose less than K, and the rest of the series,
+    below x^(2K+1) / ((2K+1)(1 - x^2)), is under 9/8 once scaled by 2^prec.
+    """
+    lo = k = 0
+    num, den = a << prec, b  # x^(2k+1) 2^prec = num / den
+    while num >= den:
+        lo += num // (den * (2 * k + 1))
+        num *= a * a
+        den *= b * b
+        k += 1
+    return lo, lo + k + 2
 
 
-def _exceeds_sixteen_n_log(square: int, n: int) -> bool:
-    """Decide square > 16*n*ln(n) exactly, escalating precision until the
-    comparison is unambiguous (16*n*ln(n) is irrational for n >= 2)."""
-    if n == 1:
-        return square > 0
-    prec = 64
-    while prec <= 1 << 20:
-        saved = mpmath.iv.prec
-        try:
-            mpmath.iv.prec = prec
-            iv_ln = mpmath.iv.ln(mpmath.iv.mpf(n))
-            raw_lo, raw_hi = iv_ln._mpi_
-        finally:
-            mpmath.iv.prec = saved
-        lo = _raw_mpf_to_fraction(raw_lo) * 16 * n
-        hi = _raw_mpf_to_fraction(raw_hi) * 16 * n
-        if square > hi:
-            return True
-        if square <= lo:
-            return False
-        prec *= 2
-    raise RuntimeError("could not separate the threshold comparison")
+def _ln_bracket(n: int, prec: int) -> tuple[int, int]:
+    """Integers lo, hi with lo <= ln(n) * 2^prec < hi, for n >= 1.
+
+    With n = 2^e m and 1 <= m < 2: ln n = e ln 2 + ln m, where
+    ln 2 = 2 atanh(1/3) and ln m = 2 atanh((n - 2^e) / (n + 2^e)).
+    """
+    e = n.bit_length() - 1
+    lo2, hi2 = _atanh_bracket(1, 3, prec)
+    lom, him = _atanh_bracket(n - (1 << e), n + (1 << e), prec)
+    return 2 * (e * lo2 + lom), 2 * (e * hi2 + him)
 
 
 def tail_mass(n: int) -> Fraction:
     """Exact probability mass of the levels whose distance from n/2 exceeds
-    2*sqrt(n ln n): (1/2^n) * sum of C(n, i) over i with (2i-n)^2 > 16 n ln n."""
+    2*sqrt(n ln n): (1/2^n) * sum of C(n, i) over i with (2i-n)^2 > 16 n ln n.
+
+    The comparison is decided in integers against a bracket of ln n, whose
+    precision doubles until the two sides separate (16 n ln n is
+    irrational for n >= 2, and 0 for n = 1).  It is monotone in |2i - n|,
+    so one bisection over the upper half finds the first tail level, and
+    the lower tail mirrors the upper one.
+    """
     if n < 1:
         raise ValueError("n must be positive")
-    total = 0
-    for i in range(n + 1):
-        if _exceeds_sixteen_n_log((2 * i - n) ** 2, n):
-            total += comb(n, i)
-    return Fraction(total, 1 << n)
+    brackets = []  # brackets[j] bounds ln n at precision 64 << j
+
+    def far(i: int) -> bool:
+        square = (2 * i - n) ** 2
+        for j in itertools.count():
+            prec = 64 << j
+            if j == len(brackets):
+                brackets.append(_ln_bracket(n, prec))
+            lo, hi = brackets[j]
+            if square << prec >= 16 * n * hi:
+                return True
+            if square << prec <= 16 * n * lo:
+                return False
+
+    first = bisect_left(range(n + 1), True, lo=(n + 1) // 2, key=far)
+    total, term = 0, 1  # term = C(n, i) for i from n down to first
+    for i in range(n, first - 1, -1):
+        total += term
+        term = term * i // (n - i + 1)
+    return Fraction(2 * total, 1 << n)
 
 
 def binom_ratio(n: int, i: int, j: int) -> Fraction:

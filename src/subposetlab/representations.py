@@ -24,6 +24,10 @@ from .posets import (
 )
 
 
+class RepresentationSizeError(ValueError):
+    """k, l or a member size out of range for a k-partite representation."""
+
+
 @dataclass(frozen=True)
 class KPartiteRepresentation:
     k: int
@@ -34,14 +38,14 @@ class KPartiteRepresentation:
 
     def __post_init__(self):
         if self.k < 2:
-            raise ValueError("k must be at least 2")
+            raise RepresentationSizeError("k must be at least 2")
         if self.l < self.k:
-            raise ValueError("the vertex range must admit k-sets")
+            raise RepresentationSizeError("the vertex range must admit k-sets")
         if self.family.n != self.l:
-            raise ValueError("family ground set must be [l]")
+            raise RepresentationSizeError("family ground set must be [l]")
         for m in self.family.members:
             if m.bit_count() not in (self.k - 1, self.k):
-                raise ValueError(
+                raise RepresentationSizeError(
                     f"member of size {m.bit_count()}: only sizes "
                     f"{self.k - 1} and {self.k} are allowed"
                 )

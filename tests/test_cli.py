@@ -168,6 +168,69 @@ def test_la_lambda_reject_bad_sizes(capsys, argv, message):
     assert f"error: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["la", "--n", "30", "--pattern", "chain:2"], "--n must be between 1 and 10"),
+        (["lambda", "--n", "11", "--pattern", "chain:2"], "--n must be between 1 and 10"),
+        (["scd", "--n", "40"], "--n must be at most 16"),
+    ],
+)
+def test_size_limits(capsys, argv, message):
+    # rejected before any work: each would otherwise loop over 2^n subsets
+    t0 = time.monotonic()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: {message}" in err
+    assert time.monotonic() - t0 < 1
+
+
+def test_la_reports_degradation_on_stderr(capsys):
+    code, out, err = run(capsys, "la", "--n", "4", "--pattern", "chain:2", "--copy-cap", "3")
+    assert code == 0 and json.loads(out)["optimality"] == "lower-bound-only"
+    assert "degraded: copy-cap" in err
+    code, out, err = run(capsys, "la", "--n", "4", "--pattern", "chain:2")
+    assert json.loads(out)["optimality"] == "proven"
+    assert "degraded" not in err
+
+
+@pytest.mark.parametrize("verb", ["la", "lambda"])
+def test_budget_bounds_the_lower_bound(verb):
+    # the band scan for crown:24 in B_7 ran past 60 s when it did not
+    # charge the budget
+    t0 = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "subposetlab.cli", verb, "--n", "7",
+         "--pattern", "crown:24", "--budget", "1000"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert "budget of 1000 ticks exhausted" in proc.stderr
+    assert time.monotonic() - t0 < 20
+
+
+def test_cli_imports_only_the_stdlib():
+    # modules the interpreter loads at startup (site hooks) do not count
+    code = (
+        "import sys; before = set(sys.modules); import subposetlab.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert "subposetlab" in loaded
+    assert loaded - set(sys.stdlib_module_names) == {"subposetlab"}
+
+
 def test_la_long_chain_pattern(capsys):
     # the pattern's order is closed without recursion, so a 3000-chain is
     # no deeper a problem than a short one: it fits nowhere in B_3

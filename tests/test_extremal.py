@@ -127,6 +127,7 @@ def test_la_lower_bound_band():
 def test_copy_cap_degrades_to_lower_bound():
     res = la_exact(4, chain(2), copy_cap=3)
     assert res.optimality == "lower-bound-only"
+    assert res.degraded == "copy-cap"
     assert res.value == comb(4, 2)
     assert not contains_weak(family_as_poset(res.witness), chain(2))
 
@@ -134,6 +135,7 @@ def test_copy_cap_degrades_to_lower_bound():
 def test_budget_degrades_but_stays_sound():
     res = la_exact(4, chain(2), Budget(40))
     assert res.optimality == "lower-bound-only"
+    assert res.degraded == "budget-enumerate"
     assert res.value >= comb(4, 2)
     assert not contains_weak(family_as_poset(res.witness), chain(2))
 
@@ -165,7 +167,30 @@ def test_search_tree_tick_counts(solver, n, pattern, ticks):
     branch-and-bound search, so equal counts mean the same search trees.
     These are the counts of the engine as first written, which scanned
     lists of copies at every node; a change of branching rule, bound or
-    witness search changes them."""
+    witness search changes them.  The solvers also charge the band lower
+    bound to the budget; lb is what it spends on its own."""
+    lb = Budget()
+    la_lower_bound(n, make_poset(pattern), lb)
     budget = Budget()
     assert solver(n, make_poset(pattern), budget).optimality == "proven"
-    assert budget.used == ticks
+    assert budget.used == ticks + lb.used
+
+
+def test_budget_spent_in_witness_phase_is_reported():
+    """At Budget(8904) on top of the lower bound's ticks, the value of
+    la(5, fork:2) is proven but the budget runs out while the witness is
+    made canonical: the result keeps the search's witness and says so."""
+    pattern = make_poset("fork:2")
+    lb = Budget()
+    la_lower_bound(5, pattern, lb)
+    full = la_exact(5, pattern)
+    assert full.degraded is None
+    res = la_exact(5, pattern, Budget(8904 + lb.used))
+    assert (res.value, res.optimality) == (full.value, "proven")
+    assert res.degraded == "budget-witness"
+    assert res.witness != full.witness
+    assert len(res.witness.members) == res.value
+    assert not contains_weak(family_as_poset(res.witness), pattern)
+    res = la_exact(5, pattern, Budget(8904))
+    assert res.optimality == "lower-bound-only"
+    assert res.degraded == "budget-search"

@@ -1,6 +1,7 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     tail_mass,
 )
+from subposetlab.lattice import _ln_bracket
 from conftest import random_family
 
 
@@ -126,6 +128,37 @@ def test_scd_band_partitions():
                 assert len(dec) == comb(n, band_peak_level(n, lo, hi))
 
 
+def restricted_full_decomposition(n):
+    """The band decompositions as first computed, kept as the reference:
+    group all 2^n subsets by bracket matching, then cut every chain of the
+    whole lattice to the band.  Returns a function of (lo, hi)."""
+    groups = {}
+    for mask in range(1 << n):
+        stack, matched = [], []
+        for i in range(n):
+            if mask >> i & 1:
+                stack.append(i)
+            elif stack:
+                matched.append((stack.pop(), i))
+        groups.setdefault(tuple(sorted(matched)), []).append(mask)
+    full = [sorted(masks, key=canonical_sort_key) for masks in groups.values()]
+
+    def band(lo, hi):
+        parts = [tuple(m for m in ch if lo <= m.bit_count() <= hi) for ch in full]
+        return tuple(sorted(filter(None, parts), key=lambda c: canonical_sort_key(c[0])))
+
+    return band
+
+
+def test_scd_bands_match_restricted_full_decomposition():
+    for n in range(0, 11):
+        reference = restricted_full_decomposition(n)
+        assert full_symmetric_chains(n) == reference(0, n)
+        for lo in range(n + 1):
+            for hi in range(lo, n + 1):
+                assert symmetric_chain_decomposition(n, lo, hi).chains == reference(lo, hi)
+
+
 def test_scd_rejects_bad_band():
     with pytest.raises(ValueError):
         symmetric_chain_decomposition(4, 3, 2)
@@ -151,6 +184,32 @@ def test_tail_mass_small_values():
 def test_tail_mass_bound_spot_checks():
     for n in (1, 17, 50, 128, 250, 300):
         assert tail_mass(n) < Fraction(2, n * n)
+
+
+def test_tail_mass_matches_decimal_logarithm():
+    # an independent decision: 16 n ln n to 60 digits with decimal; no
+    # integer comes within 1e-30 of it, so the 60 digits decide d^2 > it
+    for n in range(1, 1001):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            threshold = 16 * n * Decimal(n).ln()
+        floor = int(threshold)
+        if n > 1:
+            assert Decimal("1e-30") < threshold - floor < 1 - Decimal("1e-30")
+        d_min = isqrt(floor) + 1  # the least d with d^2 > threshold
+        total = sum(comb(n, i) for i in range(n + 1) if abs(2 * i - n) >= d_min)
+        assert tail_mass(n) == Fraction(total, 1 << n), n
+
+
+def test_ln_bracket_contains_the_logarithm():
+    for n in (1, 2, 3, 7, 8, 100, 1023, 1024, 1025, 10**6 + 3):
+        with localcontext() as ctx:
+            ctx.prec = 100
+            ln = Decimal(n).ln()
+            for prec in (64, 128, 256):
+                lo, hi = _ln_bracket(n, prec)
+                assert lo <= ln * 2**prec < hi
+                assert hi - lo < 2**prec >> 50
 
 
 def test_binom_ratio():
