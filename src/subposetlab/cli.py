@@ -181,16 +181,14 @@ def _cmd_solve(args) -> int:
     if args.copy_cap < 0:
         raise _InputError("--copy-cap must be nonnegative")
     pattern = _pattern_arg(args.pattern)
-    lam = args.command == "lambda"
-    solver = lambda_exact if lam else la_exact
-    res = solver(args.n, pattern, _budget_arg(args), args.copy_cap)
+    res = args.solver(args.n, pattern, _budget_arg(args), args.copy_cap)
     if res.degraded is not None:
         print(f"degraded: {res.degraded}", file=sys.stderr)
     _emit(
         {
             "n": args.n,
             "pattern": args.pattern,
-            "value": _fraction_json(res.value) if lam else jsonio.encode_int(res.value),
+            "value": args.encode_value(res.value),
             "optimality": res.optimality,
             "witness": jsonio.family_to_json(res.witness),
         }
@@ -388,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="max pattern copies to enumerate before degrading to the band bound",
     )
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_solve)
+    sp.set_defaults(run=_cmd_solve, solver=la_exact, encode_value=jsonio.encode_int)
 
     sp = sub.add_parser(
         "lambda", help="largest Lubell mass of a pattern-free family"
@@ -397,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     sp.add_argument("--copy-cap", type=int, default=2_000_000)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_solve)
+    sp.set_defaults(run=_cmd_solve, solver=lambda_exact, encode_value=_fraction_json)
 
     sp = sub.add_parser("lubell", help="exact Lubell value of a family file")
     sp.add_argument("--file", required=True, help="family JSON ('-' for stdin)")

@@ -185,20 +185,16 @@ class ChainDecomposition:
         return len(self.chains)
 
 
-def full_symmetric_chains(n: int) -> tuple[tuple[int, ...], ...]:
-    """Symmetric chain decomposition of the whole lattice; each chain's
-    sizes run symmetrically about n/2."""
-    return symmetric_chain_decomposition(n, 0, n).chains
-
-
-def symmetric_chain_decomposition(n: int, level_lo: int, level_hi: int) -> ChainDecomposition:
-    """The symmetric chain decomposition of the lattice, restricted to a
-    band: the subsets with sizes in [level_lo, level_hi], grouped by their
-    bracket matching.
-
-    The band is partitioned into exactly C(n, s0) chains, where s0 is the
-    band level with the largest binomial.
+def full_symmetric_chains(
+    n: int, level_lo: int = 0, level_hi: int | None = None
+) -> tuple[tuple[int, ...], ...]:
+    """The symmetric chain decomposition of the whole lattice, each chain's
+    sizes running symmetrically about n/2, restricted to the subsets with
+    sizes in [level_lo, level_hi] (by default all of them): those subsets,
+    grouped by their bracket matching.
     """
+    if level_hi is None:
+        level_hi = n
     if not 0 <= level_lo <= level_hi <= n:
         raise ValueError(f"invalid band [{level_lo}, {level_hi}] for n={n}")
     groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
@@ -207,8 +203,17 @@ def symmetric_chain_decomposition(n: int, level_lo: int, level_hi: int) -> Chain
             groups.setdefault(_bracket_match(mask, n), []).append(mask)
     # masks arrive in increasing order, which on a chain of nested subsets
     # is the canonical order
-    chains = sorted(map(tuple, groups.values()), key=lambda c: canonical_sort_key(c[0]))
-    return ChainDecomposition(n, level_lo, level_hi, tuple(chains))
+    return tuple(sorted(map(tuple, groups.values()), key=lambda c: canonical_sort_key(c[0])))
+
+
+def symmetric_chain_decomposition(n: int, level_lo: int, level_hi: int) -> ChainDecomposition:
+    """The symmetric chain decomposition of the lattice, restricted to the
+    band of sizes [level_lo, level_hi].
+
+    The band is partitioned into exactly C(n, s0) chains, where s0 is the
+    band level with the largest binomial.
+    """
+    return ChainDecomposition(n, level_lo, level_hi, full_symmetric_chains(n, level_lo, level_hi))
 
 
 def band_peak_level(n: int, level_lo: int, level_hi: int) -> int:

@@ -157,6 +157,7 @@ def test_scd_bands_match_restricted_full_decomposition():
         for lo in range(n + 1):
             for hi in range(lo, n + 1):
                 assert symmetric_chain_decomposition(n, lo, hi).chains == reference(lo, hi)
+                assert full_symmetric_chains(n, lo, hi) == reference(lo, hi)
 
 
 def test_scd_rejects_bad_band():
@@ -164,6 +165,8 @@ def test_scd_rejects_bad_band():
         symmetric_chain_decomposition(4, 3, 2)
     with pytest.raises(ValueError):
         symmetric_chain_decomposition(4, 0, 5)
+    with pytest.raises(ValueError):
+        full_symmetric_chains(4, 3, 2)
 
 
 def test_band_peak_level_ties_go_low():
