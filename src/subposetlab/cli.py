@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -91,6 +90,8 @@ def _pattern_arg(text: str):
 def _budget_arg(args) -> Budget | None:
     if args.budget is None:
         return None
+    if args.budget < 0:
+        raise _InputError("--budget must be at least 0")
     return Budget(args.budget)
 
 
@@ -347,13 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="subposetlab",
         description="Subset families, forbidden subposets, and partite representations.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="upper bound on worker threads (default: SUBPOSETLAB_THREADS or 1); "
-        "current solvers are single-threaded, so this only caps, never spreads",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify-rep", help="check a representation file end to end")
@@ -445,22 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(args) -> int:
-    if args.threads is not None:
-        value = args.threads
-    else:
-        raw = os.environ.get("SUBPOSETLAB_THREADS", "1")
-        try:
-            value = int(raw, 10)
-        except ValueError:
-            raise _InputError(
-                f"SUBPOSETLAB_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if value < 1:
-        raise _InputError("thread count must be at least 1")
-    return value
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -468,7 +446,6 @@ def main(argv=None) -> int:
         args.budget = None
     start = time.monotonic()
     try:
-        _resolve_threads(args)
         code = args.run(args)
     except _InputError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -90,29 +90,35 @@ class _Engine:
     costs one popcount per class.  Sets of copies are int bitsets: bit b
     stands for by_bit[b], the copies in reverse order, so `bit_length`
     finds the first one.  inc[v] holds the copies through vertex v, and
-    `alive` the copies that no excluded vertex hits.
+    `alive` the copies that no excluded vertex hits.  Each node carries
+    the weight of its excluded set, so the weight of its included and free
+    vertices is total minus that.
 
     Branch vertex: the free vertex in the most alive copies, ties to the
-    smallest index; the include branch is searched first.  Bound: the
-    weight of the included and free vertices, minus one minimum-weight
-    vertex per copy of a greedy disjoint packing: take the first alive
-    copy, drop every copy that meets its free part, repeat.  Every alive
-    copy keeps a free vertex, as it avoids the excluded vertices and no
-    include completes it.  A feasibility search for weight >= target starts
-    from best_val = target - 1 and stops at its first improvement.
+    smallest index; the include branch is searched first, and it exists
+    only when no alive copy through the branch vertex has it as its last
+    free vertex.  Bound: the weight of the included and free vertices,
+    minus one minimum-weight vertex per copy of a greedy disjoint packing:
+    take the first alive copy, drop every copy that meets its free part,
+    repeat.  Every alive copy keeps a free vertex, as it avoids the
+    excluded vertices and no include completes it.  A feasibility search
+    for weight >= target starts from best_val = target - 1 and stops at its
+    first improvement.
     """
 
     def __init__(self, nverts: int, weights, copies, budget: Budget | None):
         self.nverts = nverts
+        self.weights = list(weights)
         self.by_bit = copies[::-1]
         self.universe = (1 << nverts) - 1
         self.budget = budget
         self.best_val = None
         self.best_wit = None
         classes: dict[int, int] = {}
-        for v, w in enumerate(weights):
+        for v, w in enumerate(self.weights):
             classes[w] = classes.get(w, 0) | 1 << v
         self.classes = sorted(classes.items())
+        self.total = self.weight_of(self.universe)
         nbytes = len(copies) // 8 + 1
         through = [bytearray(nbytes) for _ in range(nverts)]
         last = [bytearray(nbytes) for _ in range(nverts)]
@@ -146,27 +152,32 @@ class _Engine:
                 fp ^= low
         return loss
 
-    def _search(self, included: int, excluded: int, alive: int, first: bool):
-        """Depth-first search below one node, raising best_val and best_wit;
-        with first=True, True as soon as best_val rises."""
-        inc = self.inc
-        stack = [(included, excluded, alive, None)]
+    def _search(
+        self, included: int, excluded: int, w_out: int, alive: int, first: bool
+    ) -> bool:
+        """Depth-first search below one node, w_out the weight of its
+        excluded set, raising best_val and best_wit; with first=True, True
+        as soon as best_val rises."""
+        inc, miss, weights = self.inc, self.miss, self.weights
+        universe, total = self.universe, self.total
+        packing_loss = self._packing_loss
+        tick = self.budget.tick if self.budget is not None else None
+        stack = [(included, excluded, w_out, alive, None)]
         while stack:
             # degs: (u, alive copies through u) for each free u in one; an
             # include child keeps its parent's, as its alive copies stay
-            included, excluded, alive, degs = stack.pop()
-            if self.budget is not None:
-                self.budget.tick()
-            free = self.universe & ~included & ~excluded
+            included, excluded, w_out, alive, degs = stack.pop()
+            if tick is not None:
+                tick()
+            free = universe & ~included & ~excluded
+            top = total - w_out
             if not alive:
-                val = self.weight_of(included | free)
-                if val > self.best_val:
-                    self.best_val, self.best_wit = val, included | free
+                if top > self.best_val:
+                    self.best_val, self.best_wit = top, included | free
                     if first:
                         return True
                 continue
-            ub = self.weight_of(included | free) - self._packing_loss(alive, free)
-            if ub <= self.best_val:
+            if top - packing_loss(alive, free) <= self.best_val:
                 continue
             if degs is None:
                 degs = []
@@ -183,39 +194,60 @@ class _Engine:
                 if d > best:
                     v, best = u, d
             bit = 1 << v
-            stack.append((included, excluded | bit, alive & self.miss[v], None))
-            others = 0  # the copies through a free vertex other than v
+            stack.append(
+                (included, excluded | bit, w_out + weights[v], alive & miss[v], None)
+            )
+            # the alive copies through v that no other free vertex meets
+            lone = inc[v] & alive
             for u, _ in degs:
                 if u != v:
-                    others |= inc[u]
-            if not inc[v] & alive & ~others:
+                    lone &= miss[u]
+                    if not lone:
+                        break
+            if not lone:
                 kept = [(u, d) for u, d in degs if u != v]
-                stack.append((included | bit, excluded, alive, kept))
+                stack.append((included | bit, excluded, w_out, alive, kept))
         return False
 
     def maximize(self, seed_wit: int) -> None:
         self.best_val = self.weight_of(seed_wit)
         self.best_wit = seed_wit
-        self._search(0, 0, self.all_copies, False)
+        self._search(0, 0, 0, self.all_copies, False)
 
-    def lexmin_witness(self, target: int) -> int:
-        """The set of weight target whose sorted vertex list is
-        lexicographically least: each vertex in index order goes in when a
-        feasibility search still reaches the target with it.  Overwrites
-        best_val and best_wit."""
+    def lexmin_witness(self, target: int, wit: int) -> int:
+        """The set of weight >= target whose sorted vertex list is
+        lexicographically least; wit is a copy-free set of weight >= target,
+        such as the maximize phase's optimum.  Overwrites best_val and
+        best_wit.
+
+        Greedy: each vertex in index order goes in when a feasibility
+        search still reaches the target with it, and out otherwise.  wit
+        always holds every vertex decided in and none decided out: a vertex
+        of wit goes in, and wit itself is the completion that proves the
+        search would succeed, so it is not run; a vertex outside wit gets
+        the search, and on success wit becomes its best_wit, which holds
+        the vertex and every earlier decision.  The decisions, and so the
+        set, are the greedy's; only searches with a known outcome are
+        skipped."""
         decided_in = 0
         decided_out = 0
+        w_out = 0  # the weight of the vertices decided out
         alive = self.all_copies  # the copies avoiding every vertex decided out
         for i in range(self.nverts):
             bit = 1 << i
+            if wit & bit:
+                decided_in |= bit
+                continue
             self.best_val = target - 1
             # an alive copy ending at i has all its other vertices in
             if not self.last[i] & alive and self._search(
-                decided_in | bit, decided_out, alive, True
+                decided_in | bit, decided_out, w_out, alive, True
             ):
                 decided_in |= bit
+                wit = self.best_wit
             else:
                 decided_out |= bit
+                w_out += self.weights[i]
                 alive &= self.miss[i]
         return decided_in
 
@@ -252,7 +284,17 @@ def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> Extr
 
 def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     """Branch and bound over the copies, each vertex weighing
-    level_weight[|set|] units of `unit`; seed_result is the band bound."""
+    level_weight[|set|] units of `unit`; seed_result is the band bound.
+
+    Chain bound: |P| distinct sets on one full chain host every |P|-element
+    poset weakly, so a P-free family meets each full chain in at most
+    |P| - 1 sets.  Averaging over the n! full chains, the fractions of the
+    levels it takes sum to at most |P| - 1, so its weight is at most the
+    sum of the |P| - 1 largest level totals level_weight[i] * C(n, i):
+    Sigma(n, |P| - 1) for la (Erdos), |P| - 1 for lambda.  When the seed
+    reaches that, as it does for chain patterns, it is optimal and the
+    maximize phase is skipped; copy enumeration, the witness phase and the
+    re-check run as always."""
     try:
         ch = enumerate_copies(n, pattern, budget, copy_cap)
     except BudgetExceeded:
@@ -262,17 +304,23 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     verts, _ = _lattice_vertices(n)
     weights = [level_weight[m.bit_count()] for m in verts]
     engine = _Engine(len(verts), weights, ch.copies, budget)
-    try:
-        engine.maximize(_vertex_mask_of_family(seed_result.witness))
-    except BudgetExceeded:
-        wit = _family_from_vertex_mask(n, engine.best_wit)
-        return ExtremalResult(
-            engine.best_val * unit, wit, "lower-bound-only", "budget-search"
-        )
+    seed_mask = _vertex_mask_of_family(seed_result.witness)
+    level_totals = sorted(
+        (w * comb(n, i) for i, w in enumerate(level_weight)), reverse=True
+    )
+    engine.best_val, engine.best_wit = engine.weight_of(seed_mask), seed_mask
+    if engine.best_val < sum(level_totals[: pattern.size - 1]):
+        try:
+            engine.maximize(seed_mask)
+        except BudgetExceeded:
+            wit = _family_from_vertex_mask(n, engine.best_wit)
+            return ExtremalResult(
+                engine.best_val * unit, wit, "lower-bound-only", "budget-search"
+            )
     best, wit_mask = engine.best_val, engine.best_wit
     degraded = None
     try:
-        wit_mask = engine.lexmin_witness(best)
+        wit_mask = engine.lexmin_witness(best, wit_mask)
     except BudgetExceeded:
         degraded = "budget-witness"  # keep the search's optimal witness
     if any(not c & ~wit_mask for c in ch.copies):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -455,24 +456,45 @@ def turan_delta(sizes) -> Fraction:
 TURAN_SIZE_LIMIT = 1 << 27
 
 
+def _kpartite_copy_count(n: int, sizes) -> int:
+    """The number of distinct complete k-partite K(sizes) in K_n^(k): the
+    ordered part choices, prod C(n - s_1 - ... - s_{i-1}, s_i), over the
+    orders of equal-size parts.  Two vertices share a part exactly when no
+    edge holds both, so distinct partitions give distinct copies."""
+    count, left = 1, n
+    for s in sizes:
+        count *= comb(left, s)
+        left -= s
+    for m in Counter(sizes).values():
+        count //= factorial(m)
+    return count
+
+
 def _kpartite_copies(
     edges: list[int], n: int, sizes, budget: Budget | None
 ) -> tuple[int, ...]:
     """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
-    positions of its edges in `edges`; one tick per part choice."""
+    positions of its edges in `edges`; one tick per part choice.  Raises
+    ValueError, before any tick, when the copies would pass
+    TURAN_SIZE_LIMIT."""
     if sum(sizes) > n:
         return ()
+    if _kpartite_copy_count(n, sizes) * len(edges) > TURAN_SIZE_LIMIT:
+        raise ValueError(
+            f"more than {TURAN_SIZE_LIMIT // len(edges)} forbidden copies "
+            f"on {len(edges)} edges: too large for the exact search"
+        )
     index = {e: i for i, e in enumerate(edges)}
+    nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
 
     def place(i: int, used: int, stems: list[int]) -> None:
         if i == len(sizes):
-            copies.add(sum(1 << index[e] for e in stems))
-            if len(copies) * len(edges) > TURAN_SIZE_LIMIT:
-                raise ValueError(
-                    f"more than {TURAN_SIZE_LIMIT // len(edges)} forbidden copies "
-                    f"on {len(edges)} edges: too large for the exact search"
-                )
+            buf = bytearray(nbytes)
+            for e in stems:
+                b = index[e]
+                buf[b >> 3] |= 1 << (b & 7)
+            copies.add(int.from_bytes(buf, "little"))
             return
         rest = [v for v in range(n) if not used >> v & 1]
         for combo in itertools.combinations(rest, sizes[i]):
@@ -497,7 +519,8 @@ def turan_oracle(
     comes from its branch and bound, the witness is the optimal edge set
     whose sorted mask list is lexicographically least, re-checked free of
     the forbidden copy.  The budget bounds copy enumeration and both
-    searches; an instance past TURAN_SIZE_LIMIT raises ValueError.
+    searches; an instance past TURAN_SIZE_LIMIT, with the copies counted
+    exactly before any is listed, raises ValueError before any tick.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -521,7 +544,7 @@ def turan_oracle(
     engine = _Engine(len(edges), [1] * len(edges), copies, budget)
     engine.maximize(0)
     value = engine.best_val
-    wit_mask = engine.lexmin_witness(value)
+    wit_mask = engine.lexmin_witness(value, engine.best_wit)
     witness = Hypergraph(
         k, n, tuple(e for i, e in enumerate(edges) if wit_mask >> i & 1)
     )

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,6 +9,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import subposetlab
 from subposetlab.cli import main
@@ -291,14 +294,14 @@ def test_turan_command(capsys):
 @pytest.mark.parametrize(
     "extra, code, message",
     [
-        (["--budget", "1000"], 3, "budget of 1000 ticks exhausted"),
+        (["--budget", "1000"], 2, "error: more than 13584 forbidden copies"),
         ([], 2, "error: more than 13584 forbidden copies"),
     ],
 )
 def test_turan_bounds_copy_enumeration(extra, code, message):
-    # K_40^(3) holds tens of millions of complete (2,2,2) copies: listing
-    # them ticks the budget, and past TURAN_SIZE_LIMIT the run stops with
-    # an input error before the copy list outgrows memory
+    # K_40^(3) holds tens of millions of complete (2,2,2) copies: their
+    # exact count is past TURAN_SIZE_LIMIT, so the run stops with an input
+    # error before any work, whatever the budget
     argv = ["turan", "--n", "40", "--k", "3", "--sizes", "2,2,2", *extra]
     t0 = time.monotonic()
     proc = subprocess.run(
@@ -311,6 +314,23 @@ def test_turan_bounds_copy_enumeration(extra, code, message):
     assert proc.returncode == code and proc.stdout == ""
     assert message in proc.stderr
     assert time.monotonic() - t0 < 20
+
+
+def test_turan_size_check_comes_before_listing(capsys):
+    # listing K_60's complete (30,29) copies would take minutes
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "turan", "--n", "60", "--k", "2", "--sizes", "30,29"
+    )
+    assert code == 2 and out == ""
+    assert "error: more than 75829 forbidden copies" in err
+    assert time.monotonic() - t0 < 5
+    # inside the limit, listing the copies ticks the budget
+    code, out, err = run(
+        capsys, "turan", "--n", "12", "--k", "3", "--sizes", "2,2,2", "--budget", "1000"
+    )
+    assert code == 3 and out == ""
+    assert "budget of 1000 ticks exhausted" in err
 
 
 def test_partite_command(capsys, tmp_path):
@@ -401,19 +421,6 @@ def test_budget_zero_means_unlimited(capsys):
     assert json.loads(out)["value"] == 2
 
 
-def test_threads_flag_and_env(capsys, monkeypatch):
-    code, _, _ = run(capsys, "--threads", "4", "tail-check", "--n", "5")
-    assert code == 0
-    code, _, err = run(capsys, "--threads", "0", "tail-check", "--n", "5")
-    assert code == 2 and "thread" in err
-    monkeypatch.setenv("SUBPOSETLAB_THREADS", "junk")
-    code, _, err = run(capsys, "tail-check", "--n", "5")
-    assert code == 2 and "SUBPOSETLAB_THREADS" in err
-    monkeypatch.setenv("SUBPOSETLAB_THREADS", "2")
-    code, _, _ = run(capsys, "tail-check", "--n", "5")
-    assert code == 0
-
-
 def test_shipped_fixture_files(capsys):
     code, out, _ = run(capsys, "verify-rep", "--file", str(FIXTURES / "o14.json"))
     assert code == 0
@@ -428,6 +435,97 @@ def test_la_two_middle_levels(capsys):
     assert code == 0
     res = json.loads(out)
     assert res["value"] == 10 and res["optimality"] == "proven"
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("argv")
+    (d / "fam.json").write_text(json.dumps({"n": 4, "sets": [[1], [1, 2], [3, 4]]}))
+    (d / "bad.json").write_text("{not json")
+    return [
+        str(d / "fam.json"),
+        str(d / "bad.json"),
+        str(d / "missing.json"),
+        str(FIXTURES / "o14.json"),
+        str(FIXTURES / "oddcycle.json"),
+    ]
+
+
+_JUNK_TOKENS = ["x", "-1", "3", "", ",", "crown:4", "--junk", "--help"]
+
+
+@st.composite
+def cli_argv(draw, files):
+    """A small argv for any verb, every search under a budget of at most
+    2000 ticks, with up to two tokens replaced or inserted from junk."""
+    n = st.integers(-1, 6).map(str)
+    small = st.integers(-1, 8).map(str)
+    optional = st.none() | small
+    budget = st.one_of(st.integers(1, 2000).map(str), st.sampled_from(["-1", "x"]))
+    pattern = st.sampled_from(
+        ["chain:2", "chain:3", "butterfly", "fork:2", "diamond:2", "crown:4",
+         "crown:6", "antichain:2", "chain:0", "junk"]
+    )
+    file = st.sampled_from(files)
+    spec = {
+        "la": [("--n", n), ("--pattern", pattern), ("--copy-cap", optional)],
+        "lambda": [("--n", n), ("--pattern", pattern), ("--copy-cap", optional)],
+        "turan": [
+            ("--n", n),
+            ("--k", small),
+            ("--sizes", st.sampled_from(
+                ["2,2", "1,2", "2,3", "1,1,2", "1,1", "2,x", "", "0,2", "-1,2"]
+            )),
+        ],
+        "search-rep": [
+            ("--target", st.sampled_from(["crown:4", "crown:8", "chain:3", "x"])),
+            ("--k", small),
+            ("--l-max", small),
+        ],
+        "verify-rep": [("--file", file)],
+        "gen-rep": [("--kind", st.sampled_from(
+            ["crown14", "even_cycle:3", "even_cycle:-1", "even_cycle:x",
+             "tight_cycle:3,2", "tight_cycle:1,1", "tight_cycle:3", "junk"]
+        ))],
+        "lubell": [("--file", file)],
+        "chain-stats": [("--file", file)],
+        "partite": [("--file", file)],
+        "report": [("--file", file), ("--max-gap", optional)],
+        "scd": [("--n", n), ("--lo", optional), ("--hi", optional)],
+        "tail-check": [("--n", st.integers(-1, 60).map(str))],
+    }
+    verb = draw(st.sampled_from(sorted(spec)))
+    argv = [verb]
+    for flag, values in spec[verb]:
+        value = draw(values)
+        if value is not None:
+            argv += [flag, value]
+    if verb in ("la", "lambda", "turan", "search-rep", "verify-rep"):
+        argv += ["--budget", draw(budget)]
+    for _ in range(draw(st.integers(0, 2))):
+        junk = draw(st.sampled_from(_JUNK_TOKENS))
+        i = draw(st.integers(0, len(argv)))
+        if i < len(argv) and draw(st.booleans()):
+            argv[i] = junk
+        else:
+            argv.insert(i, junk)
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_argv_ends_in_a_documented_exit_code(argv_files, data):
+    """No junk token can unbound a search: a replaced --budget leaves its
+    value as a stray positional, which argparse rejects."""
+    argv = data.draw(cli_argv(argv_files))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+    assert code in (0, 1, 2, 3), (argv, code)
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,9 @@ from subposetlab import (
     lubell_value,
     make_poset,
 )
-from conftest import brute_la, brute_lambda
+from subposetlab import extremal
+from subposetlab.lattice import canonical_sort_key
+from conftest import all_families, brute_la, brute_lambda
 
 
 def test_enumerate_copies_chain2():
@@ -85,6 +87,55 @@ def test_lambda_matches_brute_force(pattern_text):
         assert res.optimality == "proven"
         assert res.value == brute_lambda(n, pattern)
         assert res.value == lubell_value(res.witness)
+
+
+@pytest.mark.parametrize(
+    "pattern_text",
+    ["chain:2", "chain:3", "butterfly", "fork:2", "fork:3", "diamond:2", "crown:4"],
+)
+def test_witness_is_the_lexicographically_least_optimum(pattern_text):
+    """Against all 2^(2^n) families for n <= 3: the witness is the optimal
+    family whose canonically sorted member list is least.  The chain
+    patterns close at the root chain bound, so both paths are covered."""
+    pattern = make_poset(pattern_text)
+    for n in (1, 2, 3):
+        free = [
+            fam
+            for fam in all_families(n)
+            if not contains_weak(family_as_poset(fam), pattern)
+        ]
+        for solver, value_of in ((la_exact, len), (lambda_exact, lubell_value)):
+            best = max(value_of(fam) for fam in free)
+            least = min(
+                (fam for fam in free if value_of(fam) == best),
+                key=lambda fam: [canonical_sort_key(m) for m in fam.members],
+            )
+            res = solver(n, pattern)
+            assert (res.optimality, res.degraded) == ("proven", None)
+            assert (res.value, res.witness) == (best, least), (solver, n)
+
+
+def test_chain_bound_closes_chain_patterns_at_the_root(monkeypatch):
+    """A family free of a k-chain meets each full chain in at most k - 1
+    sets, so the band seed is optimal and no maximize search runs: the
+    value is Erdos's Sigma(n, k - 1) for la and min(k - 1, n + 1) for
+    lambda."""
+
+    def no_search(self, seed_wit):
+        raise AssertionError("maximize ran on a chain pattern")
+
+    monkeypatch.setattr(extremal._Engine, "maximize", no_search)
+    for n in range(1, 6):
+        levels = sorted((comb(n, i) for i in range(n + 1)), reverse=True)
+        for k in (2, 3, 4):
+            res = la_exact(n, chain(k))
+            assert res.value == sum(levels[: k - 1])
+            assert res.optimality == "proven"
+            assert len(res.witness.members) == res.value
+            assert not contains_weak(family_as_poset(res.witness), chain(k))
+            lam = lambda_exact(n, chain(k))
+            assert lam.value == min(k - 1, n + 1) == lubell_value(lam.witness)
+            assert lam.optimality == "proven"
 
 
 def test_la_crown4_at_n3():
@@ -153,20 +204,22 @@ def test_witness_round_trip_consistency():
 @pytest.mark.parametrize(
     "solver,n,pattern,ticks",
     [
-        (la_exact, 4, "fork:3", 4275),
-        (la_exact, 5, "butterfly", 12063),
-        (la_exact, 5, "fork:2", 12584),
-        (la_exact, 5, "diamond:2", 7910),
-        (lambda_exact, 4, "diamond:2", 1289),
-        (lambda_exact, 5, "butterfly", 13919),
-        (lambda_exact, 5, "fork:2", 4102),
+        (la_exact, 4, "fork:3", 4248),
+        (la_exact, 5, "butterfly", 11855),
+        (la_exact, 5, "fork:2", 11951),
+        (la_exact, 5, "diamond:2", 7518),
+        (lambda_exact, 4, "diamond:2", 1118),
+        (lambda_exact, 5, "butterfly", 13741),
+        (lambda_exact, 5, "fork:2", 4069),
     ],
 )
 def test_search_tree_tick_counts(solver, n, pattern, ticks):
     """Budget ticks count the nodes of the copy enumeration and of every
     branch-and-bound search, so equal counts mean the same search trees.
-    These are the counts of the engine as first written, which scanned
-    lists of copies at every node; a change of branching rule, bound or
+    The copy enumeration and maximize trees are those of the engine as
+    first written, which scanned lists of copies at every node; the
+    witness phase spends fewer ticks since it skips the searches that the
+    incumbent already answers.  A change of branching rule, bound or
     witness search changes them.  The solvers also charge the band lower
     bound to the budget; lb is what it spends on its own."""
     lb = Budget()

@@ -26,6 +26,7 @@ from subposetlab import (
     turan_delta,
     turan_oracle,
 )
+from subposetlab.hypergraphs import _kpartite_copies, _kpartite_copy_count
 
 
 def graph(l, pairs):
@@ -372,3 +373,23 @@ def test_turan_oracle_size_limit():
         turan_oracle(40, 20, (1,) * 19 + (2,))
     # parts too large for [n]: no copy, so every edge stays
     assert turan_oracle(60, 2, (30, 31)).value == comb(60, 2)
+
+
+def test_kpartite_copy_count_matches_the_listing():
+    for k in (1, 2, 3):
+        for sizes in itertools.product((1, 2, 3), repeat=k):
+            for n in range(sum(sizes), 8):
+                edges = sorted(
+                    sum(1 << v for v in combo)
+                    for combo in itertools.combinations(range(n), k)
+                )
+                listed = _kpartite_copies(edges, n, sizes, None)
+                assert _kpartite_copy_count(n, sizes) == len(listed), (n, sizes)
+
+
+def test_turan_size_limit_comes_before_any_tick():
+    # C(60, 30) * 30 copies: a listing would run for minutes
+    budget = Budget(1)
+    with pytest.raises(ValueError, match="too large"):
+        turan_oracle(60, 2, (30, 29), budget)
+    assert budget.used == 0
