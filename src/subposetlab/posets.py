@@ -7,6 +7,7 @@ preserved from pattern to host, incomparability may collapse.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -276,10 +277,43 @@ def family_as_poset(family: SubsetFamily) -> Poset:
 
 
 def _pattern_order(pattern: Poset) -> list[int]:
-    return sorted(
-        range(pattern.size),
-        key=lambda i: (-pattern.comparability_degree(i), i),
-    )
+    """Placement order of the pattern elements, grown along comparabilities.
+
+    The first element has the highest comparability degree, the smallest
+    label among equals.  Each next element is the unplaced one with the
+    most comparabilities to elements already placed; ties go to the higher
+    comparability degree, then the smaller label.  So within a connected
+    component of the comparability graph every element after the first is
+    comparable to an earlier one, and a crown is placed around its cycle;
+    a new component starts by the first rule.  Chains, forks and diamonds
+    keep the plain (-degree, label) order.
+
+    Link counts are kept per element and the pick comes from a heap with
+    stale entries skipped, so the order costs O((m + c) log m) heap work
+    for m elements and c comparable pairs, on top of reading the m rows.
+    """
+    m = pattern.size
+    comparable = [pattern.strict_up(i) | pattern.strict_down(i) for i in range(m)]
+    degree = [row.bit_count() for row in comparable]
+    links = [0] * m
+    placed = 0
+    heap = [(0, -degree[i], i) for i in range(m)]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        neg_links, _, i = heapq.heappop(heap)
+        if placed >> i & 1 or -neg_links != links[i]:
+            continue
+        order.append(i)
+        placed |= 1 << i
+        rest = comparable[i] & ~placed
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length() - 1
+            links[j] += 1
+            heapq.heappush(heap, (-links[j], -degree[j], j))
+    return order
 
 
 def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
@@ -289,8 +323,11 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
 
     Order: pattern elements are placed in `_pattern_order`, each on its
     candidate hosts in ascending index, so the embeddings come out sorted by
-    (phi[o] for o in _pattern_order(pattern)).  The budget ticks once per
-    candidate tried.
+    (phi[o] for o in _pattern_order(pattern)).  That order grows along
+    comparabilities: inside a connected component every element after the
+    first is comparable to one placed before it, whose host has already
+    narrowed its domain; on a crown the search walks the cycle.  The budget
+    ticks once per candidate tried.
 
     Pruning cuts only subtrees that hold no embedding.  Before the first
     tick, the elements must be matchable to distinct hosts within their
@@ -314,16 +351,20 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     down = [host.strict_down(v) for v in range(h)]
     # static pruning: a host slot must offer at least as many elements
     # above and below as the pattern element demands; static[d] is the
-    # candidate set of the element at position d of the order
+    # candidate set of the element at position d of the order, built once
+    # per distinct demand
+    offer = [(up[v].bit_count(), down[v].bit_count()) for v in range(h)]
+    by_need: dict[tuple[int, int], int] = {}
     static = []
     for i in order:
-        need_up = pattern.strict_up(i).bit_count()
-        need_dn = pattern.strict_down(i).bit_count()
-        mask = 0
-        for v in range(h):
-            if up[v].bit_count() >= need_up and down[v].bit_count() >= need_dn:
-                mask |= 1 << v
-        static.append(mask)
+        need = (pattern.strict_up(i).bit_count(), pattern.strict_down(i).bit_count())
+        if need not in by_need:
+            mask = 0
+            for v, (n_up, n_dn) in enumerate(offer):
+                if n_up >= need[0] and n_dn >= need[1]:
+                    mask |= 1 << v
+            by_need[need] = mask
+        static.append(by_need[need])
     if not _has_distinct_hosts(static):
         return
     # links[d]: (q, below) for each later position q comparable with the

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subposetlab
+from subposetlab import Budget, crown, la_lower_bound
 from subposetlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -200,18 +201,21 @@ def test_la_reports_degradation_on_stderr(capsys):
 @pytest.mark.parametrize("verb", ["la", "lambda"])
 def test_budget_bounds_the_lower_bound(verb):
     # the band scan for crown:24 in B_7 ran past 60 s when it did not
-    # charge the budget
+    # charge the budget; the budget must run out inside that scan
+    scan = Budget()
+    la_lower_bound(7, crown(24), scan)
+    assert scan.used > 20
     t0 = time.monotonic()
     proc = subprocess.run(
         [sys.executable, "-m", "subposetlab.cli", verb, "--n", "7",
-         "--pattern", "crown:24", "--budget", "1000"],
+         "--pattern", "crown:24", "--budget", "20"],
         capture_output=True,
         text=True,
         env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 3 and proc.stdout == ""
-    assert "budget of 1000 ticks exhausted" in proc.stderr
+    assert "budget of 20 ticks exhausted" in proc.stderr
     assert time.monotonic() - t0 < 20
 
 

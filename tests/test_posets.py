@@ -1,5 +1,7 @@
 import random
+from dataclasses import replace
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from subposetlab import (
     height,
     is_weak_embedding,
     iter_embeddings,
+    la_lower_bound,
     make_poset,
     middle_levels,
     rep_even_cycle,
@@ -183,6 +186,132 @@ def test_embeddings_come_in_search_order():
                 key=lambda phi: tuple(phi[o] for o in order),
             )
             assert list(iter_embeddings(host, pattern)) == expected
+
+
+def _comparability_components(p):
+    """Element sets of the connected components of the comparability graph."""
+    seen, components = 0, []
+    for s in range(p.size):
+        if seen >> s & 1:
+            continue
+        comp, frontier = 1 << s, 1 << s
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            i = low.bit_length() - 1
+            fresh = (p.strict_up(i) | p.strict_down(i)) & ~comp
+            comp |= fresh
+            frontier |= fresh
+        seen |= comp
+        components.append(comp)
+    return components
+
+
+def _random_poset(rng, m):
+    perm = list(range(m))
+    rng.shuffle(perm)
+    density = rng.choice((0.1, 0.25, 0.5))
+    covers = [
+        (perm[a], perm[b])
+        for a in range(m)
+        for b in range(a + 1, m)
+        if rng.random() < density
+    ]
+    return from_cover_relations(m, covers)
+
+
+def _relabeled(p, rng):
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    return from_cover_relations(p.size, [(perm[u], perm[v]) for u, v in p.cover_relations()])
+
+
+def test_pattern_order_follows_comparabilities():
+    """The order is a permutation that takes the components of the
+    comparability graph one after another, and inside each one places
+    every element after the first next to an earlier one."""
+    rng = random.Random(11)
+    patterns = [crown(4), crown(6), crown(24), harp((5, 4, 3)), antichain(3)]
+    patterns += [_relabeled(crown(2 * rng.randint(2, 12)), rng) for _ in range(20)]
+    patterns += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
+    for p in patterns:
+        order = _pattern_order(p)
+        assert sorted(order) == list(range(p.size))
+        components = _comparability_components(p)
+        placed = 0
+        for i in order:
+            comp = next(c for c in components if c >> i & 1)
+            if placed & comp:
+                assert (p.strict_up(i) | p.strict_down(i)) & placed
+            else:
+                # a component starts only once the previous one is done
+                assert all(c & placed in (0, c) for c in components)
+            placed |= 1 << i
+
+
+def test_pattern_order_picks_by_links_then_degree_then_label():
+    """The order agrees with the rule read literally: most comparabilities
+    to placed elements, then highest degree, then smallest label."""
+
+    def literal(p):
+        degree = [p.comparability_degree(i) for i in range(p.size)]
+        order, rest = [], set(range(p.size))
+        while rest:
+            def key(i):
+                rel = p.strict_up(i) | p.strict_down(i)
+                return (-sum(rel >> o & 1 for o in order), -degree[i], i)
+
+            i = min(rest, key=key)
+            order.append(i)
+            rest.remove(i)
+        return order
+
+    rng = random.Random(12)
+    for _ in range(200):
+        p = _random_poset(rng, rng.randint(1, 12))
+        assert _pattern_order(p) == literal(p)
+    assert _pattern_order(crown(6)) == [0, 3, 1, 4, 2, 5]
+
+
+@pytest.mark.parametrize(
+    "text", ["chain:2", "chain:3", "chain:4", "fork:2", "fork:3", "diamond:2"]
+)
+def test_pattern_order_keeps_degree_order(text):
+    p = make_poset(text)
+    assert _pattern_order(p) == sorted(
+        range(p.size), key=lambda i: (-p.comparability_degree(i), i)
+    )
+
+
+def test_relabeled_crowns_embed_without_backtracking():
+    """With the order walking the crown's cycle each placement is forced by
+    the one before, so a relabeled crown:24 representation verifies in
+    about |P| ticks; placed in label order some need about 10^6."""
+    rep = rep_tight_cycle(3, 4)
+    size = rep.target.size
+    for seed in range(20):
+        rng = random.Random(seed)
+        ground = list(range(1, rep.l + 1))
+        rng.shuffle(ground)
+        sets = [
+            [ground[b] for b in range(rep.l) if m >> b & 1] for m in rep.family.members
+        ]
+        relabeled = replace(
+            rep,
+            family=SubsetFamily.from_sets(rep.l, sets),
+            target=_relabeled(rep.target, rng),
+        )
+        budget = Budget(4 * size)
+        cert = verify_representation(relabeled, budget)
+        assert isinstance(cert, RepresentationCertificate)
+        assert is_weak_embedding(
+            family_as_poset(relabeled.family), relabeled.target, cert.embedding
+        )
+
+
+def test_crown24_band_scan_closes_at_n8():
+    res = la_lower_bound(8, crown(24), Budget(1000))
+    assert res.value == comb(8, 4) and res.optimality == "lower-bound-only"
 
 
 def test_relabeled_negative_crown_fails_before_search():
