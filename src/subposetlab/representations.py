@@ -165,32 +165,72 @@ def rep_crown14() -> KPartiteRepresentation:
 
 def _traversal_order(target: Poset) -> list[int]:
     """Deterministic element order: depth-first over the Hasse graph from
-    the least element of each component, smallest neighbor first; elements
-    on no relation come last."""
+    element 0, smallest neighbor first.  Elements outside element 0's
+    component are left out."""
     adj = target.hasse_neighbors()
     seen = [False] * target.size
-    order = []
-    for v in range(target.size):
-        if seen[v] or not adj[v]:
-            continue
-        seen[v] = True
-        order.append(v)
-        # one iterator per open vertex, resumed where the last visit left it
-        stack = [iter(adj[v])]
-        while stack:
-            for u in stack[-1]:
-                if not seen[u]:
-                    seen[u] = True
-                    order.append(u)
-                    stack.append(iter(adj[u]))
-                    break
-            else:
-                stack.pop()
-    for v in range(target.size):
-        if not seen[v]:
-            order.append(v)
-            seen[v] = True
+    seen[0] = True
+    order = [0]
+    # one iterator per open vertex, resumed where the last visit left it
+    stack = [iter(adj[0])]
+    while stack:
+        for u in stack[-1]:
+            if not seen[u]:
+                seen[u] = True
+                order.append(u)
+                stack.append(iter(adj[u]))
+                break
+        else:
+            stack.pop()
     return order
+
+
+def _candidates(
+    target: Poset, e: int, member: list[int], k: int, vertices: int, l_max: int
+):
+    """Members for element e, each with its count of new vertices.
+
+    A top takes a k-set over the union of its placed lower covers; a bottom
+    below a placed top takes a (k-1)-subset of its placed upper covers'
+    intersection; the first element takes a set of new vertices.  Old
+    vertices come before a block of new ones, fewest new first, and each
+    new vertex takes the next unused label, which explores families up to
+    relabeling of [l].
+    """
+    if target.strict_down(e):
+        base, size = 0, k
+        for j in _bits(target.strict_down(e)):
+            base |= member[j]
+    else:
+        inter = -1  # all ones until a placed upper cover narrows it
+        for j in _bits(target.strict_up(e)):
+            if member[j]:
+                inter &= member[j]
+        if inter != -1:
+            for combo in itertools.combinations(_bits(inter), k - 1):
+                yield sum(1 << b for b in combo), 0
+            return
+        base, size = 0, k - 1
+    old = [v for v in range(vertices) if not base >> v & 1]
+    need = size - base.bit_count()
+    for fresh in range(min(need, l_max - vertices) + 1):
+        block = base | ((1 << fresh) - 1) << vertices
+        for combo in itertools.combinations(old, need - fresh):
+            yield block | sum(1 << b for b in combo), fresh
+
+
+def _give_parts(kset: int, part: dict[int, int], k: int) -> list[int] | None:
+    """Give the vertices of kset that have no part yet the parts its other
+    vertices lack, in ascending order, and return them; None when two of
+    its vertices already share a part."""
+    vs = list(_bits(kset))
+    have = {part[v] for v in vs if v in part}
+    new = [v for v in vs if v not in part]
+    if len(have) + len(new) < k:
+        return None
+    for v, p in zip(new, sorted(set(range(k)) - have)):
+        part[v] = p
+    return new
 
 
 def search_representation(
@@ -204,10 +244,22 @@ def search_representation(
 
     Only families with one member per target element are searched: the
     image of any embedding inside a larger representation is itself a
-    representation, so minimal families lose nothing.  Vertices are
-    introduced in canonical order (each new vertex takes the next unused
-    label), which explores families up to relabeling of [l].  Every placed
-    k-set must keep the running k-set collection k-partite.
+    representation, so minimal families lose nothing.  Elements are placed
+    in `_traversal_order`, one frame per placed element on an explicit
+    stack, each with one tick per candidate member.
+
+    Each vertex's part is search state.  A vertex gets its part the first
+    time it lies in a placed k-set: the vertices of that k-set with no part
+    yet take the parts the others lack, in ascending order, and a k-set
+    whose vertices repeat a part is rejected.  The target must be connected:
+    then every k-set after the first contains a placed (k-1)-set whose
+    vertices have parts, so each new part is forced and the parts are the
+    placed k-sets' only k-partition up to relabeling.
+
+    For crown(2t), every member after the first is placed next to one
+    already placed on the crown's cycle, and adds at most one vertex: a top
+    contains the (k-1)-set below it.  So the search never uses more than
+    k - 1 + t vertices, and a None at l_max = k - 1 + t rules out every l.
 
     Raises BudgetExceeded through the budget object if one is supplied.
     """
@@ -217,118 +269,55 @@ def search_representation(
         raise ValueError("l_max must be at least k")
     if height(target) != 2:
         raise ValueError("only height-2 targets are searchable")
-
     order = _traversal_order(target)
-    is_top = [bool(target.strict_down(e)) for e in range(target.size)]
-    # a height-2 poset has no element with both a predecessor and a
-    # successor, so every element is a bottom, a top, or isolated
-    assign: dict[int, int] = {}
-    used_sets: set[int] = set()
-    k_set_list: list[int] = []
-    state = {"vertices": 0}
+    if len(order) < target.size:
+        raise ValueError("only connected targets are searchable")
 
-    def vertex_mask() -> int:
-        return (1 << state["vertices"]) - 1
-
-    def free_candidates(size: int):
-        """Sets of the given size from used vertices plus a canonical block
-        of new ones, unconstrained by neighbors."""
-        old = [i for i in range(state["vertices"])]
-        for fresh in range(0, size + 1):
-            if state["vertices"] + fresh > l_max:
-                break
-            block = 0
-            for j in range(fresh):
-                block |= 1 << (state["vertices"] + j)
-            for combo in itertools.combinations(old, size - fresh):
-                m = block
-                for b in combo:
-                    m |= 1 << b
-                yield m, fresh
-
-    def superset_candidates(base: int):
-        """k-sets containing base, extended by old vertices or a canonical
-        block of new ones."""
-        need = k - base.bit_count()
-        if need < 0:
-            return
-        old = [i for i in range(state["vertices"]) if not base >> i & 1]
-        for fresh in range(0, need + 1):
-            if state["vertices"] + fresh > l_max:
-                break
-            block = 0
-            for j in range(fresh):
-                block |= 1 << (state["vertices"] + j)
-            for combo in itertools.combinations(old, need - fresh):
-                m = base | block
-                for b in combo:
-                    m |= 1 << b
-                yield m, fresh
-
-    def subset_candidates(inter: int, size: int):
-        bits = [i for i in range(inter.bit_length()) if inter >> i & 1]
-        for combo in itertools.combinations(bits, size):
-            m = 0
-            for b in combo:
-                m |= 1 << b
-            yield m, 0
-
-    def candidates_for(e: int):
-        lowers = [assign[j] for j in _bits(target.strict_down(e)) if j in assign]
-        uppers = [assign[j] for j in _bits(target.strict_up(e)) if j in assign]
-        if is_top[e]:
-            base = 0
-            for m in lowers:
-                base |= m
-            yield from superset_candidates(base)
-        elif uppers:
-            inter = uppers[0]
-            for m in uppers[1:]:
-                inter &= m
-            yield from subset_candidates(inter, k - 1)
-        else:
-            # component start or isolated element; isolated ones may take
-            # either size, smaller first
-            yield from free_candidates(k - 1)
-            if not target.strict_up(e) and not target.strict_down(e):
-                yield from free_candidates(k)
-
-    def place(idx: int) -> KPartiteRepresentation | None:
-        if idx == len(order):
-            l_used = max(state["vertices"], k)
-            fam = SubsetFamily.from_masks(l_used, tuple(assign.values()))
-            rep = KPartiteRepresentation(k, l_used, fam, target)
-            cert = verify_representation(rep)
-            if isinstance(cert, VerificationFailure):
-                raise AssertionError(
-                    f"search produced a non-verifying family: {cert.reason}"
-                )
-            return rep
-        e = order[idx]
-        for cand, fresh in candidates_for(e):
+    member = [0] * target.size  # 0 until placed; every member is nonempty
+    used: set[int] = set()
+    part: dict[int, int] = {}
+    vertices = 0
+    # a frame: the element's candidates, the member it placed, how many new
+    # vertices that member added, and the vertices it gave a part
+    stack = [[_candidates(target, order[0], member, k, 0, l_max), 0, 0, []]]
+    while stack:
+        frame = stack[-1]
+        cands, cand, fresh, parted = frame
+        e = order[len(stack) - 1]
+        if cand:  # back from a dead end: take the element's member out
+            member[e] = 0
+            used.discard(cand)
+            vertices -= fresh
+            for v in parted:
+                del part[v]
+        for cand, fresh in cands:
             if budget is not None:
                 budget.tick()
-            if cand in used_sets:
+            if cand in used:
                 continue
-            if cand.bit_count() == k:
-                k_set_list.append(cand)
-                if is_k_partite(Hypergraph(k, l_max, tuple(k_set_list))) is None:
-                    k_set_list.pop()
-                    continue
-            assign[e] = cand
-            used_sets.add(cand)
-            state["vertices"] += fresh
-            found = place(idx + 1)
-            if found is not None:
-                return found
-            state["vertices"] -= fresh
-            used_sets.discard(cand)
-            del assign[e]
-            if cand.bit_count() == k:
-                k_set_list.pop()
+            parted = _give_parts(cand, part, k) if cand.bit_count() == k else []
+            if parted is not None:
+                break
+        else:
+            stack.pop()
+            continue
+        member[e] = cand
+        used.add(cand)
+        vertices += fresh
+        frame[1:] = cand, fresh, parted
+        if len(stack) == len(order):
+            break
+        cands = _candidates(target, order[len(stack)], member, k, vertices, l_max)
+        stack.append([cands, 0, 0, []])
+    else:
         return None
-
-    return place(0)
+    rep = KPartiteRepresentation(
+        k, vertices, SubsetFamily.from_masks(vertices, member), target
+    )
+    cert = verify_representation(rep)
+    if isinstance(cert, VerificationFailure):
+        raise AssertionError(f"search produced a non-verifying family: {cert.reason}")
+    return rep
 
 
 def _bits(mask: int):

@@ -148,6 +148,25 @@ def test_search_rep_budget_exhaustion(capsys):
     assert "budget" in err and "elapsed" in err
 
 
+@pytest.mark.parametrize(
+    "target, l_max, seconds", [("crown:1200", "600", 60), ("crown:8", "1000000", 10)]
+)
+def test_search_rep_long_target_and_wide_l_max(target, l_max, seconds):
+    """The search places a 1200-element target without recursion, and its
+    part list grows with the vertices in use, never with --l-max."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "subposetlab.cli", "search-rep", "--target", target,
+         "--k", "2", "--l-max", l_max],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=seconds,
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["found"] is True
+
+
 def test_la_command(capsys):
     code, out, _ = run(capsys, "la", "--n", "3", "--pattern", "chain:2")
     assert code == 0
@@ -482,7 +501,10 @@ def cli_argv(draw, files):
             )),
         ],
         "search-rep": [
-            ("--target", st.sampled_from(["crown:4", "crown:8", "chain:3", "x"])),
+            ("--target", st.sampled_from(
+                ["crown:4", "crown:8", "butterfly", "fork:2", "complete_two_level:2,3",
+                 "chain:3", "x"]
+            )),
             ("--k", small),
             ("--l-max", small),
         ],

@@ -1,8 +1,11 @@
+import itertools
+
 import pytest
 
 from subposetlab import (
     Budget,
     BudgetExceeded,
+    Hypergraph,
     KPartiteRepresentation,
     RepresentationCertificate,
     SubsetFamily,
@@ -12,6 +15,9 @@ from subposetlab import (
     crossing_edges,
     crown,
     family_as_poset,
+    from_cover_relations,
+    height,
+    is_k_partite,
     is_weak_embedding,
     make_poset,
     partite_graph,
@@ -199,7 +205,6 @@ def recursive_traversal_order(target):
     [
         "chain:1",
         "chain:6",
-        "antichain:3",
         "crown:4",
         "crown:14",
         "butterfly",
@@ -213,3 +218,157 @@ def recursive_traversal_order(target):
 def test_traversal_order_matches_recursive_preorder(spec):
     target = make_poset(spec)
     assert _traversal_order(target) == recursive_traversal_order(target)
+
+
+def test_traversal_order_walks_from_element_zero_only():
+    assert _traversal_order(antichain(3)) == [0]
+    assert _traversal_order(from_cover_relations(4, [(0, 2), (1, 3)])) == [0, 2]
+
+
+def test_search_rejects_disconnected_targets():
+    crown_plus_one = from_cover_relations(9, crown(8).cover_relations())
+    for target in (from_cover_relations(4, [(0, 2), (1, 3)]), crown_plus_one):
+        assert height(target) == 2
+        with pytest.raises(ValueError, match="only connected targets"):
+            search_representation(target, 2, 6)
+
+
+def reference_search(target, k, l_max, budget=None):
+    """Reference: recursive search that keeps the placed k-sets k-partite
+    by recoloring their hypergraph for every candidate."""
+    order = recursive_traversal_order(target)
+    is_top = [bool(target.strict_down(e)) for e in range(target.size)]
+    assign = {}
+    used_sets = set()
+    k_set_list = []
+    state = {"vertices": 0}
+
+    def free_candidates(size):
+        old = list(range(state["vertices"]))
+        for fresh in range(0, size + 1):
+            if state["vertices"] + fresh > l_max:
+                break
+            block = 0
+            for j in range(fresh):
+                block |= 1 << (state["vertices"] + j)
+            for combo in itertools.combinations(old, size - fresh):
+                m = block
+                for b in combo:
+                    m |= 1 << b
+                yield m, fresh
+
+    def superset_candidates(base):
+        need = k - base.bit_count()
+        if need < 0:
+            return
+        old = [i for i in range(state["vertices"]) if not base >> i & 1]
+        for fresh in range(0, need + 1):
+            if state["vertices"] + fresh > l_max:
+                break
+            block = 0
+            for j in range(fresh):
+                block |= 1 << (state["vertices"] + j)
+            for combo in itertools.combinations(old, need - fresh):
+                m = base | block
+                for b in combo:
+                    m |= 1 << b
+                yield m, fresh
+
+    def subset_candidates(inter, size):
+        bits = [i for i in range(inter.bit_length()) if inter >> i & 1]
+        for combo in itertools.combinations(bits, size):
+            m = 0
+            for b in combo:
+                m |= 1 << b
+            yield m, 0
+
+    def candidates_for(e):
+        down = [j for j in range(target.size) if target.strict_down(e) >> j & 1]
+        up = [j for j in range(target.size) if target.strict_up(e) >> j & 1]
+        lowers = [assign[j] for j in down if j in assign]
+        uppers = [assign[j] for j in up if j in assign]
+        if is_top[e]:
+            base = 0
+            for m in lowers:
+                base |= m
+            yield from superset_candidates(base)
+        elif uppers:
+            inter = uppers[0]
+            for m in uppers[1:]:
+                inter &= m
+            yield from subset_candidates(inter, k - 1)
+        else:
+            yield from free_candidates(k - 1)
+            if not up and not down:
+                yield from free_candidates(k)
+
+    def place(idx):
+        if idx == len(order):
+            l_used = max(state["vertices"], k)
+            fam = SubsetFamily.from_masks(l_used, tuple(assign.values()))
+            return KPartiteRepresentation(k, l_used, fam, target)
+        e = order[idx]
+        for cand, fresh in candidates_for(e):
+            if budget is not None:
+                budget.tick()
+            if cand in used_sets:
+                continue
+            if cand.bit_count() == k:
+                k_set_list.append(cand)
+                if is_k_partite(Hypergraph(k, l_max, tuple(k_set_list))) is None:
+                    k_set_list.pop()
+                    continue
+            assign[e] = cand
+            used_sets.add(cand)
+            state["vertices"] += fresh
+            found = place(idx + 1)
+            if found is not None:
+                return found
+            state["vertices"] -= fresh
+            used_sets.discard(cand)
+            del assign[e]
+            if cand.bit_count() == k:
+                k_set_list.pop()
+        return None
+
+    return place(0)
+
+
+def search_outcome(search, target, k, l_max):
+    budget = Budget()
+    rep = search(target, k, l_max, budget)
+    return (None if rep is None else (rep.l, rep.family.members)), budget.used
+
+
+SWEEP_TARGETS = [f"crown:{n}" for n in range(4, 25, 2)] + [
+    "butterfly",
+    "fork:1",
+    "fork:2",
+    "fork:3",
+    "complete_two_level:2,3",
+    "complete_two_level:3,2",
+    "harp:2",
+    "chain:2",
+]
+
+
+@pytest.mark.parametrize("spec", SWEEP_TARGETS)
+def test_search_matches_reference(spec):
+    """Same family and the same ticks as the hypergraph-recoloring search,
+    for k = 2..4 and l_max = k..k+8."""
+    target = make_poset(spec)
+    for k in (2, 3, 4):
+        for l_max in range(k, k + 9):
+            assert search_outcome(search_representation, target, k, l_max) == (
+                search_outcome(reference_search, target, k, l_max)
+            ), (spec, k, l_max)
+
+
+@pytest.mark.parametrize("t", range(2, 11))
+def test_crown_search_uses_at_most_k_minus_1_plus_t_vertices(t):
+    """A None at l_max = k-1+t holds for every l_max: more room changes
+    neither the answer nor the ticks."""
+    for k in (2, 3, 4):
+        tight = search_outcome(search_representation, crown(2 * t), k, k - 1 + t)
+        roomy = search_outcome(search_representation, crown(2 * t), k, k + t + 3)
+        assert tight == roomy, (t, k)
