@@ -97,18 +97,29 @@ class _Engine:
     Branch vertex: the free vertex in the most alive copies, ties to the
     smallest index; the include branch is searched first, and it exists
     only when no alive copy through the branch vertex has it as its last
-    free vertex.  Bound: the weight of the included and free vertices,
-    minus one minimum-weight vertex per copy of a greedy disjoint packing:
-    take the first alive copy, drop every copy that meets its free part,
-    repeat.  Every alive copy keeps a free vertex, as it avoids the
-    excluded vertices and no include completes it.  A feasibility search
-    for weight >= target starts from best_val = target - 1 and stops at its
-    first improvement.
+    free vertex.  Bounds, a node pruned when either is at most best_val:
+    - Lubell, tested first and only when `levels` is given: it lists
+      (mask, weight, cost) per level, in descending order of weight per
+      cost, and a copy-free set costs at most `capacity` (see
+      `_run_exact`).  A completion weighs at most the included weight plus
+      a fractional knapsack over the free vertices in the capacity the
+      included ones leave: whole levels in order, the last one floored.
+    - Packing: the weight of the included and free vertices, minus one
+      minimum-weight vertex per copy of a greedy disjoint packing: take the
+      first alive copy, drop every copy that meets its free part, repeat.
+      Every alive copy keeps a free vertex, as it avoids the excluded
+      vertices and no include completes it.
+    A feasibility search for weight >= target starts from
+    best_val = target - 1 and stops at its first improvement.
     """
 
-    def __init__(self, nverts: int, weights, copies, budget: Budget | None):
+    def __init__(
+        self, nverts: int, weights, copies, budget: Budget | None, levels=(), capacity=0
+    ):
         self.nverts = nverts
         self.weights = list(weights)
+        self.levels = levels
+        self.capacity = capacity
         self.by_bit = copies[::-1]
         self.universe = (1 << nverts) - 1
         self.budget = budget
@@ -152,6 +163,25 @@ class _Engine:
                 fp ^= low
         return loss
 
+    def _lubell_prunes(self, included: int, free: int) -> bool:
+        """True when no copy-free set between included and included | free
+        weighs more than best_val, by the Lubell bound."""
+        room, gain = self.capacity, 0
+        for mask, w, cost in self.levels:
+            k = (included & mask).bit_count()
+            room -= k * cost
+            gain += k * w
+        if room < 0:
+            return True
+        best = self.best_val
+        for mask, w, cost in self.levels:
+            k = (free & mask).bit_count()
+            if k * cost > room:
+                return gain + room * w // cost <= best
+            room -= k * cost
+            gain += k * w
+        return gain <= best
+
     def _search(
         self, included: int, excluded: int, w_out: int, alive: int, first: bool
     ) -> bool:
@@ -161,6 +191,7 @@ class _Engine:
         inc, miss, weights = self.inc, self.miss, self.weights
         universe, total = self.universe, self.total
         packing_loss = self._packing_loss
+        lubell_prunes = self._lubell_prunes if self.levels else None
         tick = self.budget.tick if self.budget is not None else None
         stack = [(included, excluded, w_out, alive, None)]
         while stack:
@@ -176,6 +207,8 @@ class _Engine:
                     self.best_val, self.best_wit = top, included | free
                     if first:
                         return True
+                continue
+            if lubell_prunes is not None and lubell_prunes(included, free):
                 continue
             if top - packing_loss(alive, free) <= self.best_val:
                 continue
@@ -282,19 +315,27 @@ def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> Extr
     return ExtremalResult(len(fam.members), fam, "lower-bound-only")
 
 
+def _level_scale(n: int) -> int:
+    """The lcm of the level sizes C(n, i)."""
+    return lcm(*(comb(n, i) for i in range(n + 1)))
+
+
 def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     """Branch and bound over the copies, each vertex weighing
     level_weight[|set|] units of `unit`; seed_result is the band bound.
 
-    Chain bound: |P| distinct sets on one full chain host every |P|-element
-    poset weakly, so a P-free family meets each full chain in at most
-    |P| - 1 sets.  Averaging over the n! full chains, the fractions of the
-    levels it takes sum to at most |P| - 1, so its weight is at most the
-    sum of the |P| - 1 largest level totals level_weight[i] * C(n, i):
-    Sigma(n, |P| - 1) for la (Erdos), |P| - 1 for lambda.  When the seed
-    reaches that, as it does for chain patterns, it is optimal and the
-    maximize phase is skipped; copy enumeration, the witness phase and the
-    re-check run as always."""
+    Lubell bound: |P| distinct sets on one full chain host every
+    |P|-element poset weakly, so a P-free family meets each full chain in
+    at most |P| - 1 sets.  Averaging over the n! full chains, it holds
+    sum 1/C(n, |A|) <= |P| - 1 over its members A; scaled by the lcm L of
+    the level sizes, a set of level i costs L/C(n, i) and the family at
+    most (|P| - 1) L.  The engine bounds every node by it, levels in
+    descending order of their total level_weight[i] * C(n, i).  At the
+    root it is the sum of the |P| - 1 largest level totals: Sigma(n,
+    |P| - 1) for la (Erdos), |P| - 1 for lambda.  When the seed reaches
+    that, as it does for chain patterns, it is optimal and the maximize
+    phase is skipped; copy enumeration, the witness phase and the re-check
+    run as always."""
     try:
         ch = enumerate_copies(n, pattern, budget, copy_cap)
     except BudgetExceeded:
@@ -303,13 +344,18 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
         return replace(seed_result, degraded="copy-cap")
     verts, _ = _lattice_vertices(n)
     weights = [level_weight[m.bit_count()] for m in verts]
-    engine = _Engine(len(verts), weights, ch.copies, budget)
-    seed_mask = _vertex_mask_of_family(seed_result.witness)
-    level_totals = sorted(
-        (w * comb(n, i) for i, w in enumerate(level_weight)), reverse=True
+    masks = [0] * (n + 1)
+    for v, m in enumerate(verts):
+        masks[m.bit_count()] |= 1 << v
+    scale = _level_scale(n)
+    order = sorted(range(n + 1), key=lambda i: -level_weight[i] * comb(n, i))
+    levels = [(masks[i], level_weight[i], scale // comb(n, i)) for i in order]
+    engine = _Engine(
+        len(verts), weights, ch.copies, budget, levels, (pattern.size - 1) * scale
     )
+    seed_mask = _vertex_mask_of_family(seed_result.witness)
     engine.best_val, engine.best_wit = engine.weight_of(seed_mask), seed_mask
-    if engine.best_val < sum(level_totals[: pattern.size - 1]):
+    if not engine._lubell_prunes(0, engine.universe):
         try:
             engine.maximize(seed_mask)
         except BudgetExceeded:
@@ -361,7 +407,7 @@ def lambda_exact(
     )
     # weights counted in units of 1/scale, scale the lcm of the level sizes,
     # keep the search in integers
-    scale = lcm(*(comb(n, i) for i in range(n + 1)))
+    scale = _level_scale(n)
     level_weight = [scale // comb(n, i) for i in range(n + 1)]
     return _run_exact(
         n, pattern, budget, copy_cap, level_weight, Fraction(1, scale), seed

@@ -257,6 +257,22 @@ def test_cli_imports_only_the_stdlib():
     assert loaded - set(sys.stdlib_module_names) == {"subposetlab"}
 
 
+def test_la_chain_pattern_at_n7_closes_at_the_default_budget():
+    # its lexmin witness phase ran past 30 s before the Lubell bound
+    # pruned below the root
+    proc = subprocess.run(
+        [sys.executable, "-m", "subposetlab.cli", "la", "--n", "7",
+         "--pattern", "chain:3"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)
+    assert (res["value"], res["optimality"]) == (70, "proven")
+
+
 def test_la_long_chain_pattern(capsys):
     # the pattern's order is closed without recursion, so a 3000-chain is
     # no deeper a problem than a short one: it fits nowhere in B_3

@@ -1,7 +1,11 @@
+import functools
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subposetlab import (
     Budget,
@@ -138,6 +142,91 @@ def test_chain_bound_closes_chain_patterns_at_the_root(monkeypatch):
             assert lam.optimality == "proven"
 
 
+BOUND_PATTERNS = [
+    "chain:2", "chain:3", "butterfly", "fork:2", "fork:3", "diamond:2",
+    "crown:4", "antichain:2", "chain:1", "chain:9",
+]
+
+
+@functools.lru_cache(maxsize=None)
+def engine_and_free_sets(solver, n, pattern_text):
+    """The engine that the solver builds, and (vertex mask, weight) of
+    every pattern-free family in B_n."""
+    built = []
+
+    class Recording(extremal._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    pattern = make_poset(pattern_text)
+    with mock.patch.object(extremal, "_Engine", Recording):
+        solver(n, pattern)
+    (engine,) = built
+    assert engine.levels
+    free_sets = []
+    for fam in all_families(n):
+        if not contains_weak(family_as_poset(fam), pattern):
+            mask = extremal._vertex_mask_of_family(fam)
+            free_sets.append((mask, engine.weight_of(mask)))
+    return engine, free_sets
+
+
+def assert_lubell_bound_holds(solver, n, pattern_text, states):
+    """At every node (included, excluded), the Lubell bound leaves room
+    for the best pattern-free family holding the included sets and none
+    of the excluded: it never prunes with best_val one below that."""
+    engine, free_sets = engine_and_free_sets(solver, n, pattern_text)
+    for included, excluded in states:
+        fits = [
+            w for m, w in free_sets if m & included == included and not m & excluded
+        ]
+        if fits:
+            engine.best_val = max(fits) - 1
+            free = engine.universe & ~included & ~excluded
+            assert not engine._lubell_prunes(included, free), (included, excluded)
+
+
+def node_state(code, nverts):
+    """The (included, excluded) pair of disjoint vertex sets whose base-3
+    digits, 1 for included and 2 for excluded, spell code."""
+    included = excluded = 0
+    for v in range(nverts):
+        code, side = divmod(code, 3)
+        if side == 1:
+            included |= 1 << v
+        elif side == 2:
+            excluded |= 1 << v
+    return included, excluded
+
+
+@pytest.mark.parametrize("solver", [la_exact, lambda_exact])
+@pytest.mark.parametrize("pattern_text", BOUND_PATTERNS)
+def test_lubell_bound_is_sound_on_every_node_for_n_up_to_2(solver, pattern_text):
+    for n in (1, 2):
+        states = [node_state(code, 1 << n) for code in range(3 ** (1 << n))]
+        assert_lubell_bound_holds(solver, n, pattern_text, states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([la_exact, lambda_exact]),
+    st.sampled_from(BOUND_PATTERNS),
+    st.integers(0, 3**8 - 1),
+)
+def test_lubell_bound_is_sound_at_n3(solver, pattern_text, code):
+    assert_lubell_bound_holds(solver, 3, pattern_text, [node_state(code, 8)])
+
+
+def test_chain_patterns_close_beyond_n6():
+    """A chain pattern's lexmin witness phase prunes by the Lubell bound:
+    both runs took minutes before it acted below the root."""
+    for n, k, value in ((7, 3, comb(7, 3) + comb(7, 4)), (8, 2, comb(8, 4))):
+        res = la_exact(n, chain(k), Budget(100_000))
+        assert (res.optimality, res.degraded) == ("proven", None)
+        assert res.value == value == 70
+
+
 def test_la_crown4_at_n3():
     res = la_exact(3, crown(4))
     assert res.optimality == "proven"
@@ -201,51 +290,60 @@ def test_witness_round_trip_consistency():
     assert lam.value >= Fraction(res.value, comb(4, 2))
 
 
+TICK_CASES = [
+    # solver, n, pattern, ticks before the per-node Lubell bound, ticks now
+    (la_exact, 4, "fork:3", 4248, 4231),
+    (la_exact, 5, "butterfly", 11406, 11156),
+    (la_exact, 5, "fork:2", 11951, 10565),
+    (la_exact, 5, "diamond:2", 7518, 6941),
+    (lambda_exact, 4, "diamond:2", 1118, 1118),
+    (lambda_exact, 5, "butterfly", 13292, 10992),
+    (lambda_exact, 5, "fork:2", 4069, 2757),
+]
+
+
 @pytest.mark.parametrize(
-    "solver,n,pattern,ticks",
-    [
-        (la_exact, 4, "fork:3", 4248),
-        (la_exact, 5, "butterfly", 11406),
-        (la_exact, 5, "fork:2", 11951),
-        (la_exact, 5, "diamond:2", 7518),
-        (lambda_exact, 4, "diamond:2", 1118),
-        (lambda_exact, 5, "butterfly", 13292),
-        (lambda_exact, 5, "fork:2", 4069),
-    ],
+    "solver,n,pattern,old_ticks,ticks",
+    TICK_CASES,
+    ids=[f"{s.__name__}-{n}-{p}-{old}" for s, n, p, old, _ in TICK_CASES],
 )
-def test_search_tree_tick_counts(solver, n, pattern, ticks):
+def test_search_tree_tick_counts(solver, n, pattern, old_ticks, ticks):
     """Budget ticks count the nodes of the copy enumeration and of every
     branch-and-bound search, so equal counts mean the same search trees.
     The maximize trees are those of the engine as first written, which
-    scanned lists of copies at every node; the witness phase spends fewer
-    ticks since it skips the searches that the incumbent already answers.
-    The copy enumeration follows the pattern's placement order, which for
-    the butterfly walks its cycle.  A change of branching rule, bound,
-    witness search or placement order changes them.  The solvers also
-    charge the band lower bound to the budget; lb is what it spends on its
-    own."""
+    scanned lists of copies at every node, less the subtrees the per-node
+    Lubell bound prunes; the witness phase spends fewer ticks since it
+    skips the searches that the incumbent already answers.  A bound only
+    prunes, so the trees shrink and never grow: old_ticks is the count
+    before the Lubell bound acted below the root.  The copy enumeration
+    follows the pattern's placement order, which for the butterfly walks
+    its cycle.  A change of branching rule, bound, witness search or
+    placement order changes them.  The solvers also charge the band lower
+    bound to the budget; lb is what it spends on its own."""
     lb = Budget()
     la_lower_bound(n, make_poset(pattern), lb)
     budget = Budget()
     assert solver(n, make_poset(pattern), budget).optimality == "proven"
     assert budget.used == ticks + lb.used
+    assert ticks <= old_ticks
 
 
 def test_budget_spent_in_witness_phase_is_reported():
-    """At Budget(8904) on top of the lower bound's ticks, the value of
+    """At Budget(8005) on top of the lower bound's ticks, the value of
     la(5, fork:2) is proven but the budget runs out while the witness is
-    made canonical: the result keeps the search's witness and says so."""
+    made canonical: the result keeps the search's witness and says so.
+    8005 is the largest budget that ends in the search."""
     pattern = make_poset("fork:2")
     lb = Budget()
     la_lower_bound(5, pattern, lb)
     full = la_exact(5, pattern)
     assert full.degraded is None
-    res = la_exact(5, pattern, Budget(8904 + lb.used))
+    res = la_exact(5, pattern, Budget(8005 + lb.used))
     assert (res.value, res.optimality) == (full.value, "proven")
     assert res.degraded == "budget-witness"
     assert res.witness != full.witness
     assert len(res.witness.members) == res.value
     assert not contains_weak(family_as_poset(res.witness), pattern)
-    res = la_exact(5, pattern, Budget(8904))
+    res = la_exact(5, pattern, Budget(8005))
     assert res.optimality == "lower-bound-only"
     assert res.degraded == "budget-search"
