@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .budget import Budget, BudgetExceeded
-from .extremal import la_exact, lambda_exact
+from .extremal import DEFAULT_COPY_CAP, la_exact, lambda_exact
 from .hypergraphs import is_k_partite, turan_oracle
 from .instrumentation import (
     chain_pair_stats,
@@ -343,6 +343,15 @@ def _add_budget(sp, default: int) -> None:
     )
 
 
+def _add_copy_cap(sp) -> None:
+    sp.add_argument(
+        "--copy-cap",
+        type=int,
+        default=DEFAULT_COPY_CAP,
+        help="max pattern copies to enumerate before degrading to the band bound",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subposetlab",
@@ -373,12 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("la", help="largest pattern-free family size in the lattice")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pattern", required=True, help="pattern poset, e.g. chain:2")
-    sp.add_argument(
-        "--copy-cap",
-        type=int,
-        default=2_000_000,
-        help="max pattern copies to enumerate before degrading to the band bound",
-    )
+    _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
     sp.set_defaults(run=_cmd_solve, solver=la_exact, encode_value=jsonio.encode_int)
 
@@ -387,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pattern", required=True)
-    sp.add_argument("--copy-cap", type=int, default=2_000_000)
+    _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
     sp.set_defaults(run=_cmd_solve, solver=lambda_exact, encode_value=_fraction_json)
 

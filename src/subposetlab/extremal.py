@@ -16,7 +16,7 @@ from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
 from .lattice import SubsetFamily, canonical_sort_key, lubell_value, middle_levels
-from .posets import Poset, contains_weak, e_level, family_as_poset, iter_embeddings
+from .posets import Poset, _embeddings, contains_weak, e_level, family_as_poset
 
 
 @dataclass(frozen=True)
@@ -67,13 +67,22 @@ def enumerate_copies(
     budget: Budget | None = None,
     cap: int | None = DEFAULT_COPY_CAP,
 ) -> CopyHypergraph:
-    """Deduplicated images of weak embeddings of the pattern into B_n."""
+    """Deduplicated images of weak embeddings of the pattern into B_n.
+
+    The search yields one embedding per orbit of Aut(pattern): along a
+    stabilizer chain each base point must take the least host of its
+    orbit's images, checked in the forward-checked domains, so a copy
+    costs about 1/|Aut(pattern)| of the ticks of listing every embedding
+    (`posets._embeddings`).  Images are still deduplicated: where the
+    host adds relations, embeddings from different orbits can share one,
+    as the three ways to place a 2-chain and a lone element on a 3-chain.
+    The automorphism searches charge the budget too."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
     verts, _ = _lattice_vertices(n)
     host = _lattice_poset(n)
     images: set[int] = set()
-    for phi in iter_embeddings(host, pattern, budget):
+    for phi in _embeddings(host, pattern, budget, one_per_orbit=True):
         im = 0
         for h in phi:
             im |= 1 << h

@@ -338,7 +338,39 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     that empties any domain is dropped after its tick.  The search runs on
     an explicit stack, so patterns of any size are searched.
 
+    Every embedding is yielded, so each copy comes once per automorphism
+    of the pattern; `extremal.enumerate_copies` runs the same search with
+    one embedding per orbit of Aut(pattern) (see `_embeddings`).
+
     Raises BudgetExceeded through the budget object if one is supplied.
+    """
+    return _embeddings(host, pattern, budget)
+
+
+def _embeddings(
+    host: Poset,
+    pattern: Poset,
+    budget: Budget | None,
+    cells: list[int] | None = None,
+    one_per_orbit: bool = False,
+):
+    """The search of `iter_embeddings`, with two extras.
+
+    cells, when given, holds a host mask per pattern element, intersected
+    into its static candidate set before the Hall check.
+
+    one_per_orbit=True yields one embedding per orbit of Aut(pattern).
+    After the Hall check, `_stabilizer_chain` gives base points b_1, b_2,
+    ..., each with its orbit O_i under the automorphisms fixing
+    b_1..b_{i-1}, and the search requires phi(b_i) < phi(o) for every
+    other o in O_i.  Every o comes after b_i in the placement order, so the
+    constraint is one more link: placing b_i at v narrows the domain of o
+    to the hosts of index above v.  Aut(pattern) acts freely on the
+    embeddings, which are injective, and exactly one member of each orbit
+    meets the chain: the one that puts each base point on the least host of
+    its orbit's images.  The yielded embeddings are those of the plain
+    search that meet it, in the same order; the automorphism searches
+    tick the same budget.
     """
     p, h = pattern.size, host.size
     if p == 0:
@@ -365,24 +397,31 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
                     mask |= 1 << v
             by_need[need] = mask
         static.append(by_need[need])
+    if cells is not None:
+        static = [mask & cells[i] for mask, i in zip(static, order)]
     if not _has_distinct_hosts(static):
         return
-    # links[d]: (q, below) for each later position q comparable with the
-    # element at position d; below says that element lies below it
+    # links[d]: (q, narrow) for each later position q whose element is
+    # constrained by the one at position d: placing it at v narrows the
+    # domain at q by narrow[v]
     position = [0] * p
     for d, i in enumerate(order):
         position[i] = d
     links = []
     for d, i in enumerate(order):
         row = []
-        for rel, below in ((pattern.strict_up(i), True), (pattern.strict_down(i), False)):
+        for rel, narrow in ((pattern.strict_up(i), up), (pattern.strict_down(i), down)):
             while rel:
                 low = rel & -rel
                 rel ^= low
                 q = position[low.bit_length() - 1]
                 if q > d:
-                    row.append((q, below))
+                    row.append((q, narrow))
         links.append(row)
+    if one_per_orbit:
+        above = [-(2 << v) for v in range(h)]  # the hosts of index > v
+        for b, others in _stabilizer_chain(pattern, order, budget):
+            links[position[b]] += [(position[o], above) for o in others]
 
     # a frame holds the domains by position, the hosts in use and the
     # candidates left at its depth; a domain holds the order constraints
@@ -405,13 +444,99 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
             continue
         free = ~(used | low)
         narrowed = dom.copy()
-        for q, below in links[depth]:
-            narrowed[q] &= up[v] if below else down[v]
+        for q, narrow in links[depth]:
+            narrowed[q] &= narrow[v]
         for q in range(depth + 1, p):
             if not narrowed[q] & free:
                 break
         else:
             stack.append((depth + 1, narrowed, used | low, narrowed[depth + 1] & free))
+
+
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
+
+
+def _refine(pattern: Poset, colors: list) -> list:
+    """The coarsest refinement of the colouring in which elements of one
+    colour have equally many elements of each colour strictly above them,
+    and equally many strictly below.
+
+    New colours are ranks of sorted signatures, never element labels, so
+    an automorphism that keeps the given colours keeps the refined ones.
+    """
+    p = pattern.size
+    count = len(set(colors))
+    if count == p:
+        return colors
+    above = [_bits(pattern.strict_up(i)) for i in range(p)]
+    below = [_bits(pattern.strict_down(i)) for i in range(p)]
+    while True:
+        signatures = [
+            (
+                colors[i],
+                tuple(sorted(colors[j] for j in above[i])),
+                tuple(sorted(colors[j] for j in below[i])),
+            )
+            for i in range(p)
+        ]
+        rank = {sig: r for r, sig in enumerate(sorted(set(signatures)))}
+        colors = [rank[sig] for sig in signatures]
+        if len(rank) in (count, p):
+            return colors
+        count = len(rank)
+
+
+def _stabilizer_chain(pattern: Poset, order: list[int], budget: Budget | None):
+    """Base points of Aut(pattern) with their orbits: (b, others) per base
+    point, others the rest of the orbit of b under the automorphisms that
+    fix the earlier base points.  |Aut(pattern)| is the product of the
+    orbit sizes, 1 + len(others).
+
+    No group is listed.  Colours start as (up-degree, down-degree) and are
+    refined by `_refine`, so an automorphism fixing the points taken so
+    far keeps every colour, and the orbit of x lies in its colour class.
+    The elements are taken in placement order; for each x whose class has
+    others, one search of the pattern into itself per candidate c, with
+    every element held to its class and x to c, tells whether c is in the
+    orbit (an injective order-preserving map of a finite poset to itself
+    is an automorphism).  Then x is fixed and the colours refined again;
+    the chain ends when every class is a single element, so a pattern
+    whose degrees already tell its elements apart, such as a chain, needs
+    no search.  The searches tick the budget.
+    """
+    p = pattern.size
+    colors = _refine(
+        pattern,
+        [(pattern.strict_up(i).bit_count(), pattern.strict_down(i).bit_count())
+         for i in range(p)],
+    )
+    chain = []
+    for x in order:
+        if len(set(colors)) == p:
+            break
+        masks = {}
+        for c, col in enumerate(colors):
+            masks[col] = masks.get(col, 0) | 1 << c
+        cells = [masks[col] for col in colors]
+        if cells[x] == 1 << x:
+            continue
+        others = []
+        for c in _bits(cells[x] ^ 1 << x):
+            cells[x] = 1 << c
+            for _ in _embeddings(pattern, pattern, budget, cells):
+                others.append(c)
+                break
+        if others:
+            chain.append((x, others))
+        colors = _refine(pattern, [(col, i == x) for i, col in enumerate(colors)])
+    return chain
 
 
 def _has_distinct_hosts(domains: list[int]) -> bool:

@@ -9,6 +9,7 @@ from subposetlab import (
     SubsetFamily,
     contains_weak,
     family_as_poset,
+    from_cover_relations,
     lubell_value,
 )
 
@@ -34,6 +35,28 @@ def pattern_free_family(n, pattern, rng, size_lo=10, size_hi=18, tries=500):
         if not contains_weak(family_as_poset(fam), pattern):
             return fam
     raise AssertionError(f"no pattern-free family found in {tries} tries")
+
+
+def random_poset(rng, m):
+    """A random poset on m elements: the closure of random relations
+    along a shuffled linear order."""
+    perm = list(range(m))
+    rng.shuffle(perm)
+    density = rng.choice((0.1, 0.25, 0.5))
+    covers = [
+        (perm[a], perm[b])
+        for a in range(m)
+        for b in range(a + 1, m)
+        if rng.random() < density
+    ]
+    return from_cover_relations(m, covers)
+
+
+def relabeled(p, rng):
+    """The same poset with its element labels shuffled."""
+    perm = list(range(p.size))
+    rng.shuffle(perm)
+    return from_cover_relations(p.size, [(perm[u], perm[v]) for u, v in p.cover_relations()])
 
 
 def all_families(n: int):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subposetlab
-from subposetlab import Budget, crown, la_lower_bound
+from subposetlab import Budget, BudgetExceeded, antichain, crown, la_lower_bound, posets
 from subposetlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -215,6 +215,25 @@ def test_la_reports_degradation_on_stderr(capsys):
     code, out, err = run(capsys, "la", "--n", "4", "--pattern", "chain:2")
     assert json.loads(out)["optimality"] == "proven"
     assert "degraded" not in err
+
+
+def test_budget_spent_in_automorphism_search_is_budget_enumerate(capsys):
+    """The automorphism searches run inside copy enumeration, after the
+    band bound: a budget that runs out among them ends as budget-enumerate
+    with the band bound, exit 0."""
+    pattern = antichain(10)
+    scan = Budget()
+    la_lower_bound(4, pattern, scan)
+    with pytest.raises(BudgetExceeded):
+        posets._stabilizer_chain(pattern, posets._pattern_order(pattern), Budget(100))
+    code, out, err = run(
+        capsys, "la", "--n", "4", "--pattern", "antichain:10",
+        "--budget", str(scan.used + 100),
+    )
+    assert code == 0
+    res = json.loads(out)
+    assert (res["value"], res["optimality"]) == (6, "lower-bound-only")
+    assert "degraded: budget-enumerate" in err
 
 
 @pytest.mark.parametrize("verb", ["la", "lambda"])

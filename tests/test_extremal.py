@@ -1,6 +1,8 @@
 import functools
+import random
 from fractions import Fraction
-from math import comb
+from itertools import permutations
+from math import comb, factorial, prod
 from unittest import mock
 
 import pytest
@@ -11,6 +13,7 @@ from subposetlab import (
     Budget,
     BudgetExceeded,
     antichain,
+    butterfly,
     chain,
     contains_weak,
     crown,
@@ -18,15 +21,16 @@ from subposetlab import (
     enumerate_copies,
     family_as_poset,
     fork,
+    iter_embeddings,
     la_exact,
     la_lower_bound,
     lambda_exact,
     lubell_value,
     make_poset,
 )
-from subposetlab import extremal
+from subposetlab import extremal, posets
 from subposetlab.lattice import canonical_sort_key
-from conftest import all_families, brute_la, brute_lambda
+from conftest import all_families, brute_la, brute_lambda, random_poset, relabeled
 
 
 def test_enumerate_copies_chain2():
@@ -46,6 +50,105 @@ def test_enumerate_copies_cap_degrades():
 def test_enumerate_copies_budget():
     with pytest.raises(BudgetExceeded):
         enumerate_copies(4, chain(3), Budget(10))
+
+
+def automorphism_count(pattern):
+    """|Aut(pattern)| as the product of the stabilizer chain's orbit sizes."""
+    order = posets._pattern_order(pattern)
+    return prod(1 + len(o) for _, o in posets._stabilizer_chain(pattern, order, None))
+
+
+def brute_automorphism_count(pattern):
+    p = pattern.size
+    return sum(
+        all(pattern.leq(g[i], g[j]) == pattern.leq(i, j) for i in range(p) for j in range(p))
+        for g in permutations(range(p))
+    )
+
+
+def assert_one_embedding_per_orbit(n, pattern):
+    """enumerate_copies lists the images of every embedding, and its search
+    yields 1/|Aut(pattern)| of the embeddings, each one of the plain
+    search's, in the plain search's order."""
+    host = extremal._lattice_poset(n)
+    plain = list(iter_embeddings(host, pattern))
+    images = {sum(1 << v for v in phi) for phi in plain}
+    assert enumerate_copies(n, pattern).copies == tuple(sorted(images))
+    kept = list(posets._embeddings(host, pattern, None, one_per_orbit=True))
+    assert len(kept) * automorphism_count(pattern) == len(plain)
+    kept_set = set(kept)
+    assert [phi for phi in plain if phi in kept_set] == kept
+
+
+LADDER = ["chain:2", "chain:3", "butterfly", "fork:2", "fork:3", "diamond:2"]
+
+
+@pytest.mark.parametrize(
+    "pattern_text,n_max",
+    [(text, 5) for text in LADDER]
+    + [("crown:6", 5), ("crown:8", 4), ("antichain:3", 5),
+       ("complete_two_level:2,3", 5), ("harp:3,3", 5)],
+)
+def test_enumerate_copies_matches_every_embedding(pattern_text, n_max):
+    for n in range(1, n_max + 1):
+        assert_one_embedding_per_orbit(n, make_poset(pattern_text))
+
+
+def butterfly_beside_crown6():
+    """Colour refinement cannot tell the bottoms of the butterfly from
+    those of the crown:6 beside it, so only the automorphism searches
+    split them into two orbits: |Aut| = 4 * 6."""
+    covers = list(butterfly().cover_relations())
+    covers += [(u + 4, v + 4) for u, v in crown(6).cover_relations()]
+    return posets.from_cover_relations(10, covers)
+
+
+def test_enumerate_copies_matches_every_embedding_on_relabeled_and_random_posets():
+    """A relabeled crown, a butterfly beside a crown:6, and 200 random
+    posets of at most 6 elements; n is at most 4, and at most 3 above 4
+    elements, where the plain search of a sparse pattern in B_4 would list
+    millions of embeddings."""
+    rng = random.Random(11)
+    assert_one_embedding_per_orbit(4, relabeled(crown(6), rng))
+    assert_one_embedding_per_orbit(4, butterfly_beside_crown6())
+    for _ in range(200):
+        m = rng.randint(1, 6)
+        assert_one_embedding_per_orbit(rng.randint(1, 4 if m <= 4 else 3), random_poset(rng, m))
+
+
+def test_automorphism_group_orders():
+    rng = random.Random(12)
+    for _ in range(200):
+        p = random_poset(rng, rng.randint(1, 6))
+        assert automorphism_count(p) == brute_automorphism_count(p)
+    for t in range(2, 8):
+        assert automorphism_count(crown(2 * t)) == 2 * t
+        assert automorphism_count(relabeled(crown(2 * t), rng)) == 2 * t
+    assert automorphism_count(butterfly()) == 4
+    assert automorphism_count(butterfly_beside_crown6()) == 24
+    for k in range(1, 7):
+        assert automorphism_count(fork(k)) == factorial(k)
+        assert automorphism_count(diamond(k)) == factorial(k)
+        assert automorphism_count(antichain(k)) == factorial(k)
+        assert automorphism_count(chain(k)) == 1
+
+
+def test_chain_patterns_need_no_automorphism_search():
+    """A chain's degrees tell its elements apart, so its stabilizer chain
+    is empty and costs no tick.  (`la --n 3 --pattern chain:3000` in
+    test_cli never gets there: 3000 elements outgrow B_3.)"""
+    budget = Budget()
+    assert posets._stabilizer_chain(chain(200), list(range(200)), budget) == []
+    assert budget.used == 0
+
+
+def test_wide_antichain_copies_in_bounded_ticks():
+    """Every 10-subset of B_4 is a copy: C(16, 10) = 8008 of them, once
+    each, where every embedding would be 16!/6! ~ 2.9e10 ticks."""
+    budget = Budget()
+    ch = enumerate_copies(4, antichain(10), budget)
+    assert ch.complete and len(ch.copies) == comb(16, 10) == 8008
+    assert budget.used < 100_000
 
 
 @pytest.mark.parametrize("n,expect", [(2, 2), (3, 3), (4, 6)])
@@ -291,23 +394,24 @@ def test_witness_round_trip_consistency():
 
 
 TICK_CASES = [
-    # solver, n, pattern, ticks before the per-node Lubell bound, ticks now
-    (la_exact, 4, "fork:3", 4248, 4231),
-    (la_exact, 5, "butterfly", 11406, 11156),
-    (la_exact, 5, "fork:2", 11951, 10565),
-    (la_exact, 5, "diamond:2", 7518, 6941),
-    (lambda_exact, 4, "diamond:2", 1118, 1118),
-    (lambda_exact, 5, "butterfly", 13292, 10992),
-    (lambda_exact, 5, "fork:2", 4069, 2757),
+    # solver, n, pattern, ticks before the per-node Lubell bound, ticks of
+    # the copy enumeration, ticks now
+    (la_exact, 4, "fork:3", 4248, 892, 1031),
+    (la_exact, 5, "butterfly", 11406, 3127, 3356),
+    (la_exact, 5, "fork:2", 11951, 1465, 9338),
+    (la_exact, 5, "diamond:2", 7518, 2826, 4920),
+    (lambda_exact, 4, "diamond:2", 1118, 417, 887),
+    (lambda_exact, 5, "butterfly", 13292, 3127, 3192),
+    (lambda_exact, 5, "fork:2", 4069, 1465, 1530),
 ]
 
 
 @pytest.mark.parametrize(
-    "solver,n,pattern,old_ticks,ticks",
+    "solver,n,pattern,old_ticks,enum_ticks,ticks",
     TICK_CASES,
-    ids=[f"{s.__name__}-{n}-{p}-{old}" for s, n, p, old, _ in TICK_CASES],
+    ids=[f"{s.__name__}-{n}-{p}-{old}" for s, n, p, old, _, _ in TICK_CASES],
 )
-def test_search_tree_tick_counts(solver, n, pattern, old_ticks, ticks):
+def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, ticks):
     """Budget ticks count the nodes of the copy enumeration and of every
     branch-and-bound search, so equal counts mean the same search trees.
     The maximize trees are those of the engine as first written, which
@@ -317,11 +421,18 @@ def test_search_tree_tick_counts(solver, n, pattern, old_ticks, ticks):
     prunes, so the trees shrink and never grow: old_ticks is the count
     before the Lubell bound acted below the root.  The copy enumeration
     follows the pattern's placement order, which for the butterfly walks
-    its cycle.  A change of branching rule, bound, witness search or
-    placement order changes them.  The solvers also charge the band lower
-    bound to the budget; lb is what it spends on its own."""
+    its cycle, and yields one embedding per orbit of the pattern's
+    automorphism group; its ticks include the automorphism searches.  The
+    search ticks, ticks - enum_ticks, are those of the enumeration that
+    yielded every embedding: 139, 229, 7873, 2094, 470, 65 and 65.  A
+    change of branching rule, bound, witness search, placement order or
+    symmetry breaking changes them.  The solvers also charge the band
+    lower bound to the budget; lb is what it spends on its own."""
     lb = Budget()
     la_lower_bound(n, make_poset(pattern), lb)
+    enum = Budget()
+    enumerate_copies(n, make_poset(pattern), enum)
+    assert enum.used == enum_ticks
     budget = Budget()
     assert solver(n, make_poset(pattern), budget).optimality == "proven"
     assert budget.used == ticks + lb.used
@@ -329,21 +440,22 @@ def test_search_tree_tick_counts(solver, n, pattern, old_ticks, ticks):
 
 
 def test_budget_spent_in_witness_phase_is_reported():
-    """At Budget(8005) on top of the lower bound's ticks, the value of
+    """At Budget(6778) on top of the lower bound's ticks, the value of
     la(5, fork:2) is proven but the budget runs out while the witness is
     made canonical: the result keeps the search's witness and says so.
-    8005 is the largest budget that ends in the search."""
+    6778 is the largest budget that ends in the search, found by scanning
+    the budget; it moves with the ticks of the copy enumeration."""
     pattern = make_poset("fork:2")
     lb = Budget()
     la_lower_bound(5, pattern, lb)
     full = la_exact(5, pattern)
     assert full.degraded is None
-    res = la_exact(5, pattern, Budget(8005 + lb.used))
+    res = la_exact(5, pattern, Budget(6778 + lb.used))
     assert (res.value, res.optimality) == (full.value, "proven")
     assert res.degraded == "budget-witness"
     assert res.witness != full.witness
     assert len(res.witness.members) == res.value
     assert not contains_weak(family_as_poset(res.witness), pattern)
-    res = la_exact(5, pattern, Budget(8005))
+    res = la_exact(5, pattern, Budget(6778))
     assert res.optimality == "lower-bound-only"
     assert res.degraded == "budget-search"

@@ -36,7 +36,7 @@ from subposetlab import (
     verify_representation,
 )
 from subposetlab.posets import _pattern_order
-from conftest import random_family
+from conftest import random_family, random_poset, relabeled
 
 
 def test_from_cover_relations_closure():
@@ -207,33 +207,14 @@ def _comparability_components(p):
     return components
 
 
-def _random_poset(rng, m):
-    perm = list(range(m))
-    rng.shuffle(perm)
-    density = rng.choice((0.1, 0.25, 0.5))
-    covers = [
-        (perm[a], perm[b])
-        for a in range(m)
-        for b in range(a + 1, m)
-        if rng.random() < density
-    ]
-    return from_cover_relations(m, covers)
-
-
-def _relabeled(p, rng):
-    perm = list(range(p.size))
-    rng.shuffle(perm)
-    return from_cover_relations(p.size, [(perm[u], perm[v]) for u, v in p.cover_relations()])
-
-
 def test_pattern_order_follows_comparabilities():
     """The order is a permutation that takes the components of the
     comparability graph one after another, and inside each one places
     every element after the first next to an earlier one."""
     rng = random.Random(11)
     patterns = [crown(4), crown(6), crown(24), harp((5, 4, 3)), antichain(3)]
-    patterns += [_relabeled(crown(2 * rng.randint(2, 12)), rng) for _ in range(20)]
-    patterns += [_random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
+    patterns += [relabeled(crown(2 * rng.randint(2, 12)), rng) for _ in range(20)]
+    patterns += [random_poset(rng, rng.randint(1, 14)) for _ in range(200)]
     for p in patterns:
         order = _pattern_order(p)
         assert sorted(order) == list(range(p.size))
@@ -268,7 +249,7 @@ def test_pattern_order_picks_by_links_then_degree_then_label():
 
     rng = random.Random(12)
     for _ in range(200):
-        p = _random_poset(rng, rng.randint(1, 12))
+        p = random_poset(rng, rng.randint(1, 12))
         assert _pattern_order(p) == literal(p)
     assert _pattern_order(crown(6)) == [0, 3, 1, 4, 2, 5]
 
@@ -296,16 +277,16 @@ def test_relabeled_crowns_embed_without_backtracking():
         sets = [
             [ground[b] for b in range(rep.l) if m >> b & 1] for m in rep.family.members
         ]
-        relabeled = replace(
+        shuffled = replace(
             rep,
             family=SubsetFamily.from_sets(rep.l, sets),
-            target=_relabeled(rep.target, rng),
+            target=relabeled(rep.target, rng),
         )
         budget = Budget(4 * size)
-        cert = verify_representation(relabeled, budget)
+        cert = verify_representation(shuffled, budget)
         assert isinstance(cert, RepresentationCertificate)
         assert is_weak_embedding(
-            family_as_poset(relabeled.family), relabeled.target, cert.embedding
+            family_as_poset(shuffled.family), shuffled.target, cert.embedding
         )
 
 
