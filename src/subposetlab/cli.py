@@ -99,12 +99,8 @@ def _emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(obj))
 
 
-def _fraction_json(x):
-    return jsonio.encode_fraction(x)
-
-
 def _hist_json(hist) -> dict:
-    return {str(g): _fraction_json(w) for g, w in sorted(hist.items())}
+    return {str(g): jsonio.encode_fraction(w) for g, w in sorted(hist.items())}
 
 
 def _cmd_verify_rep(args) -> int:
@@ -203,7 +199,7 @@ def _cmd_lubell(args) -> int:
         {
             "n": fam.n,
             "size": len(fam),
-            "lubell": _fraction_json(lubell_value(fam)),
+            "lubell": jsonio.encode_fraction(lubell_value(fam)),
         }
     )
     return 0
@@ -216,8 +212,8 @@ def _cmd_chain_stats(args) -> int:
         {
             "n": fam.n,
             "size": len(fam),
-            "pair_expectation": _fraction_json(stats.pair_expectation),
-            "triple_expectation": _fraction_json(stats.triple_expectation),
+            "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
+            "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
             "gap_histogram": _hist_json(stats.gap_histogram),
         }
     )
@@ -239,7 +235,7 @@ def _cmd_turan(args) -> int:
             "k": args.k,
             "sizes": list(sizes),
             "value": jsonio.encode_int(res.value),
-            "delta": _fraction_json(res.delta),
+            "delta": jsonio.encode_fraction(res.delta),
             "witness": jsonio.hypergraph_to_json(res.witness),
         }
     )
@@ -293,8 +289,8 @@ def _cmd_tail_check(args) -> int:
     _emit(
         {
             "n": args.n,
-            "mass": _fraction_json(mass),
-            "bound": _fraction_json(bound),
+            "mass": jsonio.encode_fraction(mass),
+            "bound": jsonio.encode_fraction(bound),
             "ok": ok,
         }
     )
@@ -311,21 +307,21 @@ def _cmd_report(args) -> int:
         ilhs, irhs, iok = configuration_identity(fam, k)
         configs[str(k)] = {
             "count": len(cfgs),
-            "core_side": _fraction_json(ilhs),
-            "member_side": _fraction_json(irhs),
+            "core_side": jsonio.encode_fraction(ilhs),
+            "member_side": jsonio.encode_fraction(irhs),
             "equal": iok,
         }
     _emit(
         {
             "n": fam.n,
             "size": len(fam),
-            "lubell": _fraction_json(lubell_value(fam)),
-            "pair_expectation": _fraction_json(stats.pair_expectation),
-            "triple_expectation": _fraction_json(stats.triple_expectation),
+            "lubell": jsonio.encode_fraction(lubell_value(fam)),
+            "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
+            "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
             "gap_histogram": _hist_json(stats.gap_histogram),
             "down_degree_identity": {
-                "lhs": _fraction_json(lhs),
-                "rhs": _fraction_json(rhs),
+                "lhs": jsonio.encode_fraction(lhs),
+                "rhs": jsonio.encode_fraction(rhs),
                 "equal": equal,
             },
             "configurations": configs,
@@ -393,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_solve, solver=lambda_exact, encode_value=_fraction_json)
+    sp.set_defaults(
+        run=_cmd_solve, solver=lambda_exact, encode_value=jsonio.encode_fraction
+    )
 
     sp = sub.add_parser("lubell", help="exact Lubell value of a family file")
     sp.add_argument("--file", required=True, help="family JSON ('-' for stdin)")

@@ -186,15 +186,68 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
     return Partition(l, tuple(tuple(sorted(p)) for p in parts), allow_empty=True)
 
 
+def _complete_kpartite(h: Hypergraph | None, pools, sizes, budget: Budget | None):
+    """Each choice of disjoint parts W_i, a sizes[i]-subset of pools[i],
+    whose transversal k-sets are all edges of h (all k-sets when h is
+    None), as (parts, transversal masks), in lexicographic order of the
+    parts; pools list their vertices ascending.
+
+    A vertex of part i lies on prod(sizes)/sizes[i] transversals, so one
+    of lower degree is never tried.  The last part is chosen among the
+    vertices extending every transversal of the earlier parts, so each
+    choice there is a copy.  One budget tick per part choice.  The search
+    keeps one frame per open part on an explicit stack.
+    """
+    last = len(sizes) - 1
+    edge_set = None if h is None else set(h.edges)
+    if h is not None:
+        degree = Counter(v for e in h.edges for v in elements_of_mask(e))
+        total = prod(sizes)
+        pools = [
+            [v for v in pool if degree[v] >= total // s]
+            for pool, s in zip(pools, sizes)
+        ]
+
+    def choices(i: int, stems: list[int], used: int):
+        cand = [v for v in pools[i] if not used >> (v - 1) & 1]
+        if i == last and edge_set is not None:
+            cand = [
+                v for v in cand if all(s | 1 << (v - 1) in edge_set for s in stems)
+            ]
+        return itertools.combinations(cand, sizes[i])
+
+    parts: list[tuple[int, ...]] = []
+    # per open part: its combinations left, the transversals of the parts
+    # before it and the vertices they use
+    frames = [(choices(0, [0], 0), [0], 0)]
+    while frames:
+        combos, stems, used = frames[-1]
+        combo = next(combos, None)
+        if combo is None:
+            frames.pop()
+            if frames:
+                parts.pop()
+            continue
+        if budget is not None:
+            budget.tick()
+        grown = [s | 1 << (v - 1) for s in stems for v in combo]
+        if len(parts) == last:
+            yield (*parts, combo), grown
+            continue
+        parts.append(combo)
+        used |= sum(1 << (v - 1) for v in combo)
+        frames.append((choices(len(parts), grown, used), grown, used))
+
+
 def contains_complete_kpartite(
     h: Hypergraph, sizes, budget: Budget | None = None
 ):
-    """Disjoint vertex sets W_1..W_k with |W_i| = sizes[i-1] such that every
-    transversal k-set is an edge, or None.
+    """The lexicographically least choice of disjoint vertex sets
+    W_1..W_k, |W_i| = sizes[i-1], such that every transversal k-set is an
+    edge, or None.
 
-    Backtracking over parts in order; candidate vertices must have degree at
-    least the number of transversals through them.  Deterministic: parts are
-    filled with lexicographically least vertex combinations first.
+    One budget tick per part choice, the last part's included; none when
+    the parts cannot fit in the vertex set.
     """
     k = h.k
     sizes = tuple(sizes)
@@ -204,56 +257,8 @@ def contains_complete_kpartite(
         raise ValueError("part sizes must be positive")
     if sum(sizes) > h.l:
         return None
-    edge_set = set(h.edges)
-    degs = [h.degree(v) for v in range(1, h.l + 1)]
-
-    def candidates(i: int, used_mask: int) -> list[int]:
-        need = prod(sizes) // sizes[i]
-        return [
-            v
-            for v in range(1, h.l + 1)
-            if not used_mask >> (v - 1) & 1 and degs[v - 1] >= need
-        ]
-
-    chosen: list[tuple[int, ...]] = []
-
-    def transversals(parts: list[tuple[int, ...]]) -> list[int]:
-        masks = [0]
-        for part in parts:
-            masks = [m | 1 << (v - 1) for m in masks for v in part]
-        return masks
-
-    def place(i: int, used_mask: int):
-        if i == k - 1:
-            # the last part is forced: vertices extending every transversal
-            stems = transversals(chosen)
-            ext = []
-            for v in candidates(i, used_mask):
-                bit = 1 << (v - 1)
-                if all(stem | bit in edge_set for stem in stems):
-                    ext.append(v)
-                    if len(ext) == sizes[i]:
-                        return tuple(ext)
-            return None
-        for combo in itertools.combinations(candidates(i, used_mask), sizes[i]):
-            if budget is not None:
-                budget.tick()
-            mask = 0
-            for v in combo:
-                mask |= 1 << (v - 1)
-            chosen.append(combo)
-            result = place(i + 1, used_mask | mask)
-            if result is not None:
-                witness = tuple(chosen) + (result,)
-                chosen.pop()
-                return witness
-            chosen.pop()
-        return None
-
-    out = place(0, 0)
-    if out is None:
-        return None
-    return tuple(tuple(sorted(p)) for p in out)
+    copies = _complete_kpartite(h, [range(1, h.l + 1)] * k, sizes, budget)
+    return next((parts for parts, _ in copies), None)
 
 
 def crossing_edges(h: Hypergraph, partition: Partition) -> tuple[int, ...]:
@@ -304,31 +309,6 @@ def partition_threshold(k: int) -> Fraction:
     return Fraction(factorial(k), k**k)
 
 
-def _color_copy_count(h: Hypergraph, part_lists, t) -> int:
-    """Unordered (T_1..T_k) tuples, T_i a t_i-subset of part i, with every
-    transversal an edge of h."""
-    k = len(part_lists)
-    edge_set = set(h.edges)
-    degs = [h.degree(v) for v in range(1, h.l + 1)]
-
-    def rec(i: int, chosen: list[tuple[int, ...]]) -> int:
-        if i == k:
-            stems = [0]
-            for part in chosen:
-                stems = [m | 1 << (v - 1) for m in stems for v in part]
-            return 1 if all(m in edge_set for m in stems) else 0
-        need = prod(t) // t[i]
-        cand = [v for v in part_lists[i] if degs[v - 1] >= need]
-        total = 0
-        for combo in itertools.combinations(cand, t[i]):
-            chosen.append(combo)
-            total += rec(i + 1, chosen)
-            chosen.pop()
-        return total
-
-    return rec(0, [])
-
-
 def count_monochromatic_ordered(
     fam: ColoredFamily, partition: Partition, t
 ) -> int:
@@ -343,11 +323,12 @@ def count_monochromatic_ordered(
         raise ValueError("partition and family vertex counts differ")
     if any(x < 1 for x in t):
         raise ValueError("tuple sizes must be positive")
-    orderings = prod(factorial(x) for x in t)
-    total = 0
-    for h in fam.hypergraphs:
-        total += _color_copy_count(h, partition.parts, t)
-    return total * orderings
+    copies = sum(
+        1
+        for h in fam.hypergraphs
+        for _ in _complete_kpartite(h, partition.parts, t, None)
+    )
+    return copies * prod(factorial(x) for x in t)
 
 
 def extension_counts(
@@ -362,7 +343,7 @@ def extension_counts(
     part is position l+1 and len(tail) must be k - len(prefix) - 1.
     """
     k = fam.k
-    prefix = tuple(tuple(sorted(p)) for p in prefix)
+    prefix = tuple(tuple(sorted(set(p))) for p in prefix)
     tail = tuple(tail)
     lp = len(prefix)
     if lp + 1 + len(tail) != k:
@@ -377,24 +358,12 @@ def extension_counts(
         if v not in parts[lp + 1 + j]:
             raise ValueError(f"tail vertex {v} not in part {lp + 1 + j}")
 
-    stems = [0]
-    for p in prefix:
-        stems = [m | 1 << (v - 1) for m in stems for v in p]
-    tail_mask = 0
-    for v in tail:
-        tail_mask |= 1 << (v - 1)
-    stems = [m | tail_mask for m in stems]
-
-    counts = {}
-    for i, h in enumerate(fam.hypergraphs):
-        edge_set = set(h.edges)
-        d = 0
-        for v in parts[lp]:
-            bit = 1 << (v - 1)
-            if all(stem | bit in edge_set for stem in stems):
-                d += 1
-        counts[i] = d
-    return counts
+    pools = (*prefix, parts[lp], *((v,) for v in tail))
+    sizes = tuple(len(p) for p in prefix) + (1,) * (len(tail) + 1)
+    return {
+        i: sum(1 for _ in _complete_kpartite(h, pools, sizes, None))
+        for i, h in enumerate(fam.hypergraphs)
+    }
 
 
 def cover_multiplicity(fam: ColoredFamily, r: int):
@@ -487,23 +456,13 @@ def _kpartite_copies(
     index = {e: i for i, e in enumerate(edges)}
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
-
-    def place(i: int, used: int, stems: list[int]) -> None:
-        if i == len(sizes):
-            buf = bytearray(nbytes)
-            for e in stems:
-                b = index[e]
-                buf[b >> 3] |= 1 << (b & 7)
-            copies.add(int.from_bytes(buf, "little"))
-            return
-        rest = [v for v in range(n) if not used >> v & 1]
-        for combo in itertools.combinations(rest, sizes[i]):
-            if budget is not None:
-                budget.tick()
-            mask = sum(1 << v for v in combo)
-            place(i + 1, used | mask, [s | 1 << v for s in stems for v in combo])
-
-    place(0, 0, [0])
+    pools = [range(1, n + 1)] * len(sizes)
+    for _, transversals in _complete_kpartite(None, pools, sizes, budget):
+        buf = bytearray(nbytes)
+        for e in transversals:
+            b = index[e]
+            buf[b >> 3] |= 1 << (b & 7)
+        copies.add(int.from_bytes(buf, "little"))
     return tuple(sorted(copies))
 
 

@@ -17,6 +17,7 @@ from .hypergraphs import Hypergraph, Partition, is_k_partite
 from .lattice import SubsetFamily, elements_of_mask
 from .posets import (
     Poset,
+    _bits,
     crown,
     family_as_poset,
     find_embedding,
@@ -318,10 +319,3 @@ def search_representation(
     if isinstance(cert, VerificationFailure):
         raise AssertionError(f"search produced a non-verifying family: {cert.reason}")
     return rep
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low

@@ -154,6 +154,45 @@ def test_contains_complete_kpartite_budget():
         contains_complete_kpartite(h, (3, 3), Budget(3))
 
 
+def test_contains_complete_kpartite_k3_witness_is_flat():
+    h = Hypergraph.from_edge_sets(
+        3, 5, [[1, 2, 5], [1, 3, 5], [1, 4, 5], [2, 3, 5], [3, 4, 5]]
+    )
+    assert contains_complete_kpartite(h, (2, 1, 2)) == ((1, 3), (5,), (2, 4))
+
+
+def brute_least_kpartite(h, sizes):
+    """The lexicographically least tuple of disjoint parts, part i a
+    sizes[i]-subset of [l], whose transversals are all edges, or None."""
+    edges = set(h.edge_sets())
+    best = None
+    for parts in itertools.product(
+        *(itertools.combinations(range(1, h.l + 1), s) for s in sizes)
+    ):
+        if len(set().union(*parts)) != sum(sizes):
+            continue
+        if all(tuple(sorted(t)) in edges for t in itertools.product(*parts)):
+            if best is None or parts < best:
+                best = parts
+    return best
+
+
+def test_contains_complete_kpartite_matches_brute_force():
+    rng = random.Random(17)
+    for _ in range(600):
+        k = rng.choice((2, 3))
+        l = rng.randint(k, 8)
+        density = rng.choice((0.3, 0.6, 0.9))
+        picked = [
+            e for e in itertools.combinations(range(1, l + 1), k)
+            if rng.random() < density
+        ]
+        h = Hypergraph.from_edge_sets(k, l, picked)
+        # part sizes up to 4 overrun [l] at times
+        sizes = tuple(rng.randint(1, 4 if k == 2 else 3) for _ in range(k))
+        assert contains_complete_kpartite(h, sizes) == brute_least_kpartite(h, sizes)
+
+
 def test_crossing_edges():
     h = graph(4, [[1, 2], [1, 3], [3, 4]])
     p = Partition(4, ((1, 2), (3, 4)))
@@ -248,6 +287,54 @@ def test_ordered_count_extension_identity_k3():
                     unordered += sum(comb(d[i], s2) for i in d)
             got = count_monochromatic_ordered(fam, part, (s1, s2, 1))
             assert got == factorial(s1) * factorial(s2) * unordered
+
+
+def is_copy(h, parts):
+    edges = set(h.edge_sets())
+    return all(tuple(sorted(t)) in edges for t in itertools.product(*parts))
+
+
+def brute_ordered_count(fam, partition, t):
+    """Ordered t_i-tuples of distinct vertices per part, listed outright,
+    with every transversal an edge of one member; once per member."""
+    return sum(
+        is_copy(h, tuples)
+        for h in fam.hypergraphs
+        for tuples in itertools.product(
+            *(itertools.permutations(p, x) for p, x in zip(partition.parts, t))
+        )
+    )
+
+
+def brute_extension_counts(fam, partition, prefix, tail):
+    lp = len(prefix)
+    return {
+        i: sum(
+            is_copy(h, (*prefix, (v,), *((u,) for u in tail)))
+            for v in partition.parts[lp]
+        )
+        for i, h in enumerate(fam.hypergraphs)
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_ordered_count_and_extensions_match_brute_force(k):
+    rng = random.Random(37 + k)
+    l = 3 * k
+    for _ in range(12):
+        fam = random_colored_family(l, k, 2, rng)
+        part = random_balanced_partition(l, k, seed=rng.randrange(1000))
+        for _ in range(4):
+            t = tuple(rng.randint(1, 3) for _ in range(k))
+            got = count_monochromatic_ordered(fam, part, t)
+            assert got == brute_ordered_count(fam, part, t), t
+            lp = rng.randrange(k)
+            prefix = tuple(
+                tuple(rng.sample(part.parts[j], rng.randint(1, 3))) for j in range(lp)
+            )
+            tail = tuple(rng.choice(part.parts[j]) for j in range(lp + 1, k))
+            got = extension_counts(fam, part, prefix, tail)
+            assert got == brute_extension_counts(fam, part, prefix, tail)
 
 
 def test_extension_counts_validation():
@@ -364,6 +451,26 @@ def test_turan_oracle_edges_and_delta():
 def test_turan_oracle_budget():
     with pytest.raises(BudgetExceeded):
         turan_oracle(6, 2, (2, 2), Budget(5))
+
+
+@pytest.mark.parametrize(
+    "n,sizes,ticks",
+    [
+        (5, (2, 2), 88),
+        (6, (2, 2), 1430),
+        (7, (2, 2), 12641),
+        (5, (2, 3), 64),
+        (6, (2, 3), 362),
+        (5, (1, 1, 2), 123),
+        (6, (1, 1, 2), 384),
+        (7, (1, 1, 2), 1898),
+    ],
+)
+def test_turan_oracle_ticks_are_locked(n, sizes, ticks):
+    # copy listing plus both searches; the bench solve round runs these
+    budget = Budget()
+    turan_oracle(n, len(sizes), sizes, budget)
+    assert budget.used == ticks
 
 
 def test_turan_oracle_size_limit():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from math import comb
@@ -18,6 +19,8 @@ from subposetlab import (
     down_degree,
     down_degree_identity,
     enumerate_k_configurations,
+    family_as_poset,
+    is_weak_embedding,
     mask_from_elements,
     middle_set_classification,
     rep_crown14,
@@ -127,6 +130,23 @@ def test_configuration_turan_check_violation():
     assert out.members_present is True
     assert out.embedding is not None
     assert set(out.induced.members) <= fam.member_set()
+
+
+def test_configuration_turan_check_k3_crown14():
+    # every transversal of the parts 12 | 34 | 567, with its 2-subsets, so
+    # the configuration hypergraph at the empty core is K(2,2,3)
+    parts = ((1, 2), (3, 4), (5, 6, 7))
+    sets = set()
+    for t in itertools.product(*parts):
+        sets.add(t)
+        sets.update(itertools.combinations(t, 2))
+    fam = SubsetFamily.from_sets(7, sorted(sets))
+    out = configuration_turan_check(fam, 0, 3, (2, 2, 3), rep_crown14())
+    assert out.parts == parts
+    assert out.members_present is True
+    assert set(out.induced.members) <= fam.member_set()
+    host = family_as_poset(out.induced)
+    assert is_weak_embedding(host, crown(14), out.embedding)
 
 
 def test_configuration_turan_check_without_rep():
