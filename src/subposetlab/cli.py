@@ -51,6 +51,13 @@ MAX_SOLVE_N = 10
 # Largest --n for scd: n = 16 takes about 0.6 s and 80 MB for 7 MB of
 # output, and each step up doubles all three.
 MAX_SCD_N = 16
+# Largest --max-gap for report: a k-configuration deletes k of the n
+# elements, so every entry past n is zero.  64 gaps take about 0.05 s on a
+# 96-set family over [9].
+MAX_GAP = 64
+# Largest --n for tail-check: its time grows like n^2 and is about 1.2 s
+# at n = 100,000.
+MAX_TAIL_N = 100_000
 
 
 class _InputError(Exception):
@@ -68,8 +75,8 @@ def _load_json(path: str):
         raise _InputError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise _InputError(f"{path}: not valid JSON: {e}") from e
+    except ValueError as e:  # also integer literals past Python's digit limit
+        raise _InputError(f"{path}: cannot decode JSON: {e}") from e
 
 
 def _family_arg(path: str) -> SubsetFamily:
@@ -280,6 +287,8 @@ def _cmd_scd(args) -> int:
 
 
 def _cmd_tail_check(args) -> int:
+    if args.n > MAX_TAIL_N:
+        raise _InputError(f"--n must be at most {MAX_TAIL_N}")
     try:
         mass = tail_mass(args.n)
     except ValueError as e:
@@ -298,6 +307,8 @@ def _cmd_tail_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    if not 0 <= args.max_gap <= MAX_GAP:
+        raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
     fam = _family_arg(args.file)
     stats = chain_pair_stats(fam)
     lhs, rhs, equal = down_degree_identity(fam)

@@ -22,16 +22,8 @@ from .hypergraphs import (
     is_k_partite,
 )
 from .lattice import SubsetFamily, elements_of_mask, mask_from_elements
-from .posets import family_as_poset, find_embedding
+from .posets import _bits, family_as_poset, find_embedding
 from .representations import KPartiteRepresentation, partite_graph
-
-
-def _pair_weight(n: int, a: int, b: int) -> Fraction:
-    # probability that a uniform full chain passes through a fixed a-set
-    # inside a fixed b-set
-    return Fraction(
-        factorial(a) * factorial(b - a) * factorial(n - b), factorial(n)
-    )
 
 
 @dataclass(frozen=True)
@@ -50,40 +42,43 @@ def chain_pair_stats(family: SubsetFamily) -> ChainPairStats:
     members on the chain, member or not.
     """
     n = family.n
-    pair = Fraction(0)
-    triple = Fraction(0)
-    hist: dict[int, Fraction] = {}
+    pair = 0
+    triple = 0
+    hist: dict[int, int] = {}
     members = family.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             # canonical order sorts by size first, so b is never below a
             if a & ~b:
                 continue
-            w = _pair_weight(n, a.bit_count(), b.bit_count())
-            gap = b.bit_count() - a.bit_count()
+            size_a, size_b = a.bit_count(), b.bit_count()
+            gap = size_b - size_a
+            # a uniform full chain passes through a inside b with
+            # probability w / n!
+            w = factorial(size_a) * factorial(gap) * factorial(n - size_b)
             pair += w
             triple += w * (gap - 1)
-            hist[gap] = hist.get(gap, Fraction(0)) + w
-    return ChainPairStats(pair, triple, hist)
+            hist[gap] = hist.get(gap, 0) + w
+    # no n! without a pair: nothing bounds n in a family file
+    total = factorial(n) if hist else 1
+    return ChainPairStats(
+        Fraction(pair, total),
+        Fraction(triple, total),
+        {gap: Fraction(w, total) for gap, w in hist.items()},
+    )
 
 
-def _deletable_mask(family: SubsetFamily, b: int) -> int:
-    ms = family.member_set()
-    out = 0
-    rest = b
-    while rest:
-        low = rest & -rest
-        if (b ^ low) in ms:
-            out |= low
-        rest ^= low
-    return out
+def _deletable_mask(members: frozenset, b: int) -> int:
+    """The elements e of b with b minus e in members, as a mask."""
+    return sum(1 << i for i in _bits(b) if b ^ 1 << i in members)
 
 
 def down_degree(family: SubsetFamily, b: int) -> int:
     """Number of members one element below b.  b must be a member."""
-    if b not in family.member_set():
+    ms = family.member_set()
+    if b not in ms:
         raise ValueError("b is not a member of the family")
-    return _deletable_mask(family, b).bit_count()
+    return _deletable_mask(ms, b).bit_count()
 
 
 def down_degree_identity(family: SubsetFamily) -> tuple[Fraction, Fraction, bool]:
@@ -94,20 +89,14 @@ def down_degree_identity(family: SubsetFamily) -> tuple[Fraction, Fraction, bool
     term, so the boolean is an internal consistency check.
     """
     n = family.n
+    ms = family.member_set()
     lhs = Fraction(0)
     for b in family.members:
         size = b.bit_count()
         if size == 0:
             continue
-        lhs += Fraction(down_degree(family, b), comb(n, size) * size)
-    rhs = Fraction(0)
-    members = family.members
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if a & ~b:
-                continue
-            if b.bit_count() - a.bit_count() == 1:
-                rhs += _pair_weight(n, a.bit_count(), b.bit_count())
+        lhs += Fraction(_deletable_mask(ms, b).bit_count(), comb(n, size) * size)
+    rhs = chain_pair_stats(family).gap_histogram.get(1, Fraction(0))
     return lhs, rhs, lhs == rhs
 
 
@@ -132,16 +121,11 @@ def enumerate_k_configurations(
         raise ValueError("k must be at least 1")
     configs = []
     counts: dict[int, int] = {}
+    ms = family.member_set()
     for b in family.members:
-        deletable = _deletable_mask(family, b)
-        bits = list(elements_of_mask(deletable))
-        if len(bits) < k:
-            continue
-        for combo in combinations(bits, k):
-            t = 0
-            for e in combo:
-                t |= 1 << (e - 1)
-            s = b & ~t
+        singles = [1 << i for i in _bits(_deletable_mask(ms, b))]
+        for combo in combinations(singles, k):
+            s = b & ~sum(combo)
             configs.append(KConfiguration(s, b))
             counts[s] = counts.get(s, 0) + 1
     return tuple(configs), counts
@@ -161,8 +145,9 @@ def configuration_identity(
     for s, cnt in counts.items():
         lhs += Fraction(cnt, comb(n, s.bit_count() + k))
     rhs = Fraction(0)
+    ms = family.member_set()
     for b in family.members:
-        d = _deletable_mask(family, b).bit_count()
+        d = _deletable_mask(ms, b).bit_count()
         if d >= k:
             rhs += Fraction(comb(d, k), comb(n, b.bit_count()))
     return lhs, rhs, lhs == rhs
@@ -181,15 +166,7 @@ def configuration_hypergraph(family: SubsetFamily, core: int, k: int) -> Hypergr
         if b.bit_count() != target_size or b & core != core:
             continue
         t = b & ~core
-        ok = True
-        rest = t
-        while rest:
-            low = rest & -rest
-            if (b ^ low) not in ms:
-                ok = False
-                break
-            rest ^= low
-        if ok:
+        if t & ~_deletable_mask(ms, b) == 0:
             edges.append(t)
     return Hypergraph(k, family.n, tuple(edges))
 
@@ -234,7 +211,7 @@ def configuration_turan_check(
     rep_partition = is_k_partite(partite_graph(rep))
     if rep_partition is None:
         raise ValueError("representation is not k-partite")
-    if tuple(len(p) for p in rep_partition.parts) != tuple(sizes):
+    if rep_partition.sizes != tuple(sizes):
         raise ValueError("part sizes do not match the representation's partition")
     vmap: dict[int, int] = {}
     for vpart, wpart in zip(rep_partition.parts, parts):

@@ -9,6 +9,7 @@ formatting, so equal values serialize to identical bytes.
 from __future__ import annotations
 
 import json
+from decimal import Decimal
 from fractions import Fraction
 
 from .hypergraphs import ColoredFamily, Hypergraph, Partition
@@ -19,8 +20,13 @@ from .representations import KPartiteRepresentation, RepresentationCertificate
 _SAFE = 1 << 53
 
 
+def _digits(x: int) -> str:
+    # str() refuses ints past 4,300 digits; the Decimal form is exact at any size
+    return format(Decimal(x), "f")
+
+
 def encode_int(x: int):
-    return x if -_SAFE <= x <= _SAFE else str(x)
+    return x if -_SAFE <= x <= _SAFE else _digits(x)
 
 
 def decode_int(v) -> int:
@@ -34,7 +40,7 @@ def decode_int(v) -> int:
 
 
 def encode_fraction(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": _digits(x.numerator), "den": _digits(x.denominator)}
 
 
 def decode_fraction(v) -> Fraction:

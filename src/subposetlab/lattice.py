@@ -15,15 +15,6 @@ from fractions import Fraction
 from math import comb, factorial
 
 
-def binomial(n: int, k: int) -> int:
-    """C(n, k), with 0 for k < 0 or k > n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)
-
-
 def mask_from_elements(elements, n: int) -> int:
     """Bitmask of a subset given as 1-based elements."""
     mask = 0
@@ -128,19 +119,13 @@ def lubell_value(family: SubsetFamily) -> Fraction:
     return total
 
 
-def expected_chain_hits(family: SubsetFamily, mode: str = "identity") -> Fraction:
-    """Expected number of family members on a uniform random full chain.
-
-    mode="identity" evaluates the closed form (the Lubell value);
-    mode="exact-enumeration" averages over all n! chains and requires n <= 8.
-    """
-    if mode == "identity":
-        return lubell_value(family)
-    if mode != "exact-enumeration":
-        raise ValueError(f"unknown mode {mode!r}")
+def expected_chain_hits(family: SubsetFamily) -> Fraction:
+    """Expected number of family members on a uniform random full chain,
+    averaged over all n! chains; requires n <= 8.  lubell_value is the
+    closed form of the same number."""
     n = family.n
     if n > 8:
-        raise ValueError("exact-enumeration mode requires n <= 8")
+        raise ValueError("expected_chain_hits requires n <= 8")
     members = family.member_set()
     total_hits = 0
     for perm in itertools.permutations(range(n)):

@@ -111,14 +111,7 @@ def rep_even_cycle(t: int) -> KPartiteRepresentation:
     Walking the cycle alternates singleton, edge, singleton, edge: a closed
     alternating walk of length 4t in the inclusion order.
     """
-    if t < 2:
-        raise ValueError("t must be at least 2")
-    l = 2 * t
-    sets = [[i] for i in range(1, l + 1)]
-    sets += [[i, i % l + 1] for i in range(1, l + 1)]
-    return KPartiteRepresentation(
-        2, l, SubsetFamily.from_sets(l, sets), crown(4 * t), f"crown:{4 * t}"
-    )
+    return rep_tight_cycle(2, t)
 
 
 def rep_tight_cycle(k: int, t: int) -> KPartiteRepresentation:

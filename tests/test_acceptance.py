@@ -93,7 +93,7 @@ def test_criterion_05_exact_chain_identities_on_random_families():
         for seed in range(100):
             rng = random.Random(1000 * n + seed)
             fam = random_family(n, rng, rng.randint(6, 20))
-            assert expected_chain_hits(fam, "exact-enumeration") == lubell_value(fam)
+            assert expected_chain_hits(fam) == lubell_value(fam)
             st = chain_pair_stats(fam)
             pair, triple, hist = perm_chain_stats(fam)
             assert st.pair_expectation == pair

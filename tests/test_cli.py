@@ -7,13 +7,24 @@ import shutil
 import subprocess
 import sys
 import time
+from decimal import Decimal
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import subposetlab
-from subposetlab import Budget, BudgetExceeded, antichain, crown, la_lower_bound, posets
+from subposetlab import (
+    Budget,
+    BudgetExceeded,
+    antichain,
+    crown,
+    la_lower_bound,
+    posets,
+    tail_mass,
+)
 from subposetlab.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -462,6 +473,67 @@ def test_report_command(capsys, tmp_path):
     assert sorted(json.loads(out)["configurations"]) == ["1"]
 
 
+@pytest.mark.parametrize(
+    "gap, code", [("-1", 2), ("0", 0), ("64", 0), ("65", 2), ("1000000000", 2)]
+)
+def test_report_max_gap_bounds(capsys, tmp_path, gap, code):
+    path = write_json(
+        tmp_path, "fam.json", {"n": 3, "sets": [[1], [2], [1, 2], [1, 2, 3]]}
+    )
+    got, out, err = run(capsys, "report", "--file", path, "--max-gap", gap)
+    assert got == code
+    if code == 2:
+        assert out == "" and "error: --max-gap must be between 0 and 64" in err
+        return
+    configs = json.loads(out)["configurations"]
+    assert list(configs) == [str(k) for k in range(1, int(gap) + 1)]
+    # a k-configuration deletes k of the n = 3 elements
+    for k in range(4, int(gap) + 1):
+        assert configs[str(k)]["count"] == 0
+
+
+def exact(v):
+    """A rational from its JSON form, at any number of digits."""
+    return Fraction(int(Decimal(v["num"])), int(Decimal(v["den"])))
+
+
+def test_tail_check_prints_past_the_digit_limit(capsys):
+    # from n = 14288 on, the mass has a denominator of more than 4,300 digits
+    code, out, _ = run(capsys, "tail-check", "--n", "14288")
+    assert code == 0
+    res = json.loads(out)
+    assert len(res["mass"]["den"]) > 4300
+    assert exact(res["mass"]) == tail_mass(14288)
+    assert exact(res["bound"]) == Fraction(2, 14288**2)
+    code, out, err = run(capsys, "tail-check", "--n", "100001")
+    assert code == 2 and out == ""
+    assert "error: --n must be at most 100000" in err
+
+
+def test_family_verbs_print_past_the_digit_limit(capsys, tmp_path):
+    path = write_json(
+        tmp_path, "fam.json", {"n": 16000, "sets": [list(range(1, 8001))]}
+    )
+    lubell = Fraction(1, comb(16000, 8000))
+    code, out, _ = run(capsys, "lubell", "--file", path)
+    assert code == 0
+    assert exact(json.loads(out)["lubell"]) == lubell
+    code, out, _ = run(capsys, "report", "--file", path)
+    assert code == 0
+    res = json.loads(out)
+    assert exact(res["lubell"]) == lubell
+    assert exact(res["down_degree_identity"]["lhs"]) == 0
+
+
+def test_oversized_integer_literal_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"n": ' + "9" * 5000 + ', "sets": []}')
+    for verb in ("lubell", "chain-stats", "report", "partite", "verify-rep"):
+        code, out, err = run(capsys, verb, "--file", str(path))
+        assert code == 2 and out == ""
+        assert "cannot decode JSON" in err
+
+
 def test_stdout_is_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, "la", "--n", "3", "--pattern", "crown:4")
     _, second, _ = run(capsys, "la", "--n", "3", "--pattern", "crown:4")
@@ -500,7 +572,9 @@ def argv_files(tmp_path_factory):
     d = tmp_path_factory.mktemp("argv")
     (d / "fam.json").write_text(json.dumps({"n": 4, "sets": [[1], [1, 2], [3, 4]]}))
     (d / "bad.json").write_text("{not json")
+    (d / "huge.json").write_text('{"n": ' + "9" * 5000 + ', "sets": []}')
     return [
+        str(d / "huge.json"),
         str(d / "fam.json"),
         str(d / "bad.json"),
         str(d / "missing.json"),
@@ -551,9 +625,14 @@ def cli_argv(draw, files):
         "lubell": [("--file", file)],
         "chain-stats": [("--file", file)],
         "partite": [("--file", file)],
-        "report": [("--file", file), ("--max-gap", optional)],
+        "report": [
+            ("--file", file),
+            ("--max-gap", optional | st.sampled_from(["65", "1000000000"])),
+        ],
         "scd": [("--n", n), ("--lo", optional), ("--hi", optional)],
-        "tail-check": [("--n", st.integers(-1, 60).map(str))],
+        "tail-check": [
+            ("--n", st.integers(-1, 60).map(str) | st.sampled_from(["14288", "100001"]))
+        ],
     }
     verb = draw(st.sampled_from(sorted(spec)))
     argv = [verb]

@@ -26,7 +26,7 @@ from subposetlab import (
     rep_crown14,
     rep_even_cycle,
 )
-from conftest import perm_chain_stats, random_family
+from conftest import perm_chain_stats, random_band_family, random_family
 
 
 def test_chain_pair_stats_hand_example():
@@ -64,6 +64,18 @@ def test_down_degree_identity():
             fam = random_family(n, rng, rng.randint(4, 14))
             lhs, rhs, ok = down_degree_identity(fam)
             assert ok and lhs == rhs
+
+
+def test_down_degree_identity_matches_permutation_oracle():
+    """Both sides equal the expected number of gap-1 member pairs on a
+    random full chain, counted over all n! chains."""
+    rng = random.Random(44)
+    for n in (3, 4, 5):
+        for _ in range(6):
+            fam = random_family(n, rng, rng.randint(1, 1 << (n - 1)))
+            lhs, rhs, _ = down_degree_identity(fam)
+            _, _, hist = perm_chain_stats(fam)
+            assert lhs == rhs == hist.get(1, 0)
 
 
 def test_enumerate_k_configurations():
@@ -107,6 +119,35 @@ def test_configuration_hypergraph():
     assert h.edges == (0b011,)  # {2,3} lacks the member {3}
     with pytest.raises(ValueError):
         configuration_hypergraph(fam, 0, 1)
+
+
+def brute_configuration_edges(fam, core, k):
+    """The docstring of configuration_hypergraph, read over element sets:
+    the k-sets T outside the core with core+T and every core+T-{e}, e in T,
+    all members."""
+    members = {frozenset(s) for s in fam.sets()}
+    c = frozenset(e for e in range(1, fam.n + 1) if core >> (e - 1) & 1)
+    outside = [e for e in range(1, fam.n + 1) if e not in c]
+    edges = set()
+    for t in itertools.combinations(outside, k):
+        b = c | set(t)
+        if b in members and all(b - {e} in members for e in t):
+            edges.add(t)
+    return edges
+
+
+def test_configuration_hypergraph_matches_brute_force():
+    rng = random.Random(59)
+    found = 0
+    for n in (4, 5, 6):
+        for _ in range(4):
+            fam = random_band_family(n, rng, rng.randint(8, 30), spread=1.5)
+            for core in range(1 << n):
+                for k in (2, 3):
+                    edges = configuration_hypergraph(fam, core, k).edge_sets()
+                    assert sorted(edges) == sorted(brute_configuration_edges(fam, core, k))
+                    found += len(edges)
+    assert found > 0
 
 
 def planted_turan_family():

@@ -64,7 +64,17 @@ def test_even_cycle_reps_verify(t):
     assert_certificate(rep, verify_representation(rep))
 
 
-@pytest.mark.parametrize("k,t", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_even_cycle_family_is_singletons_and_cycle_edges():
+    for t in range(2, 31):
+        l = 2 * t
+        sets = [(i,) for i in range(1, l + 1)]
+        sets += [(i, i + 1) for i in range(1, l)] + [(1, l)]
+        rep = rep_even_cycle(t)
+        assert rep.family == SubsetFamily.from_sets(l, sets)
+        assert (rep.k, rep.l, rep.target_name) == (2, l, f"crown:{4 * t}")
+
+
+@pytest.mark.parametrize("k,t",[(2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
 def test_tight_cycle_reps_verify(k, t):
     rep = rep_tight_cycle(k, t)
     assert rep.k == k and rep.l == k * t
