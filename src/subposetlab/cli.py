@@ -9,6 +9,7 @@ usage or input error, 3 budget exhausted.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -58,6 +59,10 @@ MAX_GAP = 64
 # Largest --n for tail-check: its time grows like n^2 and is about 1.2 s
 # at n = 100,000.
 MAX_TAIL_N = 100_000
+# Largest n in the family file of chain-stats and report: both form n! once
+# the family has a comparable pair, and report on {"n": 50000, "sets":
+# [[1], [1, 2]]} takes about 0.3 s (0.9 s at n = 100,000).
+MAX_CHAIN_N = 50_000
 
 
 class _InputError(Exception):
@@ -79,12 +84,15 @@ def _load_json(path: str):
         raise _InputError(f"{path}: cannot decode JSON: {e}") from e
 
 
-def _family_arg(path: str) -> SubsetFamily:
+def _family_arg(path: str, max_n: int | None = None) -> SubsetFamily:
     obj = _load_json(path)
     try:
-        return jsonio.family_from_json(obj)
+        fam = jsonio.family_from_json(obj)
     except (ValueError, TypeError, KeyError) as e:
         raise _InputError(f"{path}: {e}") from e
+    if max_n is not None and fam.n > max_n:
+        raise _InputError(f"{path}: n must be at most {max_n}")
+    return fam
 
 
 def _pattern_arg(text: str):
@@ -185,14 +193,20 @@ def _cmd_solve(args) -> int:
     if args.copy_cap < 0:
         raise _InputError("--copy-cap must be nonnegative")
     pattern = _pattern_arg(args.pattern)
-    res = args.solver(args.n, pattern, _budget_arg(args), args.copy_cap)
+    # looked up per call, not stored in the reused parser, so that a
+    # replacement of cli.la_exact or cli.lambda_exact takes effect
+    if args.command == "la":
+        solver, encode_value = la_exact, jsonio.encode_int
+    else:
+        solver, encode_value = lambda_exact, jsonio.encode_fraction
+    res = solver(args.n, pattern, _budget_arg(args), args.copy_cap)
     if res.degraded is not None:
         print(f"degraded: {res.degraded}", file=sys.stderr)
     _emit(
         {
             "n": args.n,
             "pattern": args.pattern,
-            "value": args.encode_value(res.value),
+            "value": encode_value(res.value),
             "optimality": res.optimality,
             "witness": jsonio.family_to_json(res.witness),
         }
@@ -213,7 +227,7 @@ def _cmd_lubell(args) -> int:
 
 
 def _cmd_chain_stats(args) -> int:
-    fam = _family_arg(args.file)
+    fam = _family_arg(args.file, MAX_CHAIN_N)
     stats = chain_pair_stats(fam)
     _emit(
         {
@@ -309,7 +323,7 @@ def _cmd_tail_check(args) -> int:
 def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
-    fam = _family_arg(args.file)
+    fam = _family_arg(args.file, MAX_CHAIN_N)
     stats = chain_pair_stats(fam)
     lhs, rhs, equal = down_degree_identity(fam)
     configs = {}
@@ -391,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True, help="pattern poset, e.g. chain:2")
     _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(run=_cmd_solve, solver=la_exact, encode_value=jsonio.encode_int)
+    sp.set_defaults(run=_cmd_solve)
 
     sp = sub.add_parser(
         "lambda", help="largest Lubell mass of a pattern-free family"
@@ -400,9 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pattern", required=True)
     _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
-    sp.set_defaults(
-        run=_cmd_solve, solver=lambda_exact, encode_value=jsonio.encode_fraction
-    )
+    sp.set_defaults(run=_cmd_solve)
 
     sp = sub.add_parser("lubell", help="exact Lubell value of a family file")
     sp.add_argument("--file", required=True, help="family JSON ('-' for stdin)")
@@ -452,9 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line (``sys.argv[1:]`` when argv is None) and return
+    its exit code; results go to stdout, diagnostics to stderr.
+
+    Usage errors and ``--help`` raise ``SystemExit`` from argparse (code 2
+    and 0).  main may be called any number of times in one process: the
+    parser is built on the first call and reused, and it holds no state of
+    its own between calls.
+    """
+    args = _parser().parse_args(argv)
     if getattr(args, "budget", None) == 0:
         args.budget = None
     start = time.monotonic()

@@ -20,6 +20,7 @@ from subposetlab import (
     Budget,
     BudgetExceeded,
     antichain,
+    cli,
     crown,
     la_lower_bound,
     posets,
@@ -525,6 +526,24 @@ def test_family_verbs_print_past_the_digit_limit(capsys, tmp_path):
     assert exact(res["down_degree_identity"]["lhs"]) == 0
 
 
+@pytest.mark.parametrize("verb", ["chain-stats", "report"])
+def test_chain_verbs_bound_n_in_the_family_file(capsys, tmp_path, verb):
+    # n! over a comparable pair: n = 10^6 took 23 s and 10^8 over 30 s
+    limit = cli.MAX_CHAIN_N
+    at = write_json(tmp_path, "at.json", {"n": limit, "sets": [[1], [1, 2]]})
+    code, out, _ = run(capsys, verb, "--file", at)
+    assert code == 0 and json.loads(out)["n"] == limit
+    for n in (limit + 1, 10**8):
+        path = write_json(tmp_path, "big.json", {"n": n, "sets": [[1], [1, 2]]})
+        t0 = time.monotonic()
+        code, out, err = run(capsys, verb, "--file", path)
+        assert code == 2 and out == ""
+        assert f"n must be at most {limit}" in err
+        assert time.monotonic() - t0 < 1
+    # lubell needs no n!, so it keeps every n
+    assert run(capsys, "lubell", "--file", path)[0] == 0
+
+
 def test_oversized_integer_literal_is_an_input_error(capsys, tmp_path):
     path = tmp_path / "huge.json"
     path.write_text('{"n": ' + "9" * 5000 + ', "sets": []}')
@@ -541,6 +560,62 @@ def test_stdout_is_byte_identical_across_runs(capsys):
     _, first, _ = run(capsys, "scd", "--n", "5")
     _, second, _ = run(capsys, "scd", "--n", "5")
     assert first == second
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_path):
+    """Verbs, input errors, usage errors and --help interleaved in one
+    process print what each prints first thing in a fresh process."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the terminal
+    fam = write_json(tmp_path, "fam.json", {"n": 3, "sets": [[1], [2], [1, 2]]})
+    argvs = [
+        ["la", "--n", "3", "--pattern", "chain:2"],
+        ["scd", "--n", "x"],
+        ["lambda", "--n", "3", "--pattern", "chain:2", "--copy-cap", "3"],
+        ["--help"],
+        ["report", "--file", fam, "--max-gap", "2"],
+        ["la", "--n", "0", "--pattern", "chain:2"],
+        ["la", "--help"],
+        ["chain-stats", "--file", fam, "--junk"],
+        ["partite", "--file", str(FIXTURES / "oddcycle.json")],
+        ["gen-rep", "--kind", "even_cycle:2"],
+        ["la", "--n", "3", "--pattern", "chain:2"],
+    ]
+    codes = set()
+    wrapper = "import sys\nfrom subposetlab.cli import main\nsys.exit(main(sys.argv[1:]))"
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+        out, _ = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-c", wrapper, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout), argv
+        codes.add(code)
+    assert codes == {0, 1, 2}
+
+
+def test_replaced_solvers_take_effect_after_the_first_call(capsys, monkeypatch):
+    """The parser is reused across calls but holds no solver: a
+    replacement of cli.la_exact or cli.lambda_exact made after a first
+    call is the one the next call runs."""
+    for verb, name in (("la", "la_exact"), ("lambda", "lambda_exact")):
+        argv = [verb, "--n", "3", "--pattern", "chain:2"]
+        first = run(capsys, *argv)[:2]
+        original = getattr(cli, name)
+        calls = []
+
+        def recording(*args, original=original):
+            calls.append(args[0])
+            return original(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+        assert run(capsys, *argv)[:2] == first
+        assert calls == [3], verb
 
 
 def test_budget_zero_means_unlimited(capsys):
