@@ -98,15 +98,17 @@ class _Engine:
     Weights are integers; equal weights form one class, so a weight sum
     costs one popcount per class.  Sets of copies are int bitsets: bit b
     stands for by_bit[b], the copies in reverse order, so `bit_length`
-    finds the first one.  inc[v] holds the copies through vertex v, and
-    `alive` the copies that no excluded vertex hits.  Each node carries
-    the weight of its excluded set, so the weight of its included and free
-    vertices is total minus that.
+    finds the first one.  miss[v] holds the copies that avoid vertex v,
+    and `alive` the copies that no excluded vertex hits.  Each node
+    carries the weight of its excluded set, so the weight of its included
+    and free vertices is total minus that.
 
-    Branch vertex: the free vertex in the most alive copies, ties to the
-    smallest index; the include branch is searched first, and it exists
-    only when no alive copy through the branch vertex has it as its last
-    free vertex.  Bounds, a node pruned when either is at most best_val:
+    Each node packs its alive copies greedily: take the first alive copy,
+    drop every copy that meets its free part, repeat.  A copy the packing
+    drops has a free vertex, so the packing sees every alive copy that has
+    none.  Such a dead copy lies wholly in the included set, and the node
+    is pruned.  Otherwise every alive copy keeps a free vertex, and the
+    bounds below apply; a node is pruned when either is at most best_val.
     - Lubell, tested first and only when `levels` is given: it lists
       (mask, weight, cost) per level, in descending order of weight per
       cost, and a copy-free set costs at most `capacity` (see
@@ -114,10 +116,15 @@ class _Engine:
       a fractional knapsack over the free vertices in the capacity the
       included ones leave: whole levels in order, the last one floored.
     - Packing: the weight of the included and free vertices, minus one
-      minimum-weight vertex per copy of a greedy disjoint packing: take the
-      first alive copy, drop every copy that meets its free part, repeat.
-      Every alive copy keeps a free vertex, as it avoids the excluded
-      vertices and no include completes it.
+      minimum-weight vertex per packed copy, since the packed copies have
+      disjoint free parts and a completion leaves out a vertex of each.
+    Branching: take the packed copy with the fewest free vertices, the
+    first one on ties, and let f_1 < ... < f_r be its free vertices.
+    Child i includes f_1..f_{i-1} and excludes f_i; the child with the
+    most includes is searched first.  A copy-free completion leaves out
+    some f_i, and the least such i names the one child that holds it, so
+    the children split the node's completions.  An include can complete
+    a copy; that child is pruned as a dead copy when it is reached.
     A feasibility search for weight >= target starts from
     best_val = target - 1 and stops at its first improvement.
     """
@@ -141,36 +148,16 @@ class _Engine:
         self.total = self.weight_of(self.universe)
         nbytes = len(copies) // 8 + 1
         through = [bytearray(nbytes) for _ in range(nverts)]
-        last = [bytearray(nbytes) for _ in range(nverts)]
         for b, c in enumerate(self.by_bit):
-            last[c.bit_length() - 1][b >> 3] |= 1 << (b & 7)
             while c:
                 low = c & -c
                 through[low.bit_length() - 1][b >> 3] |= 1 << (b & 7)
                 c ^= low
         self.all_copies = (1 << len(copies)) - 1
-        self.inc = [int.from_bytes(m, "little") for m in through]
-        self.miss = [self.all_copies ^ m for m in self.inc]
-        # last[v]: the copies whose highest vertex is v
-        self.last = [int.from_bytes(m, "little") for m in last]
+        self.miss = [self.all_copies ^ int.from_bytes(m, "little") for m in through]
 
     def weight_of(self, mask: int) -> int:
         return sum(w * (mask & members).bit_count() for w, members in self.classes)
-
-    def _packing_loss(self, alive: int, free: int) -> int:
-        by_bit, miss, classes = self.by_bit, self.miss, self.classes
-        loss = 0
-        while alive:
-            fp = by_bit[alive.bit_length() - 1] & free
-            for w, members in classes:
-                if fp & members:
-                    loss += w
-                    break
-            while fp:
-                low = fp & -fp
-                alive &= miss[low.bit_length() - 1]
-                fp ^= low
-        return loss
 
     def _lubell_prunes(self, included: int, free: int) -> bool:
         """True when no copy-free set between included and included | free
@@ -197,16 +184,13 @@ class _Engine:
         """Depth-first search below one node, w_out the weight of its
         excluded set, raising best_val and best_wit; with first=True, True
         as soon as best_val rises."""
-        inc, miss, weights = self.inc, self.miss, self.weights
-        universe, total = self.universe, self.total
-        packing_loss = self._packing_loss
+        by_bit, miss, weights = self.by_bit, self.miss, self.weights
+        classes, universe, total = self.classes, self.universe, self.total
         lubell_prunes = self._lubell_prunes if self.levels else None
         tick = self.budget.tick if self.budget is not None else None
-        stack = [(included, excluded, w_out, alive, None)]
+        stack = [(included, excluded, w_out, alive)]
         while stack:
-            # degs: (u, alive copies through u) for each free u in one; an
-            # include child keeps its parent's, as its alive copies stay
-            included, excluded, w_out, alive, degs = stack.pop()
+            included, excluded, w_out, alive = stack.pop()
             if tick is not None:
                 tick()
             free = universe & ~included & ~excluded
@@ -219,36 +203,39 @@ class _Engine:
                 continue
             if lubell_prunes is not None and lubell_prunes(included, free):
                 continue
-            if top - packing_loss(alive, free) <= self.best_val:
-                continue
-            if degs is None:
-                degs = []
-                rest = free
-                while rest:
-                    low = rest & -rest
-                    u = low.bit_length() - 1
-                    rest ^= low
-                    d = (inc[u] & alive).bit_count()
-                    if d:
-                        degs.append((u, d))
-            v, best = degs[0]
-            for u, d in degs:
-                if d > best:
-                    v, best = u, d
-            bit = 1 << v
-            stack.append(
-                (included, excluded | bit, w_out + weights[v], alive & miss[v], None)
-            )
-            # the alive copies through v that no other free vertex meets
-            lone = inc[v] & alive
-            for u, _ in degs:
-                if u != v:
-                    lone &= miss[u]
-                    if not lone:
+            # the greedy packing, which keeps the smallest free part as the
+            # branch; it stops with copies left to pack, and the node is
+            # pruned, at a dead copy or once its loss reaches `slack`
+            slack = top - self.best_val
+            loss = size = 0
+            rest = alive
+            while rest:
+                fp = by_bit[rest.bit_length() - 1] & free
+                if not fp:
+                    break
+                for w, members in classes:
+                    if fp & members:
+                        loss += w
                         break
-            if not lone:
-                kept = [(u, d) for u, d in degs if u != v]
-                stack.append((included | bit, excluded, w_out, alive, kept))
+                if loss >= slack:
+                    break
+                r = fp.bit_count()
+                if not size or r < size:
+                    branch, size = fp, r
+                while fp:
+                    low = fp & -fp
+                    rest &= miss[low.bit_length() - 1]
+                    fp ^= low
+            if rest:
+                continue
+            while branch:
+                low = branch & -branch
+                v = low.bit_length() - 1
+                stack.append(
+                    (included, excluded | low, w_out + weights[v], alive & miss[v])
+                )
+                included |= low
+                branch ^= low
         return False
 
     def maximize(self, seed_wit: int) -> None:
@@ -281,10 +268,7 @@ class _Engine:
                 decided_in |= bit
                 continue
             self.best_val = target - 1
-            # an alive copy ending at i has all its other vertices in
-            if not self.last[i] & alive and self._search(
-                decided_in | bit, decided_out, w_out, alive, True
-            ):
+            if self._search(decided_in | bit, decided_out, w_out, alive, True):
                 decided_in |= bit
                 wit = self.best_wit
             else:

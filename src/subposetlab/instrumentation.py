@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, lcm
 
 from .budget import Budget
 from .hypergraphs import (
@@ -42,25 +42,29 @@ def chain_pair_stats(family: SubsetFamily) -> ChainPairStats:
     members on the chain, member or not.
     """
     n = family.n
-    pair = 0
-    triple = 0
-    hist: dict[int, int] = {}
+    # comparable pairs by (|a|, |b|): they share a chain weight
+    counts: dict[tuple[int, int], int] = {}
     members = family.members
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             # canonical order sorts by size first, so b is never below a
             if a & ~b:
                 continue
-            size_a, size_b = a.bit_count(), b.bit_count()
-            gap = size_b - size_a
-            # a uniform full chain passes through a inside b with
-            # probability w / n!
-            w = factorial(size_a) * factorial(gap) * factorial(n - size_b)
-            pair += w
-            triple += w * (gap - 1)
-            hist[gap] = hist.get(gap, 0) + w
-    # no n! without a pair: nothing bounds n in a family file
-    total = factorial(n) if hist else 1
+            key = (a.bit_count(), b.bit_count())
+            counts[key] = counts.get(key, 0) + 1
+    # a uniform full chain passes through b with probability 1 / C(n, |b|),
+    # and then through a given a inside b with probability 1 / C(|b|, |a|);
+    # the weights are summed over their lcm and divided once per statistic
+    inverse = {key: comb(n, key[1]) * comb(key[1], key[0]) for key in counts}
+    total = lcm(*inverse.values())
+    pair = triple = 0
+    hist: dict[int, int] = {}
+    for (size_a, size_b), count in counts.items():
+        w = count * (total // inverse[size_a, size_b])
+        gap = size_b - size_a
+        pair += w
+        triple += w * (gap - 1)
+        hist[gap] = hist.get(gap, 0) + w
     return ChainPairStats(
         Fraction(pair, total),
         Fraction(triple, total),

@@ -528,7 +528,7 @@ def test_family_verbs_print_past_the_digit_limit(capsys, tmp_path):
 
 @pytest.mark.parametrize("verb", ["chain-stats", "report"])
 def test_chain_verbs_bound_n_in_the_family_file(capsys, tmp_path, verb):
-    # n! over a comparable pair: n = 10^6 took 23 s and 10^8 over 30 s
+    # past cli.MAX_CHAIN_N both verbs exit 2 before computing anything
     limit = cli.MAX_CHAIN_N
     at = write_json(tmp_path, "at.json", {"n": limit, "sets": [[1], [1, 2]]})
     code, out, _ = run(capsys, verb, "--file", at)
@@ -542,6 +542,21 @@ def test_chain_verbs_bound_n_in_the_family_file(capsys, tmp_path, verb):
         assert time.monotonic() - t0 < 1
     # lubell needs no n!, so it keeps every n
     assert run(capsys, "lubell", "--file", path)[0] == 0
+
+
+@pytest.mark.parametrize("verb", ["chain-stats", "report"])
+def test_chain_verbs_finish_a_long_chain_at_the_n_limit(capsys, tmp_path, verb):
+    # 190 comparable pairs at n = 50,000 took 11.4 s in chain-stats and
+    # 23.1 s in report while each pair's weight was formed over n!
+    sets = [list(range(1, k + 1)) for k in range(1, 21)]
+    path = write_json(tmp_path, "chain.json", {"n": cli.MAX_CHAIN_N, "sets": sets})
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, verb, "--file", path)
+    assert time.monotonic() - t0 < 2
+    assert code == 0
+    # 19 - g + 1 pairs of gap g, each through sizes k < k + g of the chain
+    hist = json.loads(out)["gap_histogram"]
+    assert len(hist) == 19
 
 
 def test_oversized_integer_literal_is_an_input_error(capsys, tmp_path):

@@ -29,7 +29,7 @@ from subposetlab import (
     make_poset,
 )
 from subposetlab import extremal, posets
-from subposetlab.lattice import canonical_sort_key
+from subposetlab.lattice import SubsetFamily, canonical_sort_key
 from conftest import all_families, brute_la, brute_lambda, random_poset, relabeled
 
 
@@ -321,6 +321,62 @@ def test_lubell_bound_is_sound_at_n3(solver, pattern_text, code):
     assert_lubell_bound_holds(solver, 3, pattern_text, [node_state(code, 8)])
 
 
+def assert_search_finds_the_best_completion(solver, n, pattern_text, states):
+    """From every node (included, excluded), the search ends at the
+    heaviest pattern-free family that holds the included sets and none of
+    the excluded, and finds nothing when no such family exists; as a
+    feasibility search it succeeds just below that weight and fails at
+    it.  A node whose included sets already hold a copy is a dead end:
+    the search finds nothing there and spends one tick on it."""
+    engine, free_sets = engine_and_free_sets(solver, n, pattern_text)
+    for included, excluded in states:
+        fits = [
+            (w, m) for m, w in free_sets if m & included == included and not m & excluded
+        ]
+        alive = engine.all_copies
+        for v in range(engine.nverts):
+            if excluded >> v & 1:
+                alive &= engine.miss[v]
+        w_out = engine.weight_of(excluded)
+        budget = engine.budget = Budget()
+        engine.best_val, engine.best_wit = -1, None
+        try:
+            engine._search(included, excluded, w_out, alive, False)
+        finally:
+            engine.budget = None
+        state = (included, excluded)
+        if any(not c & ~included for c in engine.by_bit):
+            assert budget.used == 1, state
+        if not fits:
+            assert engine.best_wit is None, state
+            continue
+        best = max(w for w, _ in fits)
+        assert (engine.best_val, engine.best_wit) in fits, state
+        assert engine.best_val == best, state
+        engine.best_val = best - 1
+        assert engine._search(included, excluded, w_out, alive, True), state
+        assert engine.best_val == best, state
+        assert not engine._search(included, excluded, w_out, alive, True), state
+
+
+@pytest.mark.parametrize("solver", [la_exact, lambda_exact])
+@pytest.mark.parametrize("pattern_text", BOUND_PATTERNS)
+def test_search_is_exact_on_every_node_for_n_up_to_2(solver, pattern_text):
+    for n in (1, 2):
+        states = [node_state(code, 1 << n) for code in range(3 ** (1 << n))]
+        assert_search_finds_the_best_completion(solver, n, pattern_text, states)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([la_exact, lambda_exact]),
+    st.sampled_from(BOUND_PATTERNS),
+    st.integers(0, 3**8 - 1),
+)
+def test_search_is_exact_at_n3(solver, pattern_text, code):
+    assert_search_finds_the_best_completion(solver, 3, pattern_text, [node_state(code, 8)])
+
+
 def test_chain_patterns_close_beyond_n6():
     """A chain pattern's lexmin witness phase prunes by the Lubell bound:
     both runs took minutes before it acted below the root."""
@@ -328,6 +384,34 @@ def test_chain_patterns_close_beyond_n6():
         res = la_exact(n, chain(k), Budget(100_000))
         assert (res.optimality, res.degraded) == ("proven", None)
         assert res.value == value == 70
+
+
+def test_n6_frontier_cases_are_proven_under_a_cap():
+    """La(6, butterfly) = Sigma(6, 2) = 35 (De Bonis-Katona-Swanepoel)
+    with levels 2 and 3 as the least witness, and La(6, diamond:2) = 36:
+    the 2-sets but {5, 6}, the 3-sets inside [4] or through {5, 6}, and
+    the 4-sets but [4].  Branching on a packed copy proves them in 47,185
+    and 123,502 ticks; branching on the vertex in the most copies took
+    64,068 and 528,379."""
+    levels_2_3 = SubsetFamily(6, tuple(m for m in range(64) if m.bit_count() in (2, 3)))
+    quad, top = 0b1111, 0b110000
+    diamond_witness = SubsetFamily(
+        6,
+        tuple(
+            m
+            for m in range(64)
+            if (m.bit_count() == 2 and m != top)
+            or (m.bit_count() == 3 and (not m & ~quad or m & top == top))
+            or (m.bit_count() == 4 and m != quad)
+        ),
+    )
+    for pattern, value, witness, cap in (
+        ("butterfly", 35, levels_2_3, 200_000),
+        ("diamond:2", 36, diamond_witness, 400_000),
+    ):
+        res = la_exact(6, make_poset(pattern), Budget(cap))
+        assert (res.optimality, res.degraded) == ("proven", None)
+        assert (res.value, res.witness) == (value, witness)
 
 
 def test_la_crown4_at_n3():
@@ -396,13 +480,13 @@ def test_witness_round_trip_consistency():
 TICK_CASES = [
     # solver, n, pattern, ticks before the per-node Lubell bound, ticks of
     # the copy enumeration, ticks now
-    (la_exact, 4, "fork:3", 4248, 892, 1031),
-    (la_exact, 5, "butterfly", 11406, 3127, 3356),
-    (la_exact, 5, "fork:2", 11951, 1465, 9338),
-    (la_exact, 5, "diamond:2", 7518, 2826, 4920),
-    (lambda_exact, 4, "diamond:2", 1118, 417, 887),
-    (lambda_exact, 5, "butterfly", 13292, 3127, 3192),
-    (lambda_exact, 5, "fork:2", 4069, 1465, 1530),
+    (la_exact, 4, "fork:3", 4248, 892, 1004),
+    (la_exact, 5, "butterfly", 11406, 3127, 3322),
+    (la_exact, 5, "fork:2", 11951, 1465, 4306),
+    (la_exact, 5, "diamond:2", 7518, 2826, 3084),
+    (lambda_exact, 4, "diamond:2", 1118, 417, 1072),
+    (lambda_exact, 5, "butterfly", 13292, 3127, 4535),
+    (lambda_exact, 5, "fork:2", 4069, 1465, 1586),
 ]
 
 
@@ -414,20 +498,21 @@ TICK_CASES = [
 def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, ticks):
     """Budget ticks count the nodes of the copy enumeration and of every
     branch-and-bound search, so equal counts mean the same search trees.
-    The maximize trees are those of the engine as first written, which
-    scanned lists of copies at every node, less the subtrees the per-node
-    Lubell bound prunes; the witness phase spends fewer ticks since it
-    skips the searches that the incumbent already answers.  A bound only
-    prunes, so the trees shrink and never grow: old_ticks is the count
-    before the Lubell bound acted below the root.  The copy enumeration
-    follows the pattern's placement order, which for the butterfly walks
-    its cycle, and yields one embedding per orbit of the pattern's
-    automorphism group; its ticks include the automorphism searches.  The
-    search ticks, ticks - enum_ticks, are those of the enumeration that
-    yielded every embedding: 139, 229, 7873, 2094, 470, 65 and 65.  A
-    change of branching rule, bound, witness search, placement order or
-    symmetry breaking changes them.  The solvers also charge the band
-    lower bound to the budget; lb is what it spends on its own."""
+    The trees branch on the free vertices of the smallest packed copy and
+    are pruned by the Lubell and packing bounds and by dead copies; the
+    witness phase skips the searches that the incumbent already answers.
+    old_ticks is the count of the engine as first written, which branched
+    on the free vertex in the most alive copies and had no per-node Lubell
+    bound; the trees that branching on a copy grows, such as lambda(5,
+    butterfly), stay below it.  The copy enumeration follows the pattern's
+    placement order, which for the butterfly walks its cycle, and yields
+    one embedding per orbit of the pattern's automorphism group; its
+    ticks include the automorphism searches.  The search ticks, ticks -
+    enum_ticks, are those of the enumeration that yielded every
+    embedding: 112, 195, 2841, 258, 655, 1408 and 121.  A change of
+    branching rule, bound, witness search, placement order or symmetry
+    breaking changes them.  The solvers also charge the band lower bound
+    to the budget; lb is what it spends on its own."""
     lb = Budget()
     la_lower_bound(n, make_poset(pattern), lb)
     enum = Budget()
@@ -440,22 +525,25 @@ def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, tick
 
 
 def test_budget_spent_in_witness_phase_is_reported():
-    """At Budget(6778) on top of the lower bound's ticks, the value of
-    la(5, fork:2) is proven but the budget runs out while the witness is
-    made canonical: the result keeps the search's witness and says so.
-    6778 is the largest budget that ends in the search, found by scanning
-    the budget; it moves with the ticks of the copy enumeration."""
-    pattern = make_poset("fork:2")
+    """At Budget(447) on top of the lower bound's ticks, the value of
+    la(4, diamond:2) is proven but the budget runs out while the witness
+    is made canonical: the result keeps the search's witness, the middle
+    band, and says so.  447 is the largest budget that ends in the search,
+    found by scanning the budget; it moves with the ticks of the copy
+    enumeration and of the maximize search.  (On la(5, fork:2) the search
+    already ends at the least optimum, so a cut witness phase returns it.)"""
+    pattern = make_poset("diamond:2")
     lb = Budget()
-    la_lower_bound(5, pattern, lb)
-    full = la_exact(5, pattern)
+    la_lower_bound(4, pattern, lb)
+    full = la_exact(4, pattern)
     assert full.degraded is None
-    res = la_exact(5, pattern, Budget(6778 + lb.used))
+    res = la_exact(4, pattern, Budget(447 + lb.used))
     assert (res.value, res.optimality) == (full.value, "proven")
     assert res.degraded == "budget-witness"
     assert res.witness != full.witness
+    assert res.witness == la_lower_bound(4, pattern).witness
     assert len(res.witness.members) == res.value
     assert not contains_weak(family_as_poset(res.witness), pattern)
-    res = la_exact(5, pattern, Budget(6778))
+    res = la_exact(4, pattern, Budget(447))
     assert res.optimality == "lower-bound-only"
     assert res.degraded == "budget-search"

@@ -39,8 +39,11 @@ def test_chain_pair_stats_hand_example():
 
 def test_chain_pair_stats_matches_permutation_oracle():
     rng = random.Random(41)
-    for _ in range(6):
-        fam = random_family(5, rng, rng.randint(5, 12))
+    fams = [random_family(5, rng, rng.randint(5, 12)) for _ in range(6)]
+    # pairs of every size class, and the full chain's 21 pairs at n = 6
+    fams += [random_family(n, rng, rng.randint(1, 1 << n)) for n in (1, 2, 3, 4, 6)]
+    fams.append(SubsetFamily.from_sets(6, [list(range(1, k + 1)) for k in range(7)]))
+    for fam in fams:
         st = chain_pair_stats(fam)
         pair, triple, hist = perm_chain_stats(fam)
         assert st.pair_expectation == pair
