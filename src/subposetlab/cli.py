@@ -32,7 +32,7 @@ from .lattice import (
     symmetric_chain_decomposition,
     tail_mass,
 )
-from .posets import make_poset
+from .posets import POSET_KINDS, from_spec, int_list
 from .representations import (
     RepresentationSizeError,
     VerificationFailure,
@@ -46,8 +46,9 @@ from .representations import (
 DEFAULT_SEARCH_BUDGET = 10_000_000
 DEFAULT_SOLVE_BUDGET = 50_000_000
 # Largest --n for la and lambda: their work before the first budget tick
-# (the middle bands as posets, the lattice poset) grows like 4^n and takes
-# about 0.4 s at n = 10, 3 s at n = 12.
+# (the middle bands as posets, the lattice poset) grows like 4^n; all of
+# the band posets and the lattice poset take about 0.03 s at n = 10 and
+# 0.2 s at n = 12 (2-core x86, Python 3.11).
 MAX_SOLVE_N = 10
 # Largest --n for scd: n = 16 takes about 0.6 s and 80 MB for 7 MB of
 # output, and each step up doubles all three.
@@ -59,11 +60,12 @@ MAX_GAP = 64
 # Largest --n for tail-check: its time grows like n^2 and is about 1.2 s
 # at n = 100,000.
 MAX_TAIL_N = 100_000
-# Largest n in the family file of chain-stats and report.  Their chain
-# weights are 1 / (C(n, |B|) C(|B|, |A|)), so the time grows with the
-# comparable pairs, not with n: the 20-set chain at n = 50,000 takes under
-# 0.01 s in either verb.
-MAX_CHAIN_N = 50_000
+# Largest n in the family file of lubell, chain-stats and report.  It is
+# checked before any set is decoded, since a member holding element n is
+# an n-bit int.  Their time grows with the members and the comparable
+# pairs, not with n: the 20-set chain at n = 50,000 takes under 0.01 s in
+# chain-stats or report.
+MAX_FAMILY_N = 50_000
 
 
 class _InputError(Exception):
@@ -85,20 +87,19 @@ def _load_json(path: str):
         raise _InputError(f"{path}: cannot decode JSON: {e}") from e
 
 
-def _family_arg(path: str, max_n: int | None = None) -> SubsetFamily:
+def _family_arg(path: str) -> SubsetFamily:
     obj = _load_json(path)
     try:
-        fam = jsonio.family_from_json(obj)
+        if isinstance(obj, dict) and jsonio.decode_int(obj.get("n", 0)) > MAX_FAMILY_N:
+            raise _InputError(f"{path}: n must be at most {MAX_FAMILY_N}")
+        return jsonio.family_from_json(obj)
     except (ValueError, TypeError, KeyError) as e:
         raise _InputError(f"{path}: {e}") from e
-    if max_n is not None and fam.n > max_n:
-        raise _InputError(f"{path}: n must be at most {max_n}")
-    return fam
 
 
-def _pattern_arg(text: str):
+def _spec_arg(text: str, kinds: dict):
     try:
-        return make_poset(text)
+        return from_spec(text, kinds)
     except ValueError as e:
         raise _InputError(str(e)) from e
 
@@ -146,41 +147,19 @@ _GENERATORS = {
 
 
 def _cmd_gen_rep(args) -> int:
-    kind, _, params = args.kind.partition(":")
-    if kind not in _GENERATORS:
-        raise _InputError(
-            f"unknown generator {kind!r}; one of {', '.join(sorted(_GENERATORS))}"
-        )
-    fn, arity = _GENERATORS[kind]
-    if arity == 0:
-        if params:
-            raise _InputError(f"{kind} takes no parameters")
-        nums = []
-    else:
-        try:
-            nums = [int(x, 10) for x in params.split(",")] if params else []
-        except ValueError as e:
-            raise _InputError(f"bad parameters for {kind}: {params!r}") from e
-        if len(nums) != arity:
-            raise _InputError(f"{kind} takes {arity} parameter(s), got {len(nums)}")
-    try:
-        rep = fn(*nums)
-    except ValueError as e:
-        raise _InputError(str(e)) from e
-    _emit(jsonio.representation_to_json(rep))
+    _emit(jsonio.representation_to_json(_spec_arg(args.kind, _GENERATORS)))
     return 0
 
 
 def _cmd_search_rep(args) -> int:
-    target = _pattern_arg(args.target)
+    target = _spec_arg(args.target, POSET_KINDS)
     try:
-        rep = search_representation(target, args.k, args.l_max, _budget_arg(args))
+        cert = search_representation(target, args.k, args.l_max, _budget_arg(args))
     except ValueError as e:
         raise _InputError(str(e)) from e
-    if rep is None:
+    if cert is None:
         _emit({"found": False})
         return 1
-    cert = verify_representation(rep)
     out = {"found": True}
     out.update(jsonio.certificate_to_json(cert))
     _emit(out)
@@ -193,7 +172,7 @@ def _cmd_solve(args) -> int:
         raise _InputError(f"--n must be between 1 and {MAX_SOLVE_N}")
     if args.copy_cap < 0:
         raise _InputError("--copy-cap must be nonnegative")
-    pattern = _pattern_arg(args.pattern)
+    pattern = _spec_arg(args.pattern, POSET_KINDS)
     # looked up per call, not stored in the reused parser, so that a
     # replacement of cli.la_exact or cli.lambda_exact takes effect
     if args.command == "la":
@@ -228,7 +207,7 @@ def _cmd_lubell(args) -> int:
 
 
 def _cmd_chain_stats(args) -> int:
-    fam = _family_arg(args.file, MAX_CHAIN_N)
+    fam = _family_arg(args.file)
     stats = chain_pair_stats(fam)
     _emit(
         {
@@ -244,10 +223,7 @@ def _cmd_chain_stats(args) -> int:
 
 def _cmd_turan(args) -> int:
     try:
-        sizes = tuple(int(x, 10) for x in args.sizes.split(","))
-    except ValueError as e:
-        raise _InputError(f"bad sizes {args.sizes!r}") from e
-    try:
+        sizes = tuple(int_list(args.sizes))
         res = turan_oracle(args.n, args.k, sizes, _budget_arg(args))
     except ValueError as e:
         raise _InputError(str(e)) from e
@@ -324,7 +300,7 @@ def _cmd_tail_check(args) -> int:
 def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
-    fam = _family_arg(args.file, MAX_CHAIN_N)
+    fam = _family_arg(args.file)
     stats = chain_pair_stats(fam)
     lhs, rhs, equal = down_degree_identity(fam)
     configs = {}

@@ -200,44 +200,47 @@ def complete_two_level(r: int, r2: int) -> Poset:
     return from_cover_relations(r + r2, covers)
 
 
-def make_poset(spec: str) -> Poset:
-    """Build a generator poset from a name string such as "chain:3",
-    "crown:14", "fork:2", "diamond:2", "butterfly", "harp:5,4,3",
-    "complete_two_level:2,2", or "antichain:3"."""
+def int_list(text: str) -> list[int]:
+    """The integers of a comma list such as "5,4,3"; blank pieces are
+    skipped, so "2,,2," reads as [2, 2]."""
+    return [int(a) for a in text.split(",") if a.strip()]
+
+
+def from_spec(spec: str, kinds: dict):
+    """kinds[name] built from the spec "name:a,b,...": the name is
+    case-insensitive, "-" may stand for "_", and `int_list` reads the
+    parameters.  kinds maps a name to (constructor, arity); the constructor
+    takes arity integers, or one list of them when arity is None."""
     name, _, argstr = spec.partition(":")
     name = name.strip().lower().replace("-", "_")
-    args = [int(a) for a in argstr.split(",") if a.strip()] if argstr else []
+    args = int_list(argstr)
+    if name not in kinds:
+        raise ValueError(f"unknown kind {name!r}; one of {', '.join(sorted(kinds))}")
+    build, arity = kinds[name]
+    if arity is None and args:
+        return build(args)
+    if len(args) != arity:
+        want = "one or more" if arity is None else arity
+        raise ValueError(f"{name} takes {want} integer parameter(s), got {len(args)}")
+    return build(*args)
 
-    def arity(want: int):
-        if len(args) != want:
-            raise ValueError(f"{name} takes {want} integer parameter(s), got {len(args)}")
 
-    if name == "chain":
-        arity(1)
-        return chain(args[0])
-    if name == "antichain":
-        arity(1)
-        return antichain(args[0])
-    if name == "crown":
-        arity(1)
-        return crown(args[0])
-    if name == "fork":
-        arity(1)
-        return fork(args[0])
-    if name == "diamond":
-        arity(1)
-        return diamond(args[0])
-    if name == "butterfly":
-        arity(0)
-        return butterfly()
-    if name == "harp":
-        if not args:
-            raise ValueError("harp takes a comma-separated list of chain lengths")
-        return harp(args)
-    if name == "complete_two_level":
-        arity(2)
-        return complete_two_level(args[0], args[1])
-    raise ValueError(f"unknown poset kind {name!r}")
+POSET_KINDS = {
+    "chain": (chain, 1),
+    "antichain": (antichain, 1),
+    "crown": (crown, 1),
+    "butterfly": (butterfly, 0),
+    "fork": (fork, 1),
+    "diamond": (diamond, 1),
+    "harp": (harp, None),
+    "complete_two_level": (complete_two_level, 2),
+}
+
+
+def make_poset(spec: str) -> Poset:
+    """Build a generator poset from a spec such as "chain:3", "crown:14",
+    "butterfly" or "harp:5,4,3"; see `from_spec` and `POSET_KINDS`."""
+    return from_spec(spec, POSET_KINDS)
 
 
 def height(p: Poset) -> int:
@@ -263,17 +266,20 @@ def height(p: Poset) -> int:
 
 def family_as_poset(family: SubsetFamily) -> Poset:
     """Partial order of a subset family under inclusion, elements indexed in
-    the family's canonical order."""
+    the family's canonical order.  holders[e] has a bit per member holding
+    element e; a member's row is the AND of holders[e] over its elements."""
     masks = family.members
-    m = len(masks)
+    holders: dict[int, int] = {}
+    for j, mask in enumerate(masks):
+        for e in _bits(mask):
+            holders[e] = holders.get(e, 0) | 1 << j
     up = []
-    for i in range(m):
-        row = 0
-        for j in range(m):
-            if masks[i] & ~masks[j] == 0:
-                row |= 1 << j
+    for mask in masks:
+        row = (1 << len(masks)) - 1
+        for e in _bits(mask):
+            row &= holders[e]
         up.append(row)
-    return Poset(m, tuple(up))
+    return Poset(len(masks), tuple(up))
 
 
 def _pattern_order(pattern: Poset) -> list[int]:

@@ -232,9 +232,11 @@ def search_representation(
     k: int,
     l_max: int,
     budget: Budget | None = None,
-) -> KPartiteRepresentation | None:
+) -> RepresentationCertificate | None:
     """Depth-first search for a representation of the target on at most
-    l_max vertices, or None when the bounded space holds none.
+    l_max vertices, or None when the bounded space holds none.  The answer
+    is checked by `verify_representation`, and its certificate is returned;
+    its `.rep` is the representation found.
 
     Only families with one member per target element are searched: the
     image of any embedding inside a larger representation is itself a
@@ -311,4 +313,4 @@ def search_representation(
     cert = verify_representation(rep)
     if isinstance(cert, VerificationFailure):
         raise AssertionError(f"search produced a non-verifying family: {cert.reason}")
-    return rep
+    return cert

@@ -224,8 +224,9 @@ def test_criterion_11_turan_oracle_matches_exhaustive():
 
 def test_criterion_12_search_rediscovers_crown14_representation():
     t0 = time.monotonic()
-    rep = search_representation(crown(14), 3, 7)
-    assert rep is not None
+    found = search_representation(crown(14), 3, 7)
+    assert found is not None
+    rep = found.rep
     assert rep.k == 3 and rep.l <= 7
     cert = verify_representation(rep)
     assert isinstance(cert, RepresentationCertificate)

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from math import comb
@@ -526,22 +527,28 @@ def test_family_verbs_print_past_the_digit_limit(capsys, tmp_path):
     assert exact(res["down_degree_identity"]["lhs"]) == 0
 
 
-@pytest.mark.parametrize("verb", ["chain-stats", "report"])
+@pytest.mark.parametrize("verb", ["lubell", "chain-stats", "report"])
 def test_chain_verbs_bound_n_in_the_family_file(capsys, tmp_path, verb):
-    # past cli.MAX_CHAIN_N both verbs exit 2 before computing anything
-    limit = cli.MAX_CHAIN_N
+    # past cli.MAX_FAMILY_N every family verb exits 2 before any set is
+    # decoded: a member holding element n is an n-bit mask, and
+    # {"n": 10^8, "sets": [[10^8]]} peaked at 80 MB when it was decoded
+    limit = cli.MAX_FAMILY_N
     at = write_json(tmp_path, "at.json", {"n": limit, "sets": [[1], [1, 2]]})
     code, out, _ = run(capsys, verb, "--file", at)
     assert code == 0 and json.loads(out)["n"] == limit
     for n in (limit + 1, 10**8):
-        path = write_json(tmp_path, "big.json", {"n": n, "sets": [[1], [1, 2]]})
+        path = write_json(tmp_path, "big.json", {"n": n, "sets": [[1], [1, n]]})
         t0 = time.monotonic()
-        code, out, err = run(capsys, verb, "--file", path)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, verb, "--file", path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2 and out == ""
         assert f"n must be at most {limit}" in err
+        assert peak < 4 * 2**20
         assert time.monotonic() - t0 < 1
-    # lubell needs no n!, so it keeps every n
-    assert run(capsys, "lubell", "--file", path)[0] == 0
 
 
 @pytest.mark.parametrize("verb", ["chain-stats", "report"])
@@ -549,7 +556,7 @@ def test_chain_verbs_finish_a_long_chain_at_the_n_limit(capsys, tmp_path, verb):
     # 190 comparable pairs at n = 50,000 took 11.4 s in chain-stats and
     # 23.1 s in report while each pair's weight was formed over n!
     sets = [list(range(1, k + 1)) for k in range(1, 21)]
-    path = write_json(tmp_path, "chain.json", {"n": cli.MAX_CHAIN_N, "sets": sets})
+    path = write_json(tmp_path, "chain.json", {"n": cli.MAX_FAMILY_N, "sets": sets})
     t0 = time.monotonic()
     code, out, _ = run(capsys, verb, "--file", path)
     assert time.monotonic() - t0 < 2

@@ -135,6 +135,26 @@ def test_family_as_poset_inclusion():
     assert not p.leq(0, 1)
 
 
+def pairwise_up_rows(fam):
+    """Reference: row i has bit j when member i is a subset of member j."""
+    masks = fam.members
+    return tuple(
+        sum(1 << j for j, b in enumerate(masks) if a & ~b == 0) for a in masks
+    )
+
+
+def test_family_as_poset_matches_pairwise_inclusion():
+    rng = random.Random(20)
+    families = [
+        SubsetFamily.from_masks(n, tuple(range(1 << n))) for n in range(7)
+    ]  # B_0..B_6, the empty set included
+    for _ in range(200):
+        n = rng.randint(0, 9)
+        families.append(random_family(n, rng, rng.randint(0, min(40, 1 << n))))
+    for fam in families:
+        assert family_as_poset(fam).up == pairwise_up_rows(fam), fam
+
+
 def test_find_embedding_chain_into_lattice():
     host = family_as_poset(middle_levels(3, 4))
     phi = find_embedding(host, chain(4))

@@ -143,15 +143,17 @@ def test_verify_budget():
 
 
 def test_search_small_crown():
-    rep = search_representation(crown(8), 2, 4)
-    assert rep is not None
+    cert = search_representation(crown(8), 2, 4)
+    assert cert is not None
+    rep = cert.rep
     assert_certificate(rep, verify_representation(rep))
     assert len(rep.family.members) == 8
 
 
 def test_search_deterministic_crown14():
-    rep = search_representation(crown(14), 3, 7)
-    assert rep is not None
+    cert = search_representation(crown(14), 3, 7)
+    assert cert is not None
+    rep = cert.rep
     assert rep.family.sets() == (
         (1, 2),
         (1, 3),
@@ -347,6 +349,8 @@ def reference_search(target, k, l_max, budget=None):
 def search_outcome(search, target, k, l_max):
     budget = Budget()
     rep = search(target, k, l_max, budget)
+    if isinstance(rep, RepresentationCertificate):  # search_representation's answer
+        rep = rep.rep
     return (None if rep is None else (rep.l, rep.family.members)), budget.used
 
 
