@@ -15,21 +15,17 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
-from .lattice import SubsetFamily, canonical_sort_key, lubell_value, middle_levels
+from .lattice import SubsetFamily, bits, lubell_value, middle_levels
 from .posets import Poset, _embeddings, contains_weak, e_level, family_as_poset
 
 
 @dataclass(frozen=True)
 class CopyHypergraph:
-    """Every copy of a pattern inside B_n, as vertex-index bitmasks.
-
-    Vertices are the 2^n subsets in canonical order; verts[i] is the mask
-    of vertex i.  complete=False means enumeration stopped at the cap and
-    the copy list cannot certify optimality.
+    """Every copy of a pattern inside B_n, as bitmasks over the vertices of
+    `_lattice_poset(n)`.  complete=False means enumeration stopped at the
+    cap and the copy list cannot certify optimality.
     """
 
-    n: int
-    verts: tuple[int, ...]
     copies: tuple[int, ...]
     complete: bool
 
@@ -48,9 +44,10 @@ class ExtremalResult:
 
 @functools.lru_cache(maxsize=32)
 def _lattice_vertices(n: int) -> tuple[tuple[int, ...], dict]:
-    verts = tuple(sorted(range(1 << n), key=lambda m: canonical_sort_key(m)))
-    index = {m: i for i, m in enumerate(verts)}
-    return verts, index
+    """The 2^n subsets in the element order of `_lattice_poset(n)`, and the
+    index of each."""
+    verts = middle_levels(n, n + 1).members
+    return verts, {m: i for i, m in enumerate(verts)}
 
 
 @functools.lru_cache(maxsize=32)
@@ -79,7 +76,6 @@ def enumerate_copies(
     The automorphism searches charge the budget too."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
-    verts, _ = _lattice_vertices(n)
     host = _lattice_poset(n)
     images: set[int] = set()
     for phi in _embeddings(host, pattern, budget, one_per_orbit=True):
@@ -88,8 +84,8 @@ def enumerate_copies(
             im |= 1 << h
         images.add(im)
         if cap is not None and len(images) > cap:
-            return CopyHypergraph(n, verts, tuple(sorted(images)), False)
-    return CopyHypergraph(n, verts, tuple(sorted(images)), True)
+            return CopyHypergraph(tuple(sorted(images)), False)
+    return CopyHypergraph(tuple(sorted(images)), True)
 
 
 class _Engine:
@@ -280,12 +276,7 @@ class _Engine:
 
 def _family_from_vertex_mask(n: int, mask: int) -> SubsetFamily:
     verts, _ = _lattice_vertices(n)
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(verts[low.bit_length() - 1])
-        mask ^= low
-    return SubsetFamily.from_masks(n, tuple(members))
+    return SubsetFamily.from_masks(n, tuple(verts[v] for v in bits(mask)))
 
 
 def _vertex_mask_of_family(fam: SubsetFamily) -> int:

@@ -18,7 +18,7 @@ from math import comb, factorial, prod
 
 from .budget import Budget
 from .extremal import _Engine
-from .lattice import elements_of_mask, mask_from_elements
+from .lattice import bits, elements_of_mask, mask_from_elements
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,8 @@ class Hypergraph:
         """covertex_masks()[v-1]: vertices sharing at least one edge with v."""
         adj = [0] * self.l
         for e in self.edges:
-            rest = e
-            while rest:
-                low = rest & -rest
-                adj[low.bit_length() - 1] |= e & ~low
-                rest ^= low
+            for v in bits(e):
+                adj[v] |= e & ~(1 << v)
         return tuple(adj)
 
 
@@ -81,15 +78,21 @@ class Partition:
         object.__setattr__(
             self, "parts", tuple(tuple(sorted(p)) for p in self.parts)
         )
-        seen = 0
+        # a set of seen vertices, not an int mask: ORing each vertex into a
+        # growing int takes time quadratic in l
+        seen: set[int] = set()
         for p in self.parts:
             if not p and not self.allow_empty:
                 raise ValueError("empty part in a partition not declared to allow them")
-            m = mask_from_elements(p, self.l)
-            if m & seen:
+            for a, e in enumerate(p):
+                if not 1 <= e <= self.l:
+                    raise ValueError(f"element {e} outside ground set [1, {self.l}]")
+                if a and e == p[a - 1]:
+                    raise ValueError(f"duplicate element {e}")
+            if not seen.isdisjoint(p):
                 raise ValueError("parts must be disjoint")
-            seen |= m
-        if seen != (1 << self.l) - 1:
+            seen.update(p)
+        if len(seen) != self.l:
             raise ValueError("parts must cover every vertex")
 
     @property
@@ -374,18 +377,9 @@ def cover_multiplicity(fam: ColoredFamily, r: int):
         raise ValueError("r must be nonnegative")
     covered: list[set[int]] = []
     for h in fam.hypergraphs:
-        subs = set()
-        for e in h.edges:
-            rest = e
-            while rest:
-                low = rest & -rest
-                subs.add(e & ~low)
-                rest ^= low
-        covered.append(subs)
+        covered.append({e & ~(1 << v) for e in h.edges for v in bits(e)})
     for combo in itertools.combinations(range(1, fam.l + 1), fam.k - 1):
-        mask = 0
-        for v in combo:
-            mask |= 1 << (v - 1)
+        mask = mask_from_elements(combo, fam.l)
         colors = tuple(i for i, subs in enumerate(covered) if mask in subs)
         if len(colors) > r:
             return combo, colors

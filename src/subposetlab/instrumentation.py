@@ -21,8 +21,8 @@ from .hypergraphs import (
     cover_multiplicity,
     is_k_partite,
 )
-from .lattice import SubsetFamily, elements_of_mask, mask_from_elements
-from .posets import _bits, family_as_poset, find_embedding
+from .lattice import SubsetFamily, bits, mask_from_elements
+from .posets import family_as_poset, find_embedding
 from .representations import KPartiteRepresentation, partite_graph
 
 
@@ -74,7 +74,7 @@ def chain_pair_stats(family: SubsetFamily) -> ChainPairStats:
 
 def _deletable_mask(members: frozenset, b: int) -> int:
     """The elements e of b with b minus e in members, as a mask."""
-    return sum(1 << i for i in _bits(b) if b ^ 1 << i in members)
+    return sum(1 << i for i in bits(b) if b ^ 1 << i in members)
 
 
 def down_degree(family: SubsetFamily, b: int) -> int:
@@ -127,7 +127,7 @@ def enumerate_k_configurations(
     counts: dict[int, int] = {}
     ms = family.member_set()
     for b in family.members:
-        singles = [1 << i for i in _bits(_deletable_mask(ms, b))]
+        singles = [1 << i for i in bits(_deletable_mask(ms, b))]
         for combo in combinations(singles, k):
             s = b & ~sum(combo)
             configs.append(KConfiguration(s, b))
@@ -224,8 +224,8 @@ def configuration_turan_check(
     induced_masks = []
     for m in rep.family.members:
         im = core
-        for v in elements_of_mask(m):
-            im |= 1 << (vmap[v] - 1)
+        for i in bits(m):
+            im |= 1 << (vmap[i + 1] - 1)
         induced_masks.append(im)
     induced = SubsetFamily.from_masks(family.n, tuple(induced_masks))
     ms = family.member_set()

@@ -31,13 +31,23 @@ def mask_from_elements(elements, n: int) -> int:
 def elements_of_mask(mask: int) -> tuple[int, ...]:
     """Sorted 1-based elements of a subset bitmask."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length())
     return tuple(out)
+
+
+def bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending and 0-based, so
+    element i of a subset reads as i - 1.  The package's one bit iterator;
+    only search kernels that read a mask per node keep an inline loop."""
+    out = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        out.append(low.bit_length() - 1)
+    return out
 
 
 def canonical_sort_key(mask: int) -> tuple[int, int]:
@@ -83,9 +93,6 @@ class SubsetFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in set(self.members)
 
 
 def middle_levels(n: int, k: int) -> SubsetFamily:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .budget import Budget
-from .lattice import SubsetFamily, middle_levels
+from .lattice import SubsetFamily, bits, middle_levels
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,8 @@ class Poset:
     def down(self) -> tuple[int, ...]:
         rows = [0] * self.size
         for i in range(self.size):
-            row = self.up[i]
-            while row:
-                low = row & -row
-                rows[low.bit_length() - 1] |= 1 << i
-                row ^= low
+            for j in bits(self.up[i]):
+                rows[j] |= 1 << i
         return tuple(rows)
 
     def strict_up(self, i: int) -> int:
@@ -57,11 +54,7 @@ class Poset:
         covers = []
         for u in range(self.size):
             above = self.strict_up(u)
-            rest = above
-            while rest:
-                low = rest & -rest
-                v = low.bit_length() - 1
-                rest ^= low
+            for v in bits(above):
                 if not (above & self.strict_down(v)):
                     covers.append((u, v))
         return tuple(covers)
@@ -251,13 +244,8 @@ def height(p: Poset) -> int:
     # j < i forces |down(j)| < |down(i)|, so this order sees all
     # predecessors of i before i
     for i in sorted(range(p.size), key=lambda i: p.down[i].bit_count()):
-        below = p.strict_down(i)
         h = 1
-        rest = below
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            rest ^= low
+        for j in bits(p.strict_down(i)):
             if best[j] + 1 > h:
                 h = best[j] + 1
         best[i] = h
@@ -271,12 +259,12 @@ def family_as_poset(family: SubsetFamily) -> Poset:
     masks = family.members
     holders: dict[int, int] = {}
     for j, mask in enumerate(masks):
-        for e in _bits(mask):
+        for e in bits(mask):
             holders[e] = holders.get(e, 0) | 1 << j
     up = []
     for mask in masks:
         row = (1 << len(masks)) - 1
-        for e in _bits(mask):
+        for e in bits(mask):
             row &= holders[e]
         up.append(row)
     return Poset(len(masks), tuple(up))
@@ -312,11 +300,7 @@ def _pattern_order(pattern: Poset) -> list[int]:
             continue
         order.append(i)
         placed |= 1 << i
-        rest = comparable[i] & ~placed
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length() - 1
+        for j in bits(comparable[i] & ~placed):
             links[j] += 1
             heapq.heappush(heap, (-links[j], -degree[j], j))
     return order
@@ -417,10 +401,8 @@ def _embeddings(
     for d, i in enumerate(order):
         row = []
         for rel, narrow in ((pattern.strict_up(i), up), (pattern.strict_down(i), down)):
-            while rel:
-                low = rel & -rel
-                rel ^= low
-                q = position[low.bit_length() - 1]
+            for j in bits(rel):
+                q = position[j]
                 if q > d:
                     row.append((q, narrow))
         links.append(row)
@@ -459,16 +441,6 @@ def _embeddings(
             stack.append((depth + 1, narrowed, used | low, narrowed[depth + 1] & free))
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of mask, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        out.append(low.bit_length() - 1)
-    return out
-
-
 def _refine(pattern: Poset, colors: list) -> list:
     """The coarsest refinement of the colouring in which elements of one
     colour have equally many elements of each colour strictly above them,
@@ -481,8 +453,8 @@ def _refine(pattern: Poset, colors: list) -> list:
     count = len(set(colors))
     if count == p:
         return colors
-    above = [_bits(pattern.strict_up(i)) for i in range(p)]
-    below = [_bits(pattern.strict_down(i)) for i in range(p)]
+    above = [bits(pattern.strict_up(i)) for i in range(p)]
+    below = [bits(pattern.strict_down(i)) for i in range(p)]
     while True:
         signatures = [
             (
@@ -534,7 +506,7 @@ def _stabilizer_chain(pattern: Poset, order: list[int], budget: Budget | None):
         if cells[x] == 1 << x:
             continue
         others = []
-        for c in _bits(cells[x] ^ 1 << x):
+        for c in bits(cells[x] ^ 1 << x):
             cells[x] = 1 << c
             for _ in _embeddings(pattern, pattern, budget, cells):
                 others.append(c)

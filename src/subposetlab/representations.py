@@ -14,10 +14,9 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .hypergraphs import Hypergraph, Partition, is_k_partite
-from .lattice import SubsetFamily, elements_of_mask
+from .lattice import SubsetFamily, bits
 from .posets import (
     Poset,
-    _bits,
     crown,
     family_as_poset,
     find_embedding,
@@ -193,15 +192,15 @@ def _candidates(
     """
     if target.strict_down(e):
         base, size = 0, k
-        for j in _bits(target.strict_down(e)):
+        for j in bits(target.strict_down(e)):
             base |= member[j]
     else:
         inter = -1  # all ones until a placed upper cover narrows it
-        for j in _bits(target.strict_up(e)):
+        for j in bits(target.strict_up(e)):
             if member[j]:
                 inter &= member[j]
         if inter != -1:
-            for combo in itertools.combinations(_bits(inter), k - 1):
+            for combo in itertools.combinations(bits(inter), k - 1):
                 yield sum(1 << b for b in combo), 0
             return
         base, size = 0, k - 1
@@ -217,7 +216,7 @@ def _give_parts(kset: int, part: dict[int, int], k: int) -> list[int] | None:
     """Give the vertices of kset that have no part yet the parts its other
     vertices lack, in ascending order, and return them; None when two of
     its vertices already share a part."""
-    vs = list(_bits(kset))
+    vs = bits(kset)
     have = {part[v] for v in vs if v in part}
     new = [v for v in vs if v not in part]
     if len(have) + len(new) < k:

@@ -434,6 +434,19 @@ def test_partite_long_path(capsys, tmp_path):
     assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
 
 
+def test_partite_large_vertex_count(capsys, tmp_path):
+    # the partition's checks must stay linear in l: one int mask per part,
+    # grown a vertex at a time, takes time quadratic in l (about 5 s)
+    l = 400_000
+    path = write_json(tmp_path, "big.json", {"k": 2, "l": l, "edges": [[1, 2]]})
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "partite", "--file", path)
+    assert time.monotonic() - t0 < 3
+    assert code == 0
+    res = json.loads(out)
+    assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
+
+
 def test_scd_command(capsys):
     code, out, _ = run(capsys, "scd", "--n", "4", "--lo", "1", "--hi", "3")
     assert code == 0

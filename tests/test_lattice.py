@@ -24,7 +24,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     tail_mass,
 )
-from subposetlab.lattice import _ln_bracket
+from subposetlab.lattice import _ln_bracket, bits
 from conftest import random_family
 
 
@@ -36,6 +36,12 @@ def test_mask_round_trip():
         mask_from_elements((0,), 4)
     with pytest.raises(ValueError):
         mask_from_elements((5,), 4)
+    rng = random.Random(16)
+    masks = [rng.getrandbits(rng.randrange(1, 80)) for _ in range(300)]
+    for m in [0, 1 << 100_000 | 0b1011, *masks]:
+        indices = [i for i in range(m.bit_length()) if m >> i & 1]
+        assert bits(m) == indices
+        assert elements_of_mask(m) == tuple(i + 1 for i in indices)
 
 
 def test_family_canonical_order():
