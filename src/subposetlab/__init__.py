@@ -42,9 +42,6 @@ from .instrumentation import (
 )
 from .jsonio import (
     certificate_to_json,
-    colored_family_from_json,
-    colored_family_to_json,
-    decode_fraction,
     decode_int,
     decomposition_to_json,
     dumps,

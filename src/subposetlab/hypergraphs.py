@@ -18,7 +18,7 @@ from math import comb, factorial, prod
 
 from .budget import Budget
 from .extremal import _Engine
-from .lattice import bits, elements_of_mask, mask_from_elements
+from .lattice import SubsetFamily, bits, elements_of_mask, mask_from_elements
 
 
 @dataclass(frozen=True)
@@ -32,19 +32,11 @@ class Hypergraph:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("uniformity must be at least 2")
-        if self.l < 0:
-            raise ValueError("vertex count must be nonnegative")
-        full = (1 << self.l) - 1
-        seen = set()
-        for e in self.edges:
-            if e & ~full:
-                raise ValueError("edge outside the vertex set")
-            if e.bit_count() != self.k:
-                raise ValueError(f"edge has {e.bit_count()} vertices, expected {self.k}")
-            if e in seen:
-                raise ValueError("duplicate edge")
-            seen.add(e)
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        wrong = set(map(int.bit_count, self.edges)) - {self.k}
+        if wrong:
+            raise ValueError(f"edge has {min(wrong)} vertices, expected {self.k}")
+        # range, duplicates and order: edges of one size sort by mask value
+        object.__setattr__(self, "edges", SubsetFamily(self.l, self.edges).members)
 
     @classmethod
     def from_edge_sets(cls, k: int, l: int, edge_sets) -> "Hypergraph":
@@ -56,14 +48,6 @@ class Hypergraph:
     def degree(self, v: int) -> int:
         bit = 1 << (v - 1)
         return sum(1 for e in self.edges if e & bit)
-
-    def covertex_masks(self) -> tuple[int, ...]:
-        """covertex_masks()[v-1]: vertices sharing at least one edge with v."""
-        adj = [0] * self.l
-        for e in self.edges:
-            for v in bits(e):
-                adj[v] |= e & ~(1 << v)
-        return tuple(adj)
 
 
 @dataclass(frozen=True)
@@ -140,53 +124,73 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
     (one vertex per part), or None.
 
     Since edges have exactly k vertices, crossing for all edges is the same
-    as properly k-coloring the graph of co-occurring vertex pairs.  The
-    search colors vertices in ascending order (first occurrence of each new
-    color capped, so the first valid coloring is canonical); vertices on no
-    edge are appended to the smallest part afterwards.
+    as properly k-coloring the graph of co-occurring vertex pairs.  Each
+    connected component is colored on its own, its vertices in ascending
+    order, and a vertex takes at most one color more than the largest
+    before it in its component, so the first valid coloring is canonical.
+    Components share no constraint and colors a component leaves unused
+    are interchangeable, so these colorings together are the first valid
+    coloring of the whole graph in ascending vertex order.  Vertices on no
+    edge then go one at a time to the smallest part, lowest index first.
     """
     k, l = h.k, h.l
-    adj = h.covertex_masks()
-    active = [v for v in range(1, l + 1) if adj[v - 1]]
-    color: dict[int, int] = {}
-    # backtracking on an explicit index: tried[idx] is the next color to
-    # try at active[idx], used[idx] the number of colors before it
-    tried = [0] * len(active)
-    used = [0] * (len(active) + 1)
-    idx = 0
-    while 0 <= idx < len(active):
-        v = active[idx]
-        color.pop(v, None)
-        conflict = set()
-        rest = adj[v - 1]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length()
-            rest ^= low
-            if u in color:
-                conflict.add(color[u])
-        cap = min(used[idx] + 1, k)
-        c = tried[idx]
-        while c < cap and c in conflict:
-            c += 1
-        if c >= cap:
-            tried[idx] = 0
-            idx -= 1
+    # each vertex is its own neighbor, which is harmless: it has no color
+    # while its color is chosen
+    nbrs: dict[int, set[int]] = {}
+    for e in h.edge_sets():
+        for v in e:
+            nbrs.setdefault(v, set()).update(e)
+    active = sorted(nbrs)
+    color = [-1] * (l + 1)  # -1: no color yet
+    for root in active:
+        if color[root] >= 0:
             continue
-        color[v] = c
-        tried[idx] = c + 1
-        used[idx + 1] = max(used[idx], c + 1)
-        idx += 1
-    if idx < 0:
-        return None
+        seen, stack = {root}, [root]
+        while stack:
+            grown = nbrs[stack.pop()] - seen
+            seen |= grown
+            stack.extend(grown)
+        comp = sorted(seen)
+        # backtracking on an explicit index: tried[idx] is the next color to
+        # try at comp[idx], used[idx] the number of colors before it
+        tried = [0] * len(comp)
+        used = [0] * (len(comp) + 1)
+        idx = 0
+        while 0 <= idx < len(comp):
+            v = comp[idx]
+            color[v] = -1
+            conflict = {color[u] for u in nbrs[v]}
+            cap = min(used[idx] + 1, k)
+            c = tried[idx]
+            while c < cap and c in conflict:
+                c += 1
+            if c >= cap:
+                tried[idx] = 0
+                idx -= 1
+                continue
+            color[v] = c
+            tried[idx] = c + 1
+            used[idx + 1] = max(used[idx], c + 1)
+            idx += 1
+        if idx < 0:
+            return None
     parts: list[list[int]] = [[] for _ in range(k)]
     for v in active:
         parts[color[v]].append(v)
-    for v in range(1, l + 1):
-        if not adj[v - 1]:
-            smallest = min(range(k), key=lambda c: (len(parts[c]), c))
-            parts[smallest].append(v)
-    return Partition(l, tuple(tuple(sorted(p)) for p in parts), allow_empty=True)
+    # part c takes one lone vertex at each level from its size up: below
+    # the largest size only the parts under the level take one, from there
+    # on every part in turn
+    lone = [v for v in range(1, l + 1) if color[v] < 0]
+    sizes = [len(p) for p in parts]
+    i = 0
+    for level in range(min(sizes), max(sizes)):
+        for c in range(k):
+            if sizes[c] <= level and i < len(lone):
+                parts[c].append(lone[i])
+                i += 1
+    for c in range(k):
+        parts[c].extend(lone[i + c :: k])
+    return Partition(l, tuple(map(tuple, parts)), allow_empty=True)
 
 
 def _complete_kpartite(h: Hypergraph | None, pools, sizes, budget: Budget | None):

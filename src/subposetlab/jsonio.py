@@ -12,7 +12,7 @@ import json
 from decimal import Decimal
 from fractions import Fraction
 
-from .hypergraphs import ColoredFamily, Hypergraph, Partition
+from .hypergraphs import Hypergraph, Partition
 from .lattice import ChainDecomposition, SubsetFamily, elements_of_mask
 from .posets import Poset, from_cover_relations, make_poset
 from .representations import KPartiteRepresentation, RepresentationCertificate
@@ -30,23 +30,27 @@ def encode_int(x: int):
 
 
 def decode_int(v) -> int:
-    if isinstance(v, bool):
-        raise ValueError("expected an integer, got a boolean")
-    if isinstance(v, int):
+    if type(v) is int:  # not a bool, which JSON's true and false decode to
         return v
     if isinstance(v, str):
         return int(v, 10)
     raise ValueError(f"expected an integer, got {type(v).__name__}")
 
 
+def _int_rows(rows) -> list[list[int]]:
+    """An array of integer arrays, each integer read by decode_int: the
+    members of a family or a representation, the edges of a hypergraph,
+    the cover pairs of a poset."""
+    out = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise ValueError(f"expected an array of integers, got {type(row).__name__}")
+        out.append(list(map(decode_int, row)))
+    return out
+
+
 def encode_fraction(x: Fraction) -> dict:
     return {"num": _digits(x.numerator), "den": _digits(x.denominator)}
-
-
-def decode_fraction(v) -> Fraction:
-    if not isinstance(v, dict) or set(v) != {"num", "den"}:
-        raise ValueError("a rational is an object with keys num and den")
-    return Fraction(int(v["num"], 10), int(v["den"], 10))
 
 
 def family_to_json(fam: SubsetFamily) -> dict:
@@ -56,7 +60,7 @@ def family_to_json(fam: SubsetFamily) -> dict:
 def family_from_json(obj) -> SubsetFamily:
     if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
         raise ValueError("a family is an object with keys n and sets")
-    return SubsetFamily.from_sets(decode_int(obj["n"]), obj["sets"])
+    return SubsetFamily.from_sets(decode_int(obj["n"]), _int_rows(obj["sets"]))
 
 
 def poset_to_json(p: Poset, name: str | None = None):
@@ -69,7 +73,7 @@ def poset_from_json(v) -> Poset:
     if isinstance(v, str):
         return make_poset(v)
     if isinstance(v, dict) and "size" in v and "covers" in v:
-        return from_cover_relations(decode_int(v["size"]), v["covers"])
+        return from_cover_relations(decode_int(v["size"]), _int_rows(v["covers"]))
     raise ValueError("a poset is a generator string or {size, covers}")
 
 
@@ -81,31 +85,8 @@ def hypergraph_from_json(obj) -> Hypergraph:
     if not isinstance(obj, dict) or not {"k", "l", "edges"} <= set(obj):
         raise ValueError("a hypergraph is an object with keys k, l, edges")
     return Hypergraph.from_edge_sets(
-        decode_int(obj["k"]), decode_int(obj["l"]), obj["edges"]
+        decode_int(obj["k"]), decode_int(obj["l"]), _int_rows(obj["edges"])
     )
-
-
-def colored_family_to_json(fam: ColoredFamily) -> dict:
-    return {
-        "k": fam.k,
-        "l": fam.l,
-        "colors": list(fam.names),
-        "edge_lists": [
-            [list(e) for e in h.edge_sets()] for h in fam.hypergraphs
-        ],
-    }
-
-
-def colored_family_from_json(obj) -> ColoredFamily:
-    if not isinstance(obj, dict) or not {"k", "l", "edge_lists"} <= set(obj):
-        raise ValueError(
-            "a colored family is an object with keys k, l, edge_lists"
-        )
-    k = decode_int(obj["k"])
-    l = decode_int(obj["l"])
-    hs = tuple(Hypergraph.from_edge_sets(k, l, edges) for edges in obj["edge_lists"])
-    names = tuple(obj.get("colors", ()))
-    return ColoredFamily(hs, names)
 
 
 def partition_to_json(p: Partition) -> list:
@@ -128,7 +109,7 @@ def representation_from_json(obj) -> KPartiteRepresentation:
         )
     k = decode_int(obj["k"])
     l = decode_int(obj["l"])
-    fam = SubsetFamily.from_sets(l, obj["family"])
+    fam = SubsetFamily.from_sets(l, _int_rows(obj["family"]))
     target = poset_from_json(obj["target"])
     name = obj["target"] if isinstance(obj["target"], str) else None
     return KPartiteRepresentation(k, l, fam, target, name)

@@ -65,15 +65,12 @@ class SubsetFamily:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("ground-set size must be nonnegative")
-        full = (1 << self.n) - 1
-        seen = set()
-        for m in self.members:
-            if m & ~full:
-                raise ValueError("member outside the ground set")
-            if m in seen:
-                raise ValueError("duplicate member")
-            seen.add(m)
-        ordered = tuple(sorted(self.members, key=canonical_sort_key))
+        members = self.members
+        if members and (min(members) < 0 or max(members) >> self.n):
+            raise ValueError("member outside the ground set")
+        if len(set(members)) != len(members):
+            raise ValueError("duplicate member")
+        ordered = tuple(sorted(members, key=canonical_sort_key))
         object.__setattr__(self, "members", ordered)
 
     @classmethod

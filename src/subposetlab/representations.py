@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .budget import Budget
 from .hypergraphs import Hypergraph, Partition, is_k_partite
-from .lattice import SubsetFamily, bits
+from .lattice import SubsetFamily, bits, mask_from_elements
 from .posets import (
     Poset,
     crown,
@@ -114,45 +114,37 @@ def rep_even_cycle(t: int) -> KPartiteRepresentation:
 
 
 def rep_tight_cycle(k: int, t: int) -> KPartiteRepresentation:
-    """k-sets are the kt cyclic intervals of length k on [kt]; (k-1)-sets
-    are the intersections of consecutive intervals; hosts crown(2kt)."""
+    """k-sets are the kt cyclic intervals of length k on [kt], walked in
+    order; hosts crown(2kt)."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if t < 2:
         raise ValueError("t must be at least 2")
     l = k * t
-    intervals = []
-    for i in range(l):
-        intervals.append([(i + j) % l + 1 for j in range(k)])
-    overlaps = []
-    for i in range(l):
-        a = set(intervals[i])
-        b = set(intervals[(i + 1) % l])
-        overlaps.append(sorted(a & b))
-    return KPartiteRepresentation(
-        k,
-        l,
-        SubsetFamily.from_sets(l, intervals + overlaps),
-        crown(2 * l),
-        f"crown:{2 * l}",
-    )
+    return _closed_walk([[(i + j) % l + 1 for j in range(k)] for i in range(l)])
 
 
 def rep_crown14() -> KPartiteRepresentation:
     """The explicit 3-partite family over [7] hosting the 14-element crown:
-    seven 2-sets and seven 3-sets whose inclusion order is a 14-cycle."""
-    pairs = [[1, 2], [2, 3], [2, 4], [2, 5], [1, 5], [1, 6], [1, 7]]
-    triples = [
-        [1, 2, 3],
-        [2, 3, 4],
-        [2, 4, 5],
-        [1, 2, 5],
-        [1, 5, 6],
-        [1, 6, 7],
-        [1, 2, 7],
-    ]
+    a closed walk of seven 3-sets."""
+    return _closed_walk(
+        [[1, 2, 3], [2, 3, 4], [2, 4, 5], [1, 2, 5], [1, 5, 6], [1, 6, 7], [1, 2, 7]]
+    )
+
+
+def _closed_walk(walk: list[list[int]]) -> KPartiteRepresentation:
+    """The representation over [l], l the largest element, whose k-sets are
+    the cyclic list walk and whose (k-1)-sets are the intersections of
+    consecutive k-sets.  Walking k-set, intersection, k-set, ... around the
+    list is a closed alternating walk of length 2 len(walk) in the
+    inclusion order, so the target is crown(2 len(walk))."""
+    k = len(walk[0])
+    l = max(max(s) for s in walk)
+    tops = [mask_from_elements(s, l) for s in walk]
+    overlaps = [a & b for a, b in zip(tops, tops[1:] + tops[:1])]
+    size = 2 * len(walk)
     return KPartiteRepresentation(
-        3, 7, SubsetFamily.from_sets(7, pairs + triples), crown(14), "crown:14"
+        k, l, SubsetFamily.from_masks(l, tops + overlaps), crown(size), f"crown:{size}"
     )
 
 

@@ -19,7 +19,6 @@ INLINE = {
     ("extremal.py", "_Engine._search"),
     ("posets.py", "_embeddings"),
     ("posets.py", "_has_distinct_hosts"),
-    ("hypergraphs.py", "is_k_partite"),
 }
 
 

@@ -447,6 +447,59 @@ def test_partite_large_vertex_count(capsys, tmp_path):
     assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
 
 
+def test_partite_and_verify_rep_color_components_apart(capsys, tmp_path):
+    # disjoint edges below a triangle: a coloring search over the whole
+    # graph took 2^m steps here, about 1.8 h for partite at m = 30
+    m = 40
+    edges = [[2 * i + 1, 2 * i + 2] for i in range(m)]
+    a = 2 * m + 1
+    triangle = [[a, a + 1], [a + 1, a + 2], [a, a + 2]]
+    path = write_json(tmp_path, "h.json", {"k": 2, "l": a + 2, "edges": edges + triangle})
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "partite", "--file", path)
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and json.loads(out) == {"partite": False}
+    # the same on top of gen-rep's even_cycle:2, whose crown:8 still embeds
+    m = 30
+    family = [[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 4]]
+    family += [[2 * i + 5, 2 * i + 6] for i in range(m)]
+    a = 2 * m + 5
+    family += [[a, a + 1], [a + 1, a + 2], [a, a + 2]]
+    rep = {"k": 2, "l": a + 2, "family": family, "target": "crown:8"}
+    path = write_json(tmp_path, "rep.json", rep)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify-rep", "--file", path, "--budget", "1000")
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and json.loads(out)["reason"] == "partite"
+
+
+def test_elements_and_vertices_are_read_as_integers(capsys, tmp_path):
+    # a boolean is no element, though Python counts True as 1
+    path = write_json(tmp_path, "bool.json", {"k": 2, "l": 3, "edges": [[True, 2]]})
+    code, out, err = run(capsys, "partite", "--file", path)
+    assert (code, out) == (2, "") and "bool" in err
+    path = write_json(tmp_path, "bool.json", {"n": 3, "sets": [[True], [1, True]]})
+    code, out, err = run(capsys, "lubell", "--file", path)
+    assert (code, out) == (2, "") and "bool" in err
+    # decimal strings are integers, as everywhere else in the formats
+    for verb, obj, text in [
+        ("lubell", {"n": 3, "sets": [[1], [1, 2]]}, {"n": 3, "sets": [["1"], ["1", "2"]]}),
+        ("partite", {"k": 2, "l": 3, "edges": [[1, 2]]}, {"k": 2, "l": 3, "edges": [["1", "2"]]}),
+        (
+            "verify-rep",
+            {"k": 2, "l": 2, "family": [[1], [1, 2]], "target": {"size": 2, "covers": [[0, 1]]}},
+            {"k": 2, "l": 2, "family": [["1"], [1, "2"]], "target": {"size": 2, "covers": [["0", "1"]]}},
+        ),
+    ]:
+        expected = run(capsys, verb, "--file", write_json(tmp_path, "int.json", obj))[:2]
+        assert expected[0] == 0
+        assert run(capsys, verb, "--file", write_json(tmp_path, "str.json", text))[:2] == expected
+    # a set is an array: the string "12" is not the set {1, 2}
+    for sets in (["12"], [{"1": 2}], [[1.0]]):
+        path = write_json(tmp_path, "bad.json", {"n": 3, "sets": sets})
+        assert run(capsys, "lubell", "--file", path)[:2] == (2, "")
+
+
 def test_scd_command(capsys):
     code, out, _ = run(capsys, "scd", "--n", "4", "--lo", "1", "--hi", "3")
     assert code == 0

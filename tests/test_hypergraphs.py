@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -46,7 +47,6 @@ def test_hypergraph_validation():
     assert h.edges == (0b011, 0b110)
     assert h.edge_sets() == ((1, 2), (2, 3))
     assert h.degree(2) == 2 and h.degree(3) == 1
-    assert h.covertex_masks() == (0b010, 0b101, 0b010)
 
 
 def test_partition_validation():
@@ -125,6 +125,80 @@ def test_is_k_partite_matches_brute_bipartiteness(l, data):
         assert crossing_edges(h, found) == h.edges
     else:
         assert found is None
+
+
+def whole_graph_is_k_partite(h):
+    """is_k_partite as one search over the whole graph: vertices colored in
+    ascending order, each at most one color past the largest before it,
+    and each vertex on no edge put in the smallest part, lowest index
+    first, one at a time.  The reference for the search by components."""
+    k, l = h.k, h.l
+    adj = [0] * l
+    for e in h.edges:
+        for v in range(l):
+            if e >> v & 1:
+                adj[v] |= e & ~(1 << v)
+    active = [v for v in range(1, l + 1) if adj[v - 1]]
+    color = {}
+    tried = [0] * len(active)
+    used = [0] * (len(active) + 1)
+    idx = 0
+    while 0 <= idx < len(active):
+        v = active[idx]
+        color.pop(v, None)
+        conflict = {color[u] for u in range(1, l + 1) if adj[v - 1] >> (u - 1) & 1 and u in color}
+        cap = min(used[idx] + 1, k)
+        c = tried[idx]
+        while c < cap and c in conflict:
+            c += 1
+        if c >= cap:
+            tried[idx] = 0
+            idx -= 1
+            continue
+        color[v] = c
+        tried[idx] = c + 1
+        used[idx + 1] = max(used[idx], c + 1)
+        idx += 1
+    if idx < 0:
+        return None
+    parts = [[] for _ in range(k)]
+    for v in active:
+        parts[color[v]].append(v)
+    for v in range(1, l + 1):
+        if not adj[v - 1]:
+            min(parts, key=len).append(v)
+    return Partition(l, tuple(map(tuple, parts)), allow_empty=True)
+
+
+def test_is_k_partite_matches_the_whole_graph_search():
+    # edges within the groups of a random grouping of [l], so that many
+    # graphs have components whose vertices interleave
+    rng = random.Random(17)
+    for _ in range(2400):
+        k = rng.randint(2, 4)
+        l = rng.randint(k, 10)
+        group = [rng.randrange(3) for _ in range(l)]
+        pool = [
+            e
+            for e in itertools.combinations(range(1, l + 1), k)
+            if len({group[v - 1] for v in e}) == 1
+        ]
+        edges = rng.sample(pool, rng.randint(0, min(len(pool), 2 * l)))
+        h = Hypergraph.from_edge_sets(k, l, edges)
+        assert is_k_partite(h) == whole_graph_is_k_partite(h)
+
+
+def test_is_k_partite_colors_components_apart():
+    # m disjoint edges below a triangle: a search over the whole graph
+    # tries both colorings of every edge before it gives up, 2^m steps
+    m = 400
+    pairs = [[2 * i + 1, 2 * i + 2] for i in range(m)]
+    a = 2 * m + 1
+    t0 = time.monotonic()
+    assert is_k_partite(graph(a + 2, pairs + [[a, a + 1], [a + 1, a + 2], [a, a + 2]])) is None
+    assert time.monotonic() - t0 < 1
+    p = is_k_partite(graph(a + 3, pairs + [[a, a + 1], [a + 1, a + 2], [a + 2, a + 3], [a, a + 3]]))
+    assert p.parts == (tuple(range(1, a + 3, 2)), tuple(range(2, a + 4, 2)))
 
 
 def test_contains_complete_kpartite():

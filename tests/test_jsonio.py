@@ -6,14 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from subposetlab import (
-    ColoredFamily,
     Hypergraph,
     SubsetFamily,
     chain,
-    colored_family_from_json,
-    colored_family_to_json,
     crown,
-    decode_fraction,
     decode_int,
     decomposition_to_json,
     dumps,
@@ -66,14 +62,7 @@ def test_fraction_round_trip(num, den):
     enc = encode_fraction(x)
     assert set(enc) == {"num", "den"}
     assert isinstance(enc["num"], str) and isinstance(enc["den"], str)
-    assert decode_fraction(enc) == x
-
-
-def test_decode_fraction_rejects_junk():
-    with pytest.raises(ValueError):
-        decode_fraction({"num": "1"})
-    with pytest.raises(ValueError):
-        decode_fraction([1, 2])
+    assert Fraction(int(enc["num"]), int(enc["den"])) == x
 
 
 def test_family_round_trip():
@@ -105,22 +94,6 @@ def test_hypergraph_round_trip():
     assert hypergraph_from_json(obj) == h
     with pytest.raises(ValueError):
         hypergraph_from_json({"k": 2, "l": 4})
-
-
-def test_colored_family_round_trip():
-    fam = ColoredFamily(
-        (
-            Hypergraph.from_edge_sets(2, 3, [[1, 2]]),
-            Hypergraph.from_edge_sets(2, 3, [[2, 3]]),
-        ),
-        names=("red", "blue"),
-    )
-    obj = colored_family_to_json(fam)
-    assert obj["colors"] == ["red", "blue"]
-    assert colored_family_from_json(obj) == fam
-    # names are optional on the way in
-    del obj["colors"]
-    assert colored_family_from_json(obj).names == ("0", "1")
 
 
 def test_representation_round_trip():

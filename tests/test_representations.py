@@ -83,9 +83,36 @@ def test_tight_cycle_reps_verify(k, t):
     assert_certificate(rep, verify_representation(rep))
 
 
+def test_tight_cycle_is_intervals_and_their_overlaps():
+    for k in range(2, 6):
+        for t in range(2, 8):
+            l = k * t
+            intervals = [[(i + j) % l + 1 for j in range(k)] for i in range(l)]
+            overlaps = [
+                sorted(set(intervals[i]) & set(intervals[(i + 1) % l]))
+                for i in range(l)
+            ]
+            rep = rep_tight_cycle(k, t)
+            assert rep.family == SubsetFamily.from_sets(l, intervals + overlaps)
+            assert (rep.k, rep.l, rep.target_name) == (k, l, f"crown:{2 * l}")
+            assert rep.target == crown(2 * l)
+
+
 def test_crown14_rep():
     rep = rep_crown14()
     assert rep.k == 3 and rep.l == 7
+    pairs = [[1, 2], [2, 3], [2, 4], [2, 5], [1, 5], [1, 6], [1, 7]]
+    triples = [
+        [1, 2, 3],
+        [2, 3, 4],
+        [2, 4, 5],
+        [1, 2, 5],
+        [1, 5, 6],
+        [1, 6, 7],
+        [1, 2, 7],
+    ]
+    assert rep.family == SubsetFamily.from_sets(7, pairs + triples)
+    assert rep.target == crown(14)
     assert rep.target_name == "crown:14"
     cert = verify_representation(rep)
     assert_certificate(rep, cert)
