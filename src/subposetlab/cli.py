@@ -116,8 +116,24 @@ def _emit(obj) -> None:
     sys.stdout.write(jsonio.dumps(obj))
 
 
-def _hist_json(hist) -> dict:
-    return {str(g): jsonio.encode_fraction(w) for g, w in sorted(hist.items())}
+def _lubell_json(fam: SubsetFamily) -> dict:
+    return {
+        "n": fam.n,
+        "size": len(fam),
+        "lubell": jsonio.encode_fraction(lubell_value(fam)),
+    }
+
+
+def _chain_stats_json(fam: SubsetFamily) -> dict:
+    stats = chain_pair_stats(fam)
+    return {
+        "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
+        "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
+        "gap_histogram": {
+            str(g): jsonio.encode_fraction(w)
+            for g, w in sorted(stats.gap_histogram.items())
+        },
+    }
 
 
 def _cmd_verify_rep(args) -> int:
@@ -133,9 +149,7 @@ def _cmd_verify_rep(args) -> int:
     if isinstance(outcome, VerificationFailure):
         _emit({"verified": False, "reason": outcome.reason, "detail": outcome.detail})
         return 1
-    out = {"verified": True}
-    out.update(jsonio.certificate_to_json(outcome))
-    _emit(out)
+    _emit({"verified": True, **jsonio.certificate_to_json(outcome)})
     return 0
 
 
@@ -160,9 +174,7 @@ def _cmd_search_rep(args) -> int:
     if cert is None:
         _emit({"found": False})
         return 1
-    out = {"found": True}
-    out.update(jsonio.certificate_to_json(cert))
-    _emit(out)
+    _emit({"found": True, **jsonio.certificate_to_json(cert)})
     return 0
 
 
@@ -195,29 +207,13 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lubell(args) -> int:
-    fam = _family_arg(args.file)
-    _emit(
-        {
-            "n": fam.n,
-            "size": len(fam),
-            "lubell": jsonio.encode_fraction(lubell_value(fam)),
-        }
-    )
+    _emit(_lubell_json(_family_arg(args.file)))
     return 0
 
 
 def _cmd_chain_stats(args) -> int:
     fam = _family_arg(args.file)
-    stats = chain_pair_stats(fam)
-    _emit(
-        {
-            "n": fam.n,
-            "size": len(fam),
-            "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
-            "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
-            "gap_histogram": _hist_json(stats.gap_histogram),
-        }
-    )
+    _emit({"n": fam.n, "size": len(fam), **_chain_stats_json(fam)})
     return 0
 
 
@@ -265,15 +261,8 @@ def _cmd_scd(args) -> int:
     except ValueError as e:
         raise _InputError(str(e)) from e
     body = jsonio.decomposition_to_json(dec)
-    out = {
-        "n": body["n"],
-        "level_lo": body["level_lo"],
-        "level_hi": body["level_hi"],
-        "peak_level": peak,
-        "count": body["count"],
-        "chains": body["chains"],
-    }
-    _emit(out)
+    head = {key: body.pop(key) for key in ("n", "level_lo", "level_hi")}
+    _emit({**head, "peak_level": peak, **body})
     return 0
 
 
@@ -301,7 +290,7 @@ def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
     fam = _family_arg(args.file)
-    stats = chain_pair_stats(fam)
+    out = {**_lubell_json(fam), **_chain_stats_json(fam)}
     lhs, rhs, equal = down_degree_identity(fam)
     configs = {}
     for k in range(1, args.max_gap + 1):
@@ -313,22 +302,13 @@ def _cmd_report(args) -> int:
             "member_side": jsonio.encode_fraction(irhs),
             "equal": iok,
         }
-    _emit(
-        {
-            "n": fam.n,
-            "size": len(fam),
-            "lubell": jsonio.encode_fraction(lubell_value(fam)),
-            "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
-            "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
-            "gap_histogram": _hist_json(stats.gap_histogram),
-            "down_degree_identity": {
-                "lhs": jsonio.encode_fraction(lhs),
-                "rhs": jsonio.encode_fraction(rhs),
-                "equal": equal,
-            },
-            "configurations": configs,
-        }
-    )
+    out["down_degree_identity"] = {
+        "lhs": jsonio.encode_fraction(lhs),
+        "rhs": jsonio.encode_fraction(rhs),
+        "equal": equal,
+    }
+    out["configurations"] = configs
+    _emit(out)
     return 0
 
 

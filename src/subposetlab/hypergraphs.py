@@ -119,7 +119,7 @@ class ColoredFamily:
         return self.hypergraphs[0].l
 
 
-def is_k_partite(h: Hypergraph) -> Partition | None:
+def is_k_partite(h: Hypergraph, budget: Budget | None = None) -> Partition | None:
     """A partition of the vertices into k parts with every edge crossing
     (one vertex per part), or None.
 
@@ -132,31 +132,51 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
     are interchangeable, so these colorings together are the first valid
     coloring of the whole graph in ascending vertex order.  Vertices on no
     edge then go one at a time to the smallest part, lowest index first.
+
+    A component that its edges force whole (`_forced_coloring`), as every
+    component of a graph (k = 2) is, needs no search: its colors renamed in
+    order of first appearance are the canonical coloring.  One tick per
+    forced vertex and per step of the search; vertices on no edge cost
+    nothing.  Raises BudgetExceeded through the budget object if supplied.
     """
     k, l = h.k, h.l
     # each vertex is its own neighbor, which is harmless: it has no color
     # while its color is chosen
     nbrs: dict[int, set[int]] = {}
+    edges_at: dict[int, list[tuple[int, ...]]] = {}
     for e in h.edge_sets():
         for v in e:
             nbrs.setdefault(v, set()).update(e)
+            edges_at.setdefault(v, []).append(e)
     active = sorted(nbrs)
     color = [-1] * (l + 1)  # -1: no color yet
     for root in active:
         if color[root] >= 0:
             continue
+        forced = _forced_coloring(root, edges_at, nbrs, color, k, budget)
+        if forced is None:
+            return None
         seen, stack = {root}, [root]
         while stack:
             grown = nbrs[stack.pop()] - seen
             seen |= grown
             stack.extend(grown)
         comp = sorted(seen)
+        if len(forced) == len(comp):
+            first_seen: dict[int, int] = {}
+            for v in comp:
+                color[v] = first_seen.setdefault(color[v], len(first_seen))
+            continue
+        for v in forced:
+            color[v] = -1
         # backtracking on an explicit index: tried[idx] is the next color to
         # try at comp[idx], used[idx] the number of colors before it
         tried = [0] * len(comp)
         used = [0] * (len(comp) + 1)
         idx = 0
         while 0 <= idx < len(comp):
+            if budget is not None:
+                budget.tick()
             v = comp[idx]
             color[v] = -1
             conflict = {color[u] for u in nbrs[v]}
@@ -191,6 +211,30 @@ def is_k_partite(h: Hypergraph) -> Partition | None:
     for c in range(k):
         parts[c].extend(lone[i + c :: k])
     return Partition(l, tuple(map(tuple, parts)), allow_empty=True)
+
+
+def _forced_coloring(root, edges_at, nbrs, color, k, budget) -> list[int] | None:
+    """Color root's component as far as its edges force it; return the
+    vertices colored, or None when no coloring exists.  Root's first edge
+    takes colors 0..k-1, then an edge with one vertex left uncolored gives
+    it the color the edge lacks.  On the vertices colored every valid
+    coloring is this one with its colors permuted, so a forced color that a
+    neighbor already has rules them all out."""
+    done = list(edges_at[root][0])
+    for c, v in enumerate(done):
+        color[v] = c
+    for v in done:  # grows while it is walked
+        if budget is not None:
+            budget.tick()
+        for e in edges_at[v]:
+            free = [u for u in e if color[u] < 0]
+            if len(free) == 1:
+                (c,) = set(range(k)).difference(color[u] for u in e)
+                if any(color[u] == c for u in nbrs[free[0]]):
+                    return None
+                color[free[0]] = c
+                done.append(free[0])
+    return done
 
 
 def _complete_kpartite(h: Hypergraph | None, pools, sizes, budget: Budget | None):

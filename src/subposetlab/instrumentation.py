@@ -212,7 +212,7 @@ def configuration_turan_check(
         return ConfigurationTuranViolation(core, parts, None, None, None)
     if rep.k != k:
         raise ValueError("representation arity does not match k")
-    rep_partition = is_k_partite(partite_graph(rep))
+    rep_partition = is_k_partite(partite_graph(rep), budget)
     if rep_partition is None:
         raise ValueError("representation is not k-partite")
     if rep_partition.sizes != tuple(sizes):

@@ -59,14 +59,6 @@ class Poset:
                     covers.append((u, v))
         return tuple(covers)
 
-    def hasse_neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency lists of the Hasse diagram viewed as an undirected graph."""
-        adj: list[list[int]] = [[] for _ in range(self.size)]
-        for u, v in self.cover_relations():
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
     def minimal_elements(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.size) if not self.strict_down(i))
 

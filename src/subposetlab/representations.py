@@ -17,6 +17,7 @@ from .hypergraphs import Hypergraph, Partition, is_k_partite
 from .lattice import SubsetFamily, bits, mask_from_elements
 from .posets import (
     Poset,
+    _pattern_order,
     crown,
     family_as_poset,
     find_embedding,
@@ -96,7 +97,7 @@ def verify_representation(
         return VerificationFailure(
             "embedding", "target poset does not embed into the family's inclusion order"
         )
-    partition = is_k_partite(partite_graph(rep))
+    partition = is_k_partite(partite_graph(rep), budget)
     if partition is None:
         return VerificationFailure(
             "partite", "the k-sets do not form a k-partite hypergraph"
@@ -148,28 +149,6 @@ def _closed_walk(walk: list[list[int]]) -> KPartiteRepresentation:
     )
 
 
-def _traversal_order(target: Poset) -> list[int]:
-    """Deterministic element order: depth-first over the Hasse graph from
-    element 0, smallest neighbor first.  Elements outside element 0's
-    component are left out."""
-    adj = target.hasse_neighbors()
-    seen = [False] * target.size
-    seen[0] = True
-    order = [0]
-    # one iterator per open vertex, resumed where the last visit left it
-    stack = [iter(adj[0])]
-    while stack:
-        for u in stack[-1]:
-            if not seen[u]:
-                seen[u] = True
-                order.append(u)
-                stack.append(iter(adj[u]))
-                break
-        else:
-            stack.pop()
-    return order
-
-
 def _candidates(
     target: Poset, e: int, member: list[int], k: int, vertices: int, l_max: int
 ):
@@ -177,10 +156,10 @@ def _candidates(
 
     A top takes a k-set over the union of its placed lower covers; a bottom
     below a placed top takes a (k-1)-subset of its placed upper covers'
-    intersection; the first element takes a set of new vertices.  Old
-    vertices come before a block of new ones, fewest new first, and each
-    new vertex takes the next unused label, which explores families up to
-    relabeling of [l].
+    intersection; the first element, a bottom or a top, takes a set of new
+    vertices.  Old vertices come before a block of new ones, fewest new
+    first, and each new vertex takes the next unused label, which explores
+    families up to relabeling of [l].
     """
     if target.strict_down(e):
         base, size = 0, k
@@ -232,16 +211,17 @@ def search_representation(
     Only families with one member per target element are searched: the
     image of any embedding inside a larger representation is itself a
     representation, so minimal families lose nothing.  Elements are placed
-    in `_traversal_order`, one frame per placed element on an explicit
-    stack, each with one tick per candidate member.
+    in `posets._pattern_order`, the first a bottom or a top, one frame per
+    placed element on an explicit stack, each with one tick per candidate.
 
     Each vertex's part is search state.  A vertex gets its part the first
     time it lies in a placed k-set: the vertices of that k-set with no part
     yet take the parts the others lack, in ascending order, and a k-set
     whose vertices repeat a part is rejected.  The target must be connected:
-    then every k-set after the first contains a placed (k-1)-set whose
-    vertices have parts, so each new part is forced and the parts are the
-    placed k-sets' only k-partition up to relabeling.
+    as every comparable pair of a height-2 poset is a cover, every k-set
+    after the first then contains a placed (k-1)-set whose vertices have
+    parts, so each new part is forced and the parts are the placed k-sets'
+    only k-partition up to relabeling.
 
     For crown(2t), every member after the first is placed next to one
     already placed on the crown's cycle, and adds at most one vertex: a top
@@ -256,9 +236,12 @@ def search_representation(
         raise ValueError("l_max must be at least k")
     if height(target) != 2:
         raise ValueError("only height-2 targets are searchable")
-    order = _traversal_order(target)
-    if len(order) < target.size:
-        raise ValueError("only connected targets are searchable")
+    order = _pattern_order(target)
+    placed = 1 << order[0]
+    for e in order[1:]:
+        if not (target.strict_up(e) | target.strict_down(e)) & placed:
+            raise ValueError("only connected targets are searchable")
+        placed |= 1 << e
 
     member = [0] * target.size  # 0 until placed; every member is nonempty
     used: set[int] = set()

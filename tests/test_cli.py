@@ -25,6 +25,7 @@ from subposetlab import (
     crown,
     la_lower_bound,
     posets,
+    rep_crown14,
     tail_mass,
 )
 from subposetlab.cli import main
@@ -471,6 +472,35 @@ def test_partite_and_verify_rep_color_components_apart(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-rep", "--file", path, "--budget", "1000")
     assert time.monotonic() - t0 < 1
     assert code == 1 and json.loads(out)["reason"] == "partite"
+
+
+def test_verify_rep_budget_bounds_the_partite_search(capsys, tmp_path):
+    # m pendant edges on a hub below a triangle on the hub, beside
+    # even_cycle:2: the edges force the coloring, so the odd cycle shows at
+    # once, where a search in label order took 2^m steps, 11 s at m = 22
+    m = 22
+    family = [[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 4]]
+    hub = m + 5
+    family += [[i, hub] for i in range(5, hub)]
+    family += [[hub, hub + 1], [hub + 1, hub + 2], [hub, hub + 2]]
+    rep = {"k": 2, "l": hub + 2, "family": family, "target": "crown:8"}
+    path = write_json(tmp_path, "rep.json", rep)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify-rep", "--file", path, "--budget", "1000")
+    assert time.monotonic() - t0 < 1
+    assert code == 1 and json.loads(out)["reason"] == "partite"
+    # m pairs of triples on a hub below a K4 on the hub, beside crown14:
+    # the edges force nothing, and the search in label order is bounded
+    family = [list(s) for s in rep_crown14().family.sets()]
+    hub = 2 * m + 8
+    family += [[2 * i + 8, 2 * i + 9, hub] for i in range(m)]
+    family += [[hub, hub + 1, hub + 2], [hub + 1, hub + 2, hub + 3], [hub, hub + 3, hub + 4]]
+    rep = {"k": 3, "l": hub + 4, "family": family, "target": "crown:14"}
+    path = write_json(tmp_path, "rep3.json", rep)
+    t0 = time.monotonic()
+    code, out, _ = run(capsys, "verify-rep", "--file", path, "--budget", "1000")
+    assert time.monotonic() - t0 < 1
+    assert code == 3 and out == ""
 
 
 def test_elements_and_vertices_are_read_as_integers(capsys, tmp_path):

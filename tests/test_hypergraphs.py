@@ -201,6 +201,55 @@ def test_is_k_partite_colors_components_apart():
     assert p.parts == (tuple(range(1, a + 3, 2)), tuple(range(2, a + 4, 2)))
 
 
+def pendant_pairs_below_k4(m):
+    """m triples {2i - 1, 2i, hub} and three triples whose pairs form a K4
+    on the hub and the three labels above it.  The edges force no color
+    past the first triple, and a search in label order tries the colorings
+    of every pair before it reaches the K4."""
+    hub = 2 * m + 1
+    triples = [[2 * i + 1, 2 * i + 2, hub] for i in range(m)]
+    triples += [[hub, hub + 1, hub + 2], [hub + 1, hub + 2, hub + 3], [hub, hub + 3, hub + 4]]
+    return Hypergraph.from_edge_sets(3, hub + 4, triples)
+
+
+def test_is_k_partite_ticks():
+    # a graph's edges force its coloring: one tick per vertex on an edge
+    budget = Budget()
+    assert is_k_partite(graph(12, [[i, i + 1] for i in range(1, 8)]), budget)
+    assert budget.used == 8
+    # m pendant edges on a hub below a triangle on the hub: forced too, so
+    # the odd cycle is found without trying the pendants' colorings
+    m = 22
+    hub = m + 1
+    pairs = [[i, hub] for i in range(1, hub)]
+    pairs += [[hub, hub + 1], [hub + 1, hub + 2], [hub, hub + 2]]
+    budget = Budget()
+    assert is_k_partite(graph(hub + 2, pairs), budget) is None
+    assert budget.used <= hub + 2
+    # the search that edges do not force is bounded too
+    with pytest.raises(BudgetExceeded):
+        is_k_partite(pendant_pairs_below_k4(22), Budget(1000))
+    assert is_k_partite(pendant_pairs_below_k4(3)) is None
+
+
+def test_forced_coloring_matches_the_whole_graph_search():
+    # tight walks, consecutive edges sharing k - 1 vertices, whose colorings
+    # the edges force, some with a random edge more that may break that
+    rng = random.Random(23)
+    for _ in range(1500):
+        k = rng.randint(2, 4)
+        l = rng.randint(k + 1, 10)
+        walk = [rng.sample(range(1, l + 1), k)]
+        for _ in range(rng.randint(0, 8)):
+            nxt = walk[-1][:]
+            nxt[rng.randrange(k)] = rng.choice([v for v in range(1, l + 1) if v not in nxt])
+            walk.append(nxt)
+        if rng.random() < 0.3:
+            walk.append(rng.sample(range(1, l + 1), k))
+        h = Hypergraph.from_edge_sets(k, l, sorted({tuple(sorted(e)) for e in walk}))
+        assert is_k_partite(h) == whole_graph_is_k_partite(h)
+
+
 def test_contains_complete_kpartite():
     c4 = graph(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     got = contains_complete_kpartite(c4, (2, 2))

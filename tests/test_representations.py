@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -27,7 +28,7 @@ from subposetlab import (
     search_representation,
     verify_representation,
 )
-from subposetlab.representations import _traversal_order
+from subposetlab.posets import _pattern_order
 
 
 def assert_certificate(rep, cert):
@@ -222,14 +223,17 @@ def test_search_budget():
 
 
 def recursive_traversal_order(target):
-    """Reference: recursive preorder over the Hasse graph, smallest neighbor
-    first, then the elements on no relation."""
-    adj = target.hasse_neighbors()
+    """Reference for the placement order: recursive preorder over the Hasse
+    graph, smallest neighbor first, then the elements on no relation."""
+    adj = [[] for _ in range(target.size)]
+    for u, v in target.cover_relations():
+        adj[u].append(v)
+        adj[v].append(u)
     order = []
 
     def walk(v):
         order.append(v)
-        for u in adj[v]:
+        for u in sorted(adj[v]):
             if u not in order:
                 walk(u)
 
@@ -241,27 +245,34 @@ def recursive_traversal_order(target):
 
 @pytest.mark.parametrize(
     "spec",
-    [
-        "chain:1",
-        "chain:6",
-        "crown:4",
-        "crown:14",
-        "butterfly",
-        "fork:3",
-        "diamond:3",
-        "harp:5,4,3",
-        "harp:2,3",
-        "complete_two_level:2,3",
-    ],
+    [f"crown:{n}" for n in range(4, 61, 2)]
+    + ["butterfly", "fork:1", "fork:2", "fork:3", "complete_two_level:2,3"]
+    + ["harp:2", "chain:1", "chain:2", "chain:6"],
 )
-def test_traversal_order_matches_recursive_preorder(spec):
+def test_pattern_order_is_the_hasse_preorder(spec):
+    """On these targets the search's placement order is the depth-first
+    walk over the Hasse graph from element 0."""
     target = make_poset(spec)
-    assert _traversal_order(target) == recursive_traversal_order(target)
+    assert _pattern_order(target) == recursive_traversal_order(target)
 
 
-def test_traversal_order_walks_from_element_zero_only():
-    assert _traversal_order(antichain(3)) == [0]
-    assert _traversal_order(from_cover_relations(4, [(0, 2), (1, 3)])) == [0, 2]
+@pytest.mark.parametrize(
+    "spec",
+    ["complete_two_level:3,2", "complete_two_level:4,2", "complete_two_level:3,1"],
+)
+def test_search_from_a_top_finds_the_hasse_preorder_family(spec):
+    """With more bottoms than tops the placement order starts at a top, not
+    at element 0; the family found is still the one the Hasse-preorder
+    search finds, for k = 2..4 and l_max = k..k+8."""
+    target = make_poset(spec)
+    assert _pattern_order(target) != recursive_traversal_order(target)
+    old_order = functools.partial(reference_search, recursive_traversal_order)
+    for k in (2, 3, 4):
+        for l_max in range(k, k + 9):
+            found, _ = search_outcome(search_representation, target, k, l_max)
+            assert found == search_outcome(old_order, target, k, l_max)[0], (
+                spec, k, l_max
+            )
 
 
 def test_search_rejects_disconnected_targets():
@@ -272,10 +283,11 @@ def test_search_rejects_disconnected_targets():
             search_representation(target, 2, 6)
 
 
-def reference_search(target, k, l_max, budget=None):
-    """Reference: recursive search that keeps the placed k-sets k-partite
-    by recoloring their hypergraph for every candidate."""
-    order = recursive_traversal_order(target)
+def reference_search(order_of, target, k, l_max, budget=None):
+    """Reference: recursive search, placing the elements in order_of(target),
+    that keeps the placed k-sets k-partite by recoloring their hypergraph
+    for every candidate."""
+    order = order_of(target)
     is_top = [bool(target.strict_down(e)) for e in range(target.size)]
     assign = {}
     used_sets = set()
@@ -395,13 +407,14 @@ SWEEP_TARGETS = [f"crown:{n}" for n in range(4, 25, 2)] + [
 
 @pytest.mark.parametrize("spec", SWEEP_TARGETS)
 def test_search_matches_reference(spec):
-    """Same family and the same ticks as the hypergraph-recoloring search,
-    for k = 2..4 and l_max = k..k+8."""
+    """Same family and the same ticks as the hypergraph-recoloring search in
+    the same placement order, for k = 2..4 and l_max = k..k+8."""
     target = make_poset(spec)
+    reference = functools.partial(reference_search, _pattern_order)
     for k in (2, 3, 4):
         for l_max in range(k, k + 9):
             assert search_outcome(search_representation, target, k, l_max) == (
-                search_outcome(reference_search, target, k, l_max)
+                search_outcome(reference, target, k, l_max)
             ), (spec, k, l_max)
 
 
