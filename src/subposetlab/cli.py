@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import jsonio
 from .budget import Budget, BudgetExceeded
-from .extremal import DEFAULT_COPY_CAP, la_exact, lambda_exact
+from .extremal import la_exact, lambda_exact
 from .hypergraphs import is_k_partite, turan_oracle
 from .instrumentation import (
     chain_pair_stats,
@@ -105,11 +105,10 @@ def _spec_arg(text: str, kinds: dict):
 
 
 def _budget_arg(args) -> Budget | None:
-    if args.budget is None:
-        return None
+    """--budget as a Budget, None for 0 (unlimited)."""
     if args.budget < 0:
         raise _InputError("--budget must be at least 0")
-    return Budget(args.budget)
+    return Budget(args.budget) if args.budget else None
 
 
 def _emit(obj) -> None:
@@ -182,8 +181,6 @@ def _cmd_solve(args) -> int:
     """la and lambda; a degraded result names its cause on stderr."""
     if not 1 <= args.n <= MAX_SOLVE_N:
         raise _InputError(f"--n must be between 1 and {MAX_SOLVE_N}")
-    if args.copy_cap < 0:
-        raise _InputError("--copy-cap must be nonnegative")
     pattern = _spec_arg(args.pattern, POSET_KINDS)
     # looked up per call, not stored in the reused parser, so that a
     # replacement of cli.la_exact or cli.lambda_exact takes effect
@@ -191,7 +188,7 @@ def _cmd_solve(args) -> int:
         solver, encode_value = la_exact, jsonio.encode_int
     else:
         solver, encode_value = lambda_exact, jsonio.encode_fraction
-    res = solver(args.n, pattern, _budget_arg(args), args.copy_cap)
+    res = solver(args.n, pattern, _budget_arg(args))
     if res.degraded is not None:
         print(f"degraded: {res.degraded}", file=sys.stderr)
     _emit(
@@ -321,15 +318,6 @@ def _add_budget(sp, default: int) -> None:
     )
 
 
-def _add_copy_cap(sp) -> None:
-    sp.add_argument(
-        "--copy-cap",
-        type=int,
-        default=DEFAULT_COPY_CAP,
-        help="max pattern copies to enumerate before degrading to the band bound",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subposetlab",
@@ -360,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("la", help="largest pattern-free family size in the lattice")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pattern", required=True, help="pattern poset, e.g. chain:2")
-    _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
     sp.set_defaults(run=_cmd_solve)
 
@@ -369,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--pattern", required=True)
-    _add_copy_cap(sp)
     _add_budget(sp, DEFAULT_SOLVE_BUDGET)
     sp.set_defaults(run=_cmd_solve)
 
@@ -436,8 +422,6 @@ def main(argv=None) -> int:
     its own between calls.
     """
     args = _parser().parse_args(argv)
-    if getattr(args, "budget", None) == 0:
-        args.budget = None
     start = time.monotonic()
     try:
         code = args.run(args)

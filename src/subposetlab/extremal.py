@@ -22,8 +22,8 @@ from .posets import Poset, _embeddings, contains_weak, e_level, family_as_poset
 @dataclass(frozen=True)
 class CopyHypergraph:
     """Every copy of a pattern inside B_n, as bitmasks over the vertices of
-    `_lattice_poset(n)`.  complete=False means enumeration stopped at the
-    cap and the copy list cannot certify optimality.
+    `_lattice_poset(n)`.  complete=False means enumeration stopped past
+    `COPY_CAP` copies and the copy list cannot certify optimality.
     """
 
     copies: tuple[int, ...]
@@ -55,14 +55,13 @@ def _lattice_poset(n: int) -> Poset:
     return family_as_poset(middle_levels(n, n + 1))
 
 
-DEFAULT_COPY_CAP = 2_000_000
+# Most copy images kept before a solve degrades to the band bound: a memory
+# guard on the image set.  Read at call time, so a test can lower it.
+COPY_CAP = 2_000_000
 
 
 def enumerate_copies(
-    n: int,
-    pattern: Poset,
-    budget: Budget | None = None,
-    cap: int | None = DEFAULT_COPY_CAP,
+    n: int, pattern: Poset, budget: Budget | None = None
 ) -> CopyHypergraph:
     """Deduplicated images of weak embeddings of the pattern into B_n.
 
@@ -73,7 +72,8 @@ def enumerate_copies(
     (`posets._embeddings`).  Images are still deduplicated: where the
     host adds relations, embeddings from different orbits can share one,
     as the three ways to place a 2-chain and a lone element on a 3-chain.
-    The automorphism searches charge the budget too."""
+    The automorphism searches charge the budget too.  Past `COPY_CAP`
+    images the search stops, and the result is marked incomplete."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
     host = _lattice_poset(n)
@@ -83,7 +83,7 @@ def enumerate_copies(
         for h in phi:
             im |= 1 << h
         images.add(im)
-        if cap is not None and len(images) > cap:
+        if len(images) > COPY_CAP:
             return CopyHypergraph(tuple(sorted(images)), False)
     return CopyHypergraph(tuple(sorted(images)), True)
 
@@ -304,7 +304,7 @@ def _level_scale(n: int) -> int:
     return lcm(*(comb(n, i) for i in range(n + 1)))
 
 
-def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
+def _run_exact(n, pattern, budget, level_weight, unit, seed_result):
     """Branch and bound over the copies, each vertex weighing
     level_weight[|set|] units of `unit`; seed_result is the band bound.
 
@@ -321,7 +321,7 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     phase is skipped; copy enumeration, the witness phase and the re-check
     run as always."""
     try:
-        ch = enumerate_copies(n, pattern, budget, copy_cap)
+        ch = enumerate_copies(n, pattern, budget)
     except BudgetExceeded:
         return replace(seed_result, degraded="budget-enumerate")
     if not ch.complete:
@@ -359,30 +359,20 @@ def _run_exact(n, pattern, budget, copy_cap, level_weight, unit, seed_result):
     return ExtremalResult(best * unit, wit, "proven", degraded)
 
 
-def la_exact(
-    n: int,
-    pattern: Poset,
-    budget: Budget | None = None,
-    copy_cap: int | None = DEFAULT_COPY_CAP,
-) -> ExtremalResult:
+def la_exact(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
     """Largest pattern-free family size in B_n.
 
     Degrades to the middle-band lower bound (optimality="lower-bound-only")
-    when the copy cap is hit; a budget that runs out mid-search yields the
-    best witness found so far, and `degraded` names the cause.  The budget
-    also bounds the lower bound, and BudgetExceeded propagates when it runs
-    out there.
+    when the pattern has more than `COPY_CAP` copies; a budget that runs out
+    mid-search yields the best witness found so far, and `degraded` names
+    the cause.  The budget also bounds the lower bound, and BudgetExceeded
+    propagates when it runs out there.
     """
     seed = la_lower_bound(n, pattern, budget)
-    return _run_exact(n, pattern, budget, copy_cap, [1] * (n + 1), 1, seed)
+    return _run_exact(n, pattern, budget, [1] * (n + 1), 1, seed)
 
 
-def lambda_exact(
-    n: int,
-    pattern: Poset,
-    budget: Budget | None = None,
-    copy_cap: int | None = DEFAULT_COPY_CAP,
-) -> ExtremalResult:
+def lambda_exact(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
     """Largest Lubell mass of a pattern-free family in B_n, exact rational;
     degrades, and charges the budget, as la_exact does."""
     seed_band = la_lower_bound(n, pattern, budget)
@@ -393,6 +383,4 @@ def lambda_exact(
     # keep the search in integers
     scale = _level_scale(n)
     level_weight = [scale // comb(n, i) for i in range(n + 1)]
-    return _run_exact(
-        n, pattern, budget, copy_cap, level_weight, Fraction(1, scale), seed
-    )
+    return _run_exact(n, pattern, budget, level_weight, Fraction(1, scale), seed)

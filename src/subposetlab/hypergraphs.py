@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
@@ -93,7 +93,6 @@ class ColoredFamily:
     the color of the member's edges."""
 
     hypergraphs: tuple[Hypergraph, ...]
-    names: tuple[str, ...] = field(default=())
 
     def __post_init__(self):
         if not self.hypergraphs:
@@ -103,12 +102,6 @@ class ColoredFamily:
         for h in self.hypergraphs:
             if h.k != k or h.l != l:
                 raise ValueError("members must share uniformity and vertex count")
-        if not self.names:
-            object.__setattr__(
-                self, "names", tuple(str(i) for i in range(len(self.hypergraphs)))
-            )
-        elif len(self.names) != len(self.hypergraphs):
-            raise ValueError("one name per member required")
 
     @property
     def k(self) -> int:
@@ -442,7 +435,7 @@ def dedupe_edges(fam: ColoredFamily) -> ColoredFamily:
         kept = tuple(e for e in h.edges if e not in seen)
         seen.update(kept)
         out.append(Hypergraph(h.k, h.l, kept))
-    return ColoredFamily(tuple(out), fam.names)
+    return ColoredFamily(tuple(out))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shared generators and brute-force oracles for the test suite."""
 
+import argparse
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -7,11 +8,26 @@ from math import factorial
 
 from subposetlab import (
     SubsetFamily,
+    cli,
     contains_weak,
     family_as_poset,
     from_cover_relations,
     lubell_value,
 )
+
+# The verbs that take --budget.
+BUDGETED_VERBS = frozenset({"la", "lambda", "search-rep", "turan", "verify-rep"})
+
+
+def parser_flags() -> dict[str, set[str]]:
+    """The long options of each verb, as `cli.build_parser()` defines them."""
+    (verbs,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    return {
+        verb: {o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")}
+        for verb, sp in verbs.choices.items()
+    }
 
 
 def random_family(n: int, rng: random.Random, size: int) -> SubsetFamily:

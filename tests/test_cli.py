@@ -23,12 +23,14 @@ from subposetlab import (
     antichain,
     cli,
     crown,
+    extremal,
     la_lower_bound,
     posets,
     rep_crown14,
     tail_mass,
 )
 from subposetlab.cli import main
+from conftest import BUDGETED_VERBS, parser_flags
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -195,14 +197,41 @@ def test_la_command(capsys):
         (["la", "--n", "0", "--pattern", "chain:2"], "--n"),
         (["la", "--n", "-1", "--pattern", "chain:2"], "--n"),
         (["lambda", "--n", "0", "--pattern", "chain:2"], "--n"),
-        (["la", "--n", "4", "--pattern", "chain:2", "--copy-cap", "-5"], "--copy"),
-        (["lambda", "--n", "4", "--pattern", "chain:2", "--copy-cap", "-1"], "--copy"),
     ],
 )
 def test_la_lambda_reject_bad_sizes(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"error: {message}" in err
+
+
+@pytest.mark.parametrize("verb", ["la", "lambda"])
+@pytest.mark.parametrize("cap", ["3", "-5"])
+def test_copy_cap_is_not_an_option(capsys, verb, cap):
+    """The copy cap is the constant extremal.COPY_CAP; the budget is the
+    knob that stops a solve early."""
+    with pytest.raises(SystemExit) as e:
+        main([verb, "--n", "4", "--pattern", "chain:2", "--copy-cap", cap])
+    out, err = capsys.readouterr()
+    assert e.value.code == 2 and out == ""
+    assert "unrecognized arguments: --copy-cap" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["la", "--n", "3", "--pattern", "chain:2"],
+        ["lambda", "--n", "3", "--pattern", "chain:2"],
+        ["search-rep", "--target", "crown:4", "--k", "2", "--l-max", "3"],
+        ["turan", "--n", "4", "--k", "2", "--sizes", "2,2"],
+        ["verify-rep", "--file", str(FIXTURES / "o14.json")],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_budget_is_an_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget", "-1")
+    assert code == 2 and out == ""
+    assert "error: --budget must be at least 0" in err
 
 
 @pytest.mark.parametrize(
@@ -222,13 +251,17 @@ def test_size_limits(capsys, argv, message):
     assert time.monotonic() - t0 < 1
 
 
-def test_la_reports_degradation_on_stderr(capsys):
-    code, out, err = run(capsys, "la", "--n", "4", "--pattern", "chain:2", "--copy-cap", "3")
-    assert code == 0 and json.loads(out)["optimality"] == "lower-bound-only"
-    assert "degraded: copy-cap" in err
-    code, out, err = run(capsys, "la", "--n", "4", "--pattern", "chain:2")
-    assert json.loads(out)["optimality"] == "proven"
-    assert "degraded" not in err
+def test_la_reports_degradation_on_stderr(capsys, monkeypatch):
+    for verb in ("la", "lambda"):
+        argv = (verb, "--n", "4", "--pattern", "chain:2")
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["optimality"] == "proven"
+        assert "degraded" not in err
+        with monkeypatch.context() as m:
+            m.setattr(extremal, "COPY_CAP", 3)
+            code, out, err = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["optimality"] == "lower-bound-only"
+        assert "degraded: copy-cap" in err
 
 
 def test_budget_spent_in_automorphism_search_is_budget_enumerate(capsys):
@@ -688,7 +721,7 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, monkeypatch, tmp_pat
     argvs = [
         ["la", "--n", "3", "--pattern", "chain:2"],
         ["scd", "--n", "x"],
-        ["lambda", "--n", "3", "--pattern", "chain:2", "--copy-cap", "3"],
+        ["lambda", "--n", "3", "--pattern", "butterfly", "--budget", "0"],
         ["--help"],
         ["report", "--file", fam, "--max-gap", "2"],
         ["la", "--n", "0", "--pattern", "chain:2"],
@@ -779,22 +812,20 @@ def argv_files(tmp_path_factory):
 _JUNK_TOKENS = ["x", "-1", "3", "", ",", "crown:4", "--junk", "--help"]
 
 
-@st.composite
-def cli_argv(draw, files):
-    """A small argv for any verb, every search under a budget of at most
-    2000 ticks, with up to two tokens replaced or inserted from junk."""
+def argv_spec(files):
+    """Each verb's flags other than --budget, with a strategy for each
+    value; None leaves the flag out."""
     n = st.integers(-1, 6).map(str)
     small = st.integers(-1, 8).map(str)
     optional = st.none() | small
-    budget = st.one_of(st.integers(1, 2000).map(str), st.sampled_from(["-1", "x"]))
     pattern = st.sampled_from(
         ["chain:2", "chain:3", "butterfly", "fork:2", "diamond:2", "crown:4",
          "crown:6", "antichain:2", "chain:0", "junk"]
     )
     file = st.sampled_from(files)
-    spec = {
-        "la": [("--n", n), ("--pattern", pattern), ("--copy-cap", optional)],
-        "lambda": [("--n", n), ("--pattern", pattern), ("--copy-cap", optional)],
+    return {
+        "la": [("--n", n), ("--pattern", pattern)],
+        "lambda": [("--n", n), ("--pattern", pattern)],
         "turan": [
             ("--n", n),
             ("--k", small),
@@ -827,13 +858,30 @@ def cli_argv(draw, files):
             ("--n", st.integers(-1, 60).map(str) | st.sampled_from(["14288", "100001"]))
         ],
     }
+
+
+def test_argv_spec_names_every_flag_of_the_parser():
+    """A flag added to or dropped from a verb must reach the fuzzed argvs."""
+    flags = {
+        verb: {flag for flag, _ in pairs} | ({"--budget"} if verb in BUDGETED_VERBS else set())
+        for verb, pairs in argv_spec([""]).items()
+    }
+    assert flags == parser_flags()
+
+
+@st.composite
+def cli_argv(draw, files):
+    """A small argv for any verb, every search under a budget of at most
+    2000 ticks, with up to two tokens replaced or inserted from junk."""
+    spec = argv_spec(files)
+    budget = st.one_of(st.integers(1, 2000).map(str), st.sampled_from(["-1", "x"]))
     verb = draw(st.sampled_from(sorted(spec)))
     argv = [verb]
     for flag, values in spec[verb]:
         value = draw(values)
         if value is not None:
             argv += [flag, value]
-    if verb in ("la", "lambda", "turan", "search-rep", "verify-rep"):
+    if verb in BUDGETED_VERBS:
         argv += ["--budget", draw(budget)]
     for _ in range(draw(st.integers(0, 2))):
         junk = draw(st.sampled_from(_JUNK_TOKENS))

@@ -41,8 +41,9 @@ def test_enumerate_copies_chain2():
     assert all(c.bit_count() == 2 for c in ch.copies)
 
 
-def test_enumerate_copies_cap_degrades():
-    ch = enumerate_copies(3, chain(2), cap=4)
+def test_enumerate_copies_cap_degrades(monkeypatch):
+    monkeypatch.setattr(extremal, "COPY_CAP", 4)
+    ch = enumerate_copies(3, chain(2))
     assert not ch.complete
     assert len(ch.copies) == 5
 
@@ -451,12 +452,14 @@ def test_la_lower_bound_band():
     assert wide.value == 0 and len(wide.witness.members) == 0
 
 
-def test_copy_cap_degrades_to_lower_bound():
-    res = la_exact(4, chain(2), copy_cap=3)
-    assert res.optimality == "lower-bound-only"
-    assert res.degraded == "copy-cap"
-    assert res.value == comb(4, 2)
-    assert not contains_weak(family_as_poset(res.witness), chain(2))
+def test_copy_cap_degrades_to_lower_bound(monkeypatch):
+    monkeypatch.setattr(extremal, "COPY_CAP", 3)
+    for solve, band_value in ((la_exact, comb(4, 2)), (lambda_exact, 1)):
+        res = solve(4, chain(2))
+        assert res.optimality == "lower-bound-only"
+        assert res.degraded == "copy-cap"
+        assert res.value == band_value
+        assert not contains_weak(family_as_poset(res.witness), chain(2))
 
 
 def test_budget_degrades_but_stays_sound():

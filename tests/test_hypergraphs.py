@@ -64,12 +64,11 @@ def test_partition_validation():
 def test_colored_family_names():
     h = graph(3, [[1, 2]])
     fam = ColoredFamily((h, h))
-    assert fam.names == ("0", "1")
     assert fam.k == 2 and fam.l == 3
     with pytest.raises(ValueError):
         ColoredFamily((h, Hypergraph(3, 3, (0b111,))))
     with pytest.raises(ValueError):
-        ColoredFamily((h,), names=("a", "b"))
+        ColoredFamily(())
 
 
 def test_is_k_partite_basics():
@@ -486,12 +485,8 @@ def test_cover_multiplicity():
 
 
 def test_dedupe_edges():
-    fam = ColoredFamily(
-        (graph(3, [[1, 2], [2, 3]]), graph(3, [[2, 3], [1, 3]])),
-        names=("a", "b"),
-    )
+    fam = ColoredFamily((graph(3, [[1, 2], [2, 3]]), graph(3, [[2, 3], [1, 3]])))
     out = dedupe_edges(fam)
-    assert out.names == ("a", "b")
     assert out.hypergraphs[0].edges == fam.hypergraphs[0].edges
     assert out.hypergraphs[1].edge_sets() == ((1, 3),)
     # every original edge survives in exactly one color

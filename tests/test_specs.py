@@ -21,6 +21,7 @@ from subposetlab.posets import (
     make_poset,
 )
 from subposetlab.representations import rep_crown14, rep_even_cycle, rep_tight_cycle
+from conftest import BUDGETED_VERBS, parser_flags
 
 FORMATS = pathlib.Path(__file__).resolve().parent.parent / "docs" / "FORMATS.md"
 
@@ -148,3 +149,19 @@ def test_formats_doc_lists_the_gen_rep_kinds():
     ]
     inputs = row.split(" | ")[1]
     assert doc_kinds(inputs) == set(_GENERATORS)
+
+
+def test_formats_doc_lists_each_verbs_flags():
+    """The inputs cell of each verb row names the verb's flags; --budget is
+    documented once for all budgeted verbs."""
+    lines = FORMATS.read_text(encoding="utf-8").splitlines()
+    start = lines.index("| verb | inputs | stdout on success |")
+    doc = {}
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        verb, inputs = re.match(r"\| `([a-z-]+)` \| (.*?) \| ", line).groups()
+        doc[verb] = set(re.findall(r"--[a-z][a-z-]*", inputs))
+    for verb in BUDGETED_VERBS:
+        doc[verb].add("--budget")
+    assert doc == parser_flags()
