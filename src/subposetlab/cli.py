@@ -239,7 +239,7 @@ def _cmd_partite(args) -> int:
         h = jsonio.hypergraph_from_json(obj)
     except (ValueError, TypeError, KeyError) as e:
         raise _InputError(f"{args.file}: {e}") from e
-    partition = is_k_partite(h)
+    partition = is_k_partite(h, Budget(DEFAULT_SEARCH_BUDGET))
     if partition is None:
         _emit({"partite": False})
         return 1

@@ -15,14 +15,14 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
-from .lattice import SubsetFamily, bits, lubell_value, middle_levels
+from .lattice import SubsetFamily, bits, middle_levels
 from .posets import Poset, _embeddings, contains_weak, e_level, family_as_poset
 
 
 @dataclass(frozen=True)
 class CopyHypergraph:
     """Every copy of a pattern inside B_n, as bitmasks over the vertices of
-    `_lattice_poset(n)`.  complete=False means enumeration stopped past
+    `_lattice(n)`.  complete=False means enumeration stopped past
     `COPY_CAP` copies and the copy list cannot certify optimality.
     """
 
@@ -43,16 +43,11 @@ class ExtremalResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _lattice_vertices(n: int) -> tuple[tuple[int, ...], dict]:
-    """The 2^n subsets in the element order of `_lattice_poset(n)`, and the
-    index of each."""
-    verts = middle_levels(n, n + 1).members
-    return verts, {m: i for i, m in enumerate(verts)}
-
-
-@functools.lru_cache(maxsize=32)
-def _lattice_poset(n: int) -> Poset:
-    return family_as_poset(middle_levels(n, n + 1))
+def _lattice(n: int) -> tuple[tuple[int, ...], dict[int, int], Poset]:
+    """The 2^n subsets in canonical order, the index of each, and their
+    inclusion poset, whose element i is the i-th subset."""
+    fam = middle_levels(n, n + 1)
+    return fam.members, {m: i for i, m in enumerate(fam.members)}, family_as_poset(fam)
 
 
 # Most copy images kept before a solve degrades to the band bound: a memory
@@ -76,7 +71,7 @@ def enumerate_copies(
     images the search stops, and the result is marked incomplete."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
-    host = _lattice_poset(n)
+    _, _, host = _lattice(n)
     images: set[int] = set()
     for phi in _embeddings(host, pattern, budget, one_per_orbit=True):
         im = 0
@@ -121,8 +116,10 @@ class _Engine:
     some f_i, and the least such i names the one child that holds it, so
     the children split the node's completions.  An include can complete
     a copy; that child is pruned as a dead copy when it is reached.
-    A feasibility search for weight >= target starts from
-    best_val = target - 1 and stops at its first improvement.
+    The incumbent (best_val, best_wit) starts as the empty set; a caller
+    with a better seed sets it before `maximize`.  A feasibility search
+    for weight >= target starts from best_val = target - 1 and stops at
+    its first improvement.
     """
 
     def __init__(
@@ -135,8 +132,7 @@ class _Engine:
         self.by_bit = copies[::-1]
         self.universe = (1 << nverts) - 1
         self.budget = budget
-        self.best_val = None
-        self.best_wit = None
+        self.best_val = self.best_wit = 0
         classes: dict[int, int] = {}
         for v, w in enumerate(self.weights):
             classes[w] = classes.get(w, 0) | 1 << v
@@ -234,9 +230,8 @@ class _Engine:
                 branch ^= low
         return False
 
-    def maximize(self, seed_wit: int) -> None:
-        self.best_val = self.weight_of(seed_wit)
-        self.best_wit = seed_wit
+    def maximize(self) -> None:
+        """Raise the incumbent to an optimum, searching from the root."""
         self._search(0, 0, 0, self.all_copies, False)
 
     def lexmin_witness(self, target: int, wit: int) -> int:
@@ -275,12 +270,12 @@ class _Engine:
 
 
 def _family_from_vertex_mask(n: int, mask: int) -> SubsetFamily:
-    verts, _ = _lattice_vertices(n)
+    verts, _, _ = _lattice(n)
     return SubsetFamily.from_masks(n, tuple(verts[v] for v in bits(mask)))
 
 
 def _vertex_mask_of_family(fam: SubsetFamily) -> int:
-    _, index = _lattice_vertices(fam.n)
+    _, index, _ = _lattice(fam.n)
     m = 0
     for member in fam.members:
         m |= 1 << index[member]
@@ -304,9 +299,11 @@ def _level_scale(n: int) -> int:
     return lcm(*(comb(n, i) for i in range(n + 1)))
 
 
-def _run_exact(n, pattern, budget, level_weight, unit, seed_result):
+def _run_exact(n, pattern, budget, level_weight, unit):
     """Branch and bound over the copies, each vertex weighing
-    level_weight[|set|] units of `unit`; seed_result is the band bound.
+    level_weight[|set|] units of `unit`, seeded with the band of
+    `la_lower_bound`: it is the incumbent, and the result when the copies
+    cannot be listed.
 
     Lubell bound: |P| distinct sets on one full chain host every
     |P|-element poset weakly, so a P-free family meets each full chain in
@@ -320,13 +317,16 @@ def _run_exact(n, pattern, budget, level_weight, unit, seed_result):
     that, as it does for chain patterns, it is optimal and the maximize
     phase is skipped; copy enumeration, the witness phase and the re-check
     run as always."""
+    band = la_lower_bound(n, pattern, budget).witness
+    seed_val = sum(level_weight[m.bit_count()] for m in band.members)
+    seed = ExtremalResult(unit * seed_val, band, "lower-bound-only")
     try:
         ch = enumerate_copies(n, pattern, budget)
     except BudgetExceeded:
-        return replace(seed_result, degraded="budget-enumerate")
+        return replace(seed, degraded="budget-enumerate")
     if not ch.complete:
-        return replace(seed_result, degraded="copy-cap")
-    verts, _ = _lattice_vertices(n)
+        return replace(seed, degraded="copy-cap")
+    verts, _, _ = _lattice(n)
     weights = [level_weight[m.bit_count()] for m in verts]
     masks = [0] * (n + 1)
     for v, m in enumerate(verts):
@@ -337,11 +337,10 @@ def _run_exact(n, pattern, budget, level_weight, unit, seed_result):
     engine = _Engine(
         len(verts), weights, ch.copies, budget, levels, (pattern.size - 1) * scale
     )
-    seed_mask = _vertex_mask_of_family(seed_result.witness)
-    engine.best_val, engine.best_wit = engine.weight_of(seed_mask), seed_mask
+    engine.best_val, engine.best_wit = seed_val, _vertex_mask_of_family(band)
     if not engine._lubell_prunes(0, engine.universe):
         try:
-            engine.maximize(seed_mask)
+            engine.maximize()
         except BudgetExceeded:
             wit = _family_from_vertex_mask(n, engine.best_wit)
             return ExtremalResult(
@@ -368,19 +367,14 @@ def la_exact(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalRe
     the cause.  The budget also bounds the lower bound, and BudgetExceeded
     propagates when it runs out there.
     """
-    seed = la_lower_bound(n, pattern, budget)
-    return _run_exact(n, pattern, budget, [1] * (n + 1), 1, seed)
+    return _run_exact(n, pattern, budget, [1] * (n + 1), 1)
 
 
 def lambda_exact(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
     """Largest Lubell mass of a pattern-free family in B_n, exact rational;
     degrades, and charges the budget, as la_exact does."""
-    seed_band = la_lower_bound(n, pattern, budget)
-    seed = ExtremalResult(
-        lubell_value(seed_band.witness), seed_band.witness, "lower-bound-only"
-    )
     # weights counted in units of 1/scale, scale the lcm of the level sizes,
     # keep the search in integers
     scale = _level_scale(n)
     level_weight = [scale // comb(n, i) for i in range(n + 1)]
-    return _run_exact(n, pattern, budget, level_weight, Fraction(1, scale), seed)
+    return _run_exact(n, pattern, budget, level_weight, Fraction(1, scale))

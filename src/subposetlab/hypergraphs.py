@@ -230,11 +230,12 @@ def _forced_coloring(root, edges_at, nbrs, color, k, budget) -> list[int] | None
     return done
 
 
-def _complete_kpartite(h: Hypergraph | None, pools, sizes, budget: Budget | None):
+def _complete_kpartite(h: Hypergraph, pools, sizes, budget: Budget | None):
     """Each choice of disjoint parts W_i, a sizes[i]-subset of pools[i],
-    whose transversal k-sets are all edges of h (all k-sets when h is
-    None), as (parts, transversal masks), in lexicographic order of the
-    parts; pools list their vertices ascending.
+    whose transversal k-sets are all edges of h, as (parts, transversal
+    masks), in lexicographic order of the parts; pools list their
+    vertices ascending.  On the complete k-graph every choice of disjoint
+    parts is one, so `_kpartite_copies` lists the Turan copies with it.
 
     A vertex of part i lies on prod(sizes)/sizes[i] transversals, so one
     of lower degree is never tried.  The last part is chosen among the
@@ -243,18 +244,16 @@ def _complete_kpartite(h: Hypergraph | None, pools, sizes, budget: Budget | None
     keeps one frame per open part on an explicit stack.
     """
     last = len(sizes) - 1
-    edge_set = None if h is None else set(h.edges)
-    if h is not None:
-        degree = Counter(v for e in h.edges for v in elements_of_mask(e))
-        total = prod(sizes)
-        pools = [
-            [v for v in pool if degree[v] >= total // s]
-            for pool, s in zip(pools, sizes)
-        ]
+    edge_set = set(h.edges)
+    degree = Counter(v for e in h.edges for v in elements_of_mask(e))
+    total = prod(sizes)
+    pools = [
+        [v for v in pool if degree[v] >= total // s] for pool, s in zip(pools, sizes)
+    ]
 
     def choices(i: int, stems: list[int], used: int):
         cand = [v for v in pools[i] if not used >> (v - 1) & 1]
-        if i == last and edge_set is not None:
+        if i == last:
             cand = [
                 v for v in cand if all(s | 1 << (v - 1) in edge_set for s in stems)
             ]
@@ -478,9 +477,10 @@ def _kpartite_copies(
     edges: list[int], n: int, sizes, budget: Budget | None
 ) -> tuple[int, ...]:
     """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
-    positions of its edges in `edges`; one tick per part choice.  Raises
-    ValueError, before any tick, when the copies would pass
-    TURAN_SIZE_LIMIT."""
+    positions of its edges in `edges`, the k-sets of [n] in ascending mask
+    order: `_complete_kpartite` on the complete k-graph, one tick per part
+    choice.  Raises ValueError, before that graph is built or any tick,
+    when the copies would pass TURAN_SIZE_LIMIT."""
     if sum(sizes) > n:
         return ()
     if _kpartite_copy_count(n, sizes) * len(edges) > TURAN_SIZE_LIMIT:
@@ -491,8 +491,9 @@ def _kpartite_copies(
     index = {e: i for i, e in enumerate(edges)}
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
+    complete = Hypergraph(len(sizes), n, tuple(edges))
     pools = [range(1, n + 1)] * len(sizes)
-    for _, transversals in _complete_kpartite(None, pools, sizes, budget):
+    for _, transversals in _complete_kpartite(complete, pools, sizes, budget):
         buf = bytearray(nbytes)
         for e in transversals:
             b = index[e]
@@ -536,7 +537,7 @@ def turan_oracle(
     )
     copies = _kpartite_copies(edges, n, sizes, budget)
     engine = _Engine(len(edges), [1] * len(edges), copies, budget)
-    engine.maximize(0)
+    engine.maximize()
     value = engine.best_val
     wit_mask = engine.lexmin_witness(value, engine.best_wit)
     witness = Hypergraph(

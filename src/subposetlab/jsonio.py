@@ -63,9 +63,7 @@ def family_from_json(obj) -> SubsetFamily:
     return SubsetFamily.from_sets(decode_int(obj["n"]), _int_rows(obj["sets"]))
 
 
-def poset_to_json(p: Poset, name: str | None = None):
-    if name is not None:
-        return name
+def poset_to_json(p: Poset) -> dict:
     return {"size": p.size, "covers": [list(c) for c in p.cover_relations()]}
 
 
@@ -98,7 +96,9 @@ def representation_to_json(rep: KPartiteRepresentation) -> dict:
         "k": rep.k,
         "l": rep.l,
         "family": [list(s) for s in rep.family.sets()],
-        "target": poset_to_json(rep.target, rep.target_name),
+        "target": (
+            poset_to_json(rep.target) if rep.target_name is None else rep.target_name
+        ),
     }
 
 

@@ -7,6 +7,7 @@ from itertools import permutations
 from math import factorial
 
 from subposetlab import (
+    Hypergraph,
     SubsetFamily,
     cli,
     contains_weak,
@@ -28,6 +29,17 @@ def parser_flags() -> dict[str, set[str]]:
         verb: {o for a in sp._actions for o in a.option_strings if o not in ("-h", "--help")}
         for verb, sp in verbs.choices.items()
     }
+
+
+def pendant_pairs_below_k4(m):
+    """m triples {2i - 1, 2i, hub} and three triples whose pairs form a K4
+    on the hub and the three labels above it.  The edges force no color
+    past the first triple, and a search in label order tries the colorings
+    of every pair before it reaches the K4."""
+    hub = 2 * m + 1
+    triples = [[2 * i + 1, 2 * i + 2, hub] for i in range(m)]
+    triples += [[hub, hub + 1, hub + 2], [hub + 1, hub + 2, hub + 3], [hub, hub + 3, hub + 4]]
+    return Hypergraph.from_edge_sets(3, hub + 4, triples)
 
 
 def random_family(n: int, rng: random.Random, size: int) -> SubsetFamily:

@@ -24,13 +24,14 @@ from subposetlab import (
     cli,
     crown,
     extremal,
+    jsonio,
     la_lower_bound,
     posets,
     rep_crown14,
     tail_mass,
 )
 from subposetlab.cli import main
-from conftest import BUDGETED_VERBS, parser_flags
+from conftest import BUDGETED_VERBS, parser_flags, pendant_pairs_below_k4
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -534,6 +535,18 @@ def test_verify_rep_budget_bounds_the_partite_search(capsys, tmp_path):
     code, out, _ = run(capsys, "verify-rep", "--file", path, "--budget", "1000")
     assert time.monotonic() - t0 < 1
     assert code == 3 and out == ""
+
+
+def test_partite_runs_under_the_default_search_budget(capsys, tmp_path, monkeypatch):
+    # the edges force no coloring past the first triple, so the search in
+    # label order backtracks, about 6^m ticks: 168,606 at m = 7
+    obj = jsonio.hypergraph_to_json(pendant_pairs_below_k4(7))
+    path = write_json(tmp_path, "pendant.json", obj)
+    code, out, _ = run(capsys, "partite", "--file", path)
+    assert code == 1 and json.loads(out) == {"partite": False}
+    monkeypatch.setattr(cli, "DEFAULT_SEARCH_BUDGET", 1000)
+    code, out, err = run(capsys, "partite", "--file", path)
+    assert (code, out) == (3, "") and "budget of 1000 ticks exhausted" in err
 
 
 def test_elements_and_vertices_are_read_as_integers(capsys, tmp_path):

@@ -71,7 +71,7 @@ def assert_one_embedding_per_orbit(n, pattern):
     """enumerate_copies lists the images of every embedding, and its search
     yields 1/|Aut(pattern)| of the embeddings, each one of the plain
     search's, in the plain search's order."""
-    host = extremal._lattice_poset(n)
+    _, _, host = extremal._lattice(n)
     plain = list(iter_embeddings(host, pattern))
     images = {sum(1 << v for v in phi) for phi in plain}
     assert enumerate_copies(n, pattern).copies == tuple(sorted(images))
@@ -229,7 +229,7 @@ def test_chain_bound_closes_chain_patterns_at_the_root(monkeypatch):
     value is Erdos's Sigma(n, k - 1) for la and min(k - 1, n + 1) for
     lambda."""
 
-    def no_search(self, seed_wit):
+    def no_search(self):
         raise AssertionError("maximize ran on a chain pattern")
 
     monkeypatch.setattr(extremal._Engine, "maximize", no_search)
@@ -453,13 +453,20 @@ def test_la_lower_bound_band():
 
 
 def test_copy_cap_degrades_to_lower_bound(monkeypatch):
+    """The band is valued by the solver's level weights: its size for la
+    (an int), its Lubell mass for lambda (a Fraction), one level or two."""
     monkeypatch.setattr(extremal, "COPY_CAP", 3)
-    for solve, band_value in ((la_exact, comb(4, 2)), (lambda_exact, 1)):
-        res = solve(4, chain(2))
-        assert res.optimality == "lower-bound-only"
-        assert res.degraded == "copy-cap"
-        assert res.value == band_value
-        assert not contains_weak(family_as_poset(res.witness), chain(2))
+    for n, pattern, la_value, lambda_value in (
+        (4, chain(2), comb(4, 2), Fraction(1)),
+        (5, make_poset("butterfly"), comb(5, 2) + comb(5, 3), Fraction(2)),
+    ):
+        for solve, band_value in ((la_exact, la_value), (lambda_exact, lambda_value)):
+            res = solve(n, pattern)
+            assert res.optimality == "lower-bound-only"
+            assert res.degraded == "copy-cap"
+            assert res.value == band_value
+            assert type(res.value) is type(band_value)
+            assert not contains_weak(family_as_poset(res.witness), pattern)
 
 
 def test_budget_degrades_but_stays_sound():
