@@ -20,9 +20,10 @@ from .budget import Budget, BudgetExceeded
 from .extremal import la_exact, lambda_exact
 from .hypergraphs import is_k_partite, turan_oracle
 from .instrumentation import (
+    ChainPairStats,
+    _configuration_identity,
+    _down_degree_identity,
     chain_pair_stats,
-    configuration_identity,
-    down_degree_identity,
     enumerate_k_configurations,
 )
 from .lattice import (
@@ -50,8 +51,9 @@ DEFAULT_SOLVE_BUDGET = 50_000_000
 # the band posets and the lattice poset take about 0.03 s at n = 10 and
 # 0.2 s at n = 12 (2-core x86, Python 3.11).
 MAX_SOLVE_N = 10
-# Largest --n for scd: n = 16 takes about 0.6 s and 80 MB for 7 MB of
-# output, and each step up doubles all three.
+# Largest --n for scd: n = 16 takes about 0.6 s and 50 MB for 7 MB of
+# output (2-core x86, Python 3.11, on a host where the bracket grouping
+# this replaced took 1.1 s and 81 MB), and each step up doubles all three.
 MAX_SCD_N = 16
 # Largest --max-gap for report: a k-configuration deletes k of the n
 # elements, so every entry past n is zero.  64 gaps take about 0.05 s on a
@@ -123,8 +125,7 @@ def _lubell_json(fam: SubsetFamily) -> dict:
     }
 
 
-def _chain_stats_json(fam: SubsetFamily) -> dict:
-    stats = chain_pair_stats(fam)
+def _chain_stats_json(stats: ChainPairStats) -> dict:
     return {
         "pair_expectation": jsonio.encode_fraction(stats.pair_expectation),
         "triple_expectation": jsonio.encode_fraction(stats.triple_expectation),
@@ -210,7 +211,7 @@ def _cmd_lubell(args) -> int:
 
 def _cmd_chain_stats(args) -> int:
     fam = _family_arg(args.file)
-    _emit({"n": fam.n, "size": len(fam), **_chain_stats_json(fam)})
+    _emit({"n": fam.n, "size": len(fam), **_chain_stats_json(chain_pair_stats(fam))})
     return 0
 
 
@@ -287,12 +288,15 @@ def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
     fam = _family_arg(args.file)
-    out = {**_lubell_json(fam), **_chain_stats_json(fam)}
-    lhs, rhs, equal = down_degree_identity(fam)
+    # chain_pair_stats and each gap's enumeration run once, each serving
+    # its own entry and the identity that rests on it
+    stats = chain_pair_stats(fam)
+    out = {**_lubell_json(fam), **_chain_stats_json(stats)}
+    lhs, rhs, equal = _down_degree_identity(fam, stats)
     configs = {}
     for k in range(1, args.max_gap + 1):
-        cfgs, _ = enumerate_k_configurations(fam, k)
-        ilhs, irhs, iok = configuration_identity(fam, k)
+        cfgs, counts = enumerate_k_configurations(fam, k)
+        ilhs, irhs, iok = _configuration_identity(fam, k, counts)
         configs[str(k)] = {
             "count": len(cfgs),
             "core_side": jsonio.encode_fraction(ilhs),

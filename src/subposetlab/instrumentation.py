@@ -21,7 +21,7 @@ from .hypergraphs import (
     cover_multiplicity,
     is_k_partite,
 )
-from .lattice import SubsetFamily, bits, mask_from_elements
+from .lattice import SubsetFamily, bits, mask_from_elements, ratio_sum
 from .posets import family_as_poset, find_embedding
 from .representations import KPartiteRepresentation, partite_graph
 
@@ -92,15 +92,23 @@ def down_degree_identity(family: SubsetFamily) -> tuple[Fraction, Fraction, bool
     sums the chain weight of every gap-1 member pair.  They agree term by
     term, so the boolean is an internal consistency check.
     """
+    return _down_degree_identity(family, chain_pair_stats(family))
+
+
+def _down_degree_identity(
+    family: SubsetFamily, stats: ChainPairStats
+) -> tuple[Fraction, Fraction, bool]:
+    """down_degree_identity with the family's chain_pair_stats given, so
+    that report computes them once."""
     n = family.n
     ms = family.member_set()
-    lhs = Fraction(0)
+    degrees: dict[int, int] = {}  # summed d(B) per size |B|
     for b in family.members:
         size = b.bit_count()
-        if size == 0:
-            continue
-        lhs += Fraction(_deletable_mask(ms, b).bit_count(), comb(n, size) * size)
-    rhs = chain_pair_stats(family).gap_histogram.get(1, Fraction(0))
+        if size:
+            degrees[size] = degrees.get(size, 0) + _deletable_mask(ms, b).bit_count()
+    lhs = ratio_sum((d, comb(n, size) * size) for size, d in degrees.items())
+    rhs = stats.gap_histogram.get(1, Fraction(0))
     return lhs, rhs, lhs == rhs
 
 
@@ -143,17 +151,29 @@ def configuration_identity(
     Grouping by core gives sum of L(S)/C(n,|S|+k); grouping by member gives
     sum of C(d(B),k)/C(n,|B|).  Exactly equal for every family.
     """
-    n = family.n
     _, counts = enumerate_k_configurations(family, k)
-    lhs = Fraction(0)
+    return _configuration_identity(family, k, counts)
+
+
+def _configuration_identity(
+    family: SubsetFamily, k: int, counts: dict[int, int]
+) -> tuple[Fraction, Fraction, bool]:
+    """configuration_identity with the per-core counts of
+    enumerate_k_configurations given, so that report enumerates once."""
+    n = family.n
+    cores: dict[int, int] = {}  # summed L(S) per size |S| + k
     for s, cnt in counts.items():
-        lhs += Fraction(cnt, comb(n, s.bit_count() + k))
-    rhs = Fraction(0)
+        size = s.bit_count() + k
+        cores[size] = cores.get(size, 0) + cnt
+    members: dict[int, int] = {}  # summed C(d(B), k) per size |B|
     ms = family.member_set()
     for b in family.members:
         d = _deletable_mask(ms, b).bit_count()
         if d >= k:
-            rhs += Fraction(comb(d, k), comb(n, b.bit_count()))
+            size = b.bit_count()
+            members[size] = members.get(size, 0) + comb(d, k)
+    lhs = ratio_sum((cnt, comb(n, size)) for size, cnt in cores.items())
+    rhs = ratio_sum((cnt, comb(n, size)) for size, cnt in members.items())
     return lhs, rhs, lhs == rhs
 
 

@@ -8,9 +8,9 @@ formatting, so equal values serialize to identical bytes.
 
 from __future__ import annotations
 
-import json
 from decimal import Decimal
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .hypergraphs import Hypergraph, Partition
 from .lattice import ChainDecomposition, SubsetFamily, elements_of_mask
@@ -18,6 +18,11 @@ from .posets import Poset, from_cover_relations, make_poset
 from .representations import KPartiteRepresentation, RepresentationCertificate
 
 _SAFE = 1 << 53
+_INF = float("inf")
+_INT_ONLY = frozenset((int,))
+_END = object()
+_int_repr = int.__repr__
+_float_repr = float.__repr__
 
 
 def _digits(x: int) -> str:
@@ -134,7 +139,101 @@ def decomposition_to_json(dec: ChainDecomposition) -> dict:
     }
 
 
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return _float_repr(x)
+
+
+def _key_text(key) -> str:
+    """A dict key as the string json.dumps writes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return _int_repr(key)
+    raise TypeError(
+        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+    )
+
+
 def dumps(obj) -> str:
     """Canonical text form: two-space indent, fixed separators, trailing
-    newline, keys in insertion order."""
-    return json.dumps(obj, indent=2, separators=(",", ": "), sort_keys=False) + "\n"
+    newline, keys in insertion order.
+
+    The text is exactly what ``json.dumps`` writes with an indent of 2 and
+    the separators ``","`` and ``": "``, ASCII escapes included, plus the
+    newline.  Containers are walked on an explicit stack, and a list or
+    tuple of plain ints is written in one join.
+    """
+    out = []
+    # open containers, innermost last: [items, is_dict, separator before
+    # the next item, separator after the first, closing text, id]
+    stack = []
+    open_ids = set()  # json's markers: a container met again inside itself
+    value = obj
+    while True:
+        if isinstance(value, str):
+            out.append(_encode_str(value))
+        elif value is None:
+            out.append("null")
+        elif value is True:
+            out.append("true")
+        elif value is False:
+            out.append("false")
+        elif isinstance(value, int):
+            out.append(_int_repr(value))
+        elif isinstance(value, float):
+            out.append(_float_text(value))
+        elif isinstance(value, (list, tuple, dict)):
+            is_dict = isinstance(value, dict)
+            if not value:
+                out.append("{}" if is_dict else "[]")
+            else:
+                newline = "\n" + "  " * (len(stack) + 1)
+                close = newline[:-2] + ("}" if is_dict else "]")
+                if not is_dict and _INT_ONLY.issuperset(map(type, value)):
+                    # it holds no container, so it cannot hold itself
+                    out.append("[" + newline + ("," + newline).join(map(_int_repr, value)) + close)
+                else:
+                    if id(value) in open_ids:
+                        raise ValueError("Circular reference detected")
+                    open_ids.add(id(value))
+                    out.append("{" if is_dict else "[")
+                    items = iter(value.items() if is_dict else value)
+                    stack.append([items, is_dict, newline, "," + newline, close, id(value)])
+        else:
+            raise TypeError(
+                f"Object of type {value.__class__.__name__} is not JSON serializable"
+            )
+        while stack:
+            frame = stack[-1]
+            item = next(frame[0], _END)
+            if item is _END:
+                out.append(frame[4])
+                open_ids.discard(frame[5])
+                stack.pop()
+                continue
+            if frame[1]:
+                key, value = item
+                out.append(frame[2] + _encode_str(_key_text(key)) + ": ")
+            else:
+                value = item
+                out.append(frame[2])
+            frame[2] = frame[3]
+            break
+        else:
+            break
+    out.append("\n")
+    return "".join(out)

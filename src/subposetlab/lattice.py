@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 
 def mask_from_elements(elements, n: int) -> int:
@@ -114,13 +115,20 @@ def sigma(n: int, k: int) -> int:
     return sum(comb(n, i) for i in range(lo, lo + k))
 
 
+def ratio_sum(terms) -> Fraction:
+    """The exact sum of num/den over (num, den) pairs of ints: summed in
+    integers over the lcm of the denominators and divided once, where a
+    Fraction per term would reduce at every step."""
+    terms = list(terms)
+    total = lcm(*(den for _, den in terms))
+    return Fraction(sum(num * (total // den) for num, den in terms), total)
+
+
 def lubell_value(family: SubsetFamily) -> Fraction:
     """Sum of 1/C(n, |F|) over members F; also the expected number of
     members met by a uniformly random full chain."""
-    total = Fraction(0)
-    for m in family.members:
-        total += Fraction(1, comb(family.n, m.bit_count()))
-    return total
+    levels = Counter(map(int.bit_count, family.members))
+    return ratio_sum((count, comb(family.n, size)) for size, count in levels.items())
 
 
 def expected_chain_hits(family: SubsetFamily) -> Fraction:
@@ -143,24 +151,6 @@ def expected_chain_hits(family: SubsetFamily) -> Fraction:
     return Fraction(total_hits, factorial(n))
 
 
-def _bracket_match(mask: int, n: int) -> tuple[tuple[int, int], ...]:
-    """Match each set bit with a later unset bit, parenthesis style, and
-    return the matched (one, zero) positions in order of the zero.
-
-    Subsets sharing a matching form one saturated chain symmetric about
-    n/2; the pairing itself is the key, since distinct matchings can cover
-    the same positions.
-    """
-    stack = []
-    matched = []
-    for i in range(n):
-        if mask >> i & 1:
-            stack.append(i)
-        elif stack:
-            matched.append((stack.pop(), i))
-    return tuple(matched)
-
-
 @dataclass(frozen=True)
 class ChainDecomposition:
     """Disjoint saturated chains covering the subsets with sizes in a band."""
@@ -179,20 +169,46 @@ def full_symmetric_chains(
 ) -> tuple[tuple[int, ...], ...]:
     """The symmetric chain decomposition of the whole lattice, each chain's
     sizes running symmetrically about n/2, restricted to the subsets with
-    sizes in [level_lo, level_hi] (by default all of them): those subsets,
-    grouped by their bracket matching.
+    sizes in [level_lo, level_hi] (by default all of them).
+
+    Read position 0 to n-1 as a word, an element as an opening bracket and
+    a non-element as a closing one.  A chain's bottom is a subset whose
+    every element is matched by a later non-element; with p elements it
+    leaves n - 2p non-elements unmatched, and its chain is the bottom plus
+    the unmatched positions, added highest first, with sizes p to n - p.
+    The bottoms are generated position by position, and one with more than
+    min(level_hi, n - level_lo) elements is pruned, since its chain then
+    misses the band.  Chains come in the canonical order of their first
+    members.
     """
     if level_hi is None:
         level_hi = n
     if not 0 <= level_lo <= level_hi <= n:
         raise ValueError(f"invalid band [{level_lo}, {level_hi}] for n={n}")
-    groups: dict[tuple[tuple[int, int], ...], list[int]] = {}
-    for mask in range(1 << n):
-        if level_lo <= mask.bit_count() <= level_hi:
-            groups.setdefault(_bracket_match(mask, n), []).append(mask)
-    # masks arrive in increasing order, which on a chain of nested subsets
-    # is the canonical order
-    return tuple(sorted(map(tuple, groups.values()), key=lambda c: canonical_sort_key(c[0])))
+    most = min(level_hi, n - level_lo)
+    chains = []
+    # partial bottoms: (next position, mask, unmatched elements, elements,
+    # unmatched non-elements as a mask)
+    stack = [(0, 0, 0, 0, 0)]
+    while stack:
+        pos, mask, open_, ones, free = stack.pop()
+        if pos == n:
+            chain = [mask]
+            for i in reversed(bits(free)):
+                mask |= 1 << i
+                chain.append(mask)
+            chains.append(tuple(chain[max(0, level_lo - ones) : level_hi - ones + 1]))
+            continue
+        bit = 1 << pos
+        if open_:
+            stack.append((pos + 1, mask, open_ - 1, ones, free))
+        else:
+            stack.append((pos + 1, mask, 0, ones, free | bit))
+        # an element needs a later non-element to match it
+        if ones < most and open_ < n - pos - 1:
+            stack.append((pos + 1, mask | bit, open_ + 1, ones + 1, free))
+    chains.sort(key=lambda c: canonical_sort_key(c[0]))
+    return tuple(chains)
 
 
 def symmetric_chain_decomposition(n: int, level_lo: int, level_hi: int) -> ChainDecomposition:

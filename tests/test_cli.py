@@ -24,6 +24,7 @@ from subposetlab import (
     cli,
     crown,
     extremal,
+    instrumentation,
     jsonio,
     la_lower_bound,
     posets,
@@ -586,6 +587,40 @@ def test_scd_command(capsys):
     res = json.loads(out)
     assert res["level_lo"] == 0 and res["level_hi"] == 3 and res["count"] == 3
     assert run(capsys, "scd", "--n", "4", "--lo", "3", "--hi", "1")[0] == 2
+
+
+def test_scd_at_the_n_limit_covers_every_subset_once(capsys):
+    code, out, _ = run(capsys, "scd", "--n", str(cli.MAX_SCD_N))
+    assert code == 0
+    res = json.loads(out)
+    n = cli.MAX_SCD_N
+    assert res["count"] == len(res["chains"]) == comb(n, n // 2)
+    masks = sorted(sum(1 << (e - 1) for e in s) for ch in res["chains"] for s in ch)
+    assert masks == list(range(1 << n))
+
+
+def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("chain_pair_stats", "enumerate_k_configurations"):
+        wrapper = counted(getattr(instrumentation, name))
+        monkeypatch.setattr(instrumentation, name, wrapper)
+        monkeypatch.setattr(cli, name, wrapper)
+    sets = [[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 4], [3, 4]]
+    path = write_json(tmp_path, "fam.json", {"n": 4, "sets": sets})
+    code, out, _ = run(capsys, "report", "--file", path, "--max-gap", "3")
+    assert code == 0
+    assert sorted(calls) == ["chain_pair_stats"] + ["enumerate_k_configurations"] * 3
+    res = json.loads(out)
+    assert res["down_degree_identity"]["equal"] is True
+    assert [res["configurations"][k]["equal"] for k in "123"] == [True] * 3
 
 
 def test_tail_check_command(capsys):

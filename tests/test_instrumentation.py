@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from subposetlab import (
     ChainCoverViolation,
@@ -79,6 +81,35 @@ def test_down_degree_identity_matches_permutation_oracle():
             lhs, rhs, _ = down_degree_identity(fam)
             _, _, hist = perm_chain_stats(fam)
             assert lhs == rhs == hist.get(1, 0)
+
+
+@given(st.integers(1, 7), st.data())
+def test_identity_sums_equal_the_per_member_sums(n, data):
+    """The identities count in integers and divide once; each side equals
+    its sum of one Fraction per member or per core."""
+    fam = SubsetFamily.from_masks(n, data.draw(st.sets(st.integers(0, (1 << n) - 1))))
+    lhs, _, _ = down_degree_identity(fam)
+    assert lhs == sum(
+        (
+            Fraction(down_degree(fam, b), comb(n, b.bit_count()) * b.bit_count())
+            for b in fam.members
+            if b
+        ),
+        Fraction(0),
+    )
+    k = data.draw(st.integers(1, 3))
+    _, counts = enumerate_k_configurations(fam, k)
+    core_side, member_side, _ = configuration_identity(fam, k)
+    assert core_side == sum(
+        (Fraction(c, comb(n, s.bit_count() + k)) for s, c in counts.items()), Fraction(0)
+    )
+    assert member_side == sum(
+        (
+            Fraction(comb(down_degree(fam, b), k), comb(n, b.bit_count()))
+            for b in fam.members
+        ),
+        Fraction(0),
+    )
 
 
 def test_enumerate_k_configurations():

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,92 @@ def test_dumps_is_stable():
     text = dumps(obj)
     assert text == '{\n  "b": 1,\n  "a": [\n    1,\n    2\n  ]\n}\n'
     assert dumps(obj) == text
+
+
+class _Int(int):
+    def __repr__(self):
+        return "not json"
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+def reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, separators=(",", ": ")) + "\n"
+
+
+_scalars = (
+    st.text()
+    | st.text().map(_Str)
+    | st.sampled_from(["", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é ü ∑ 😀 \u2028"])
+    | st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**53 - 2, max_value=2**70)
+    | st.integers(max_value=-1)
+    | st.integers(-5, 5).map(_Int)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+)
+_keys = (
+    st.text()
+    | st.text().map(_Str)
+    | st.integers()
+    | st.integers(-5, 5).map(_Int)
+    | st.booleans()
+    | st.none()
+    | st.floats()
+)
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers(), min_size=1)
+    | st.dictionaries(_keys, inner)
+    | st.dictionaries(_keys, inner).map(_Dict),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+def test_dumps_matches_the_json_reference(value):
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_dumps_matches_the_json_errors():
+    loop = [1]
+    loop.append([2, loop])
+    table = {"a": 1}
+    table["b"] = [table]
+    for value in (loop, table):
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            dumps(value)
+    for value in ({"x": [1, {2}]}, {(1,): 2}, object(), Fraction(1, 2)):
+        with pytest.raises(TypeError) as ours:
+            dumps(value)
+        with pytest.raises(TypeError) as ref:
+            reference_dumps(value)
+        assert str(ours.value) == str(ref.value)
+
+
+def test_dumps_repeats_a_shared_container():
+    shared = [1, [2]]
+    value = {"a": shared, "b": (shared, shared)}
+    assert dumps(value) == reference_dumps(value)
+
+
+def test_dumps_has_no_depth_limit():
+    # past the depth at which the recursive json encoder stops; the text
+    # grows with the square of the depth, by the indentation
+    value = []
+    for _ in range(3_000):
+        value = [value]
+    assert dumps(value).count("[") == 3_001
 
 
 def test_chain_poset_json_symmetry():

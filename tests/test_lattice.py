@@ -24,7 +24,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     tail_mass,
 )
-from subposetlab.lattice import _ln_bracket, bits
+from subposetlab.lattice import _ln_bracket, bits, ratio_sum
 from conftest import random_family
 
 
@@ -89,6 +89,20 @@ def test_lubell_matches_chain_enumeration(n, data):
     assert lubell_value(fam) == expected_chain_hits(fam)
 
 
+@given(st.integers(0, 9), st.data())
+def test_lubell_value_equals_the_per_member_sum(n, data):
+    masks = data.draw(st.sets(st.integers(0, (1 << n) - 1)))
+    fam = SubsetFamily.from_masks(n, masks)
+    assert lubell_value(fam) == sum(
+        (Fraction(1, comb(n, m.bit_count())) for m in masks), Fraction(0)
+    )
+
+
+def test_ratio_sum():
+    assert ratio_sum([]) == 0
+    assert ratio_sum([(1, 6), (1, 6), (2, 4), (0, 7)]) == Fraction(5, 6)
+
+
 def test_expected_chain_hits_counts_empty_set():
     fam = SubsetFamily.from_masks(3, (0,))
     assert expected_chain_hits(fam) == 1
@@ -149,7 +163,8 @@ def restricted_full_decomposition(n):
 
 
 def test_scd_bands_match_restricted_full_decomposition():
-    for n in range(0, 11):
+    # up to the largest n of the benchmark's scd jobs
+    for n in range(0, 13):
         reference = restricted_full_decomposition(n)
         assert full_symmetric_chains(n) == reference(0, n)
         for lo in range(n + 1):
