@@ -22,9 +22,10 @@ from .hypergraphs import is_k_partite, turan_oracle
 from .instrumentation import (
     ChainPairStats,
     _configuration_identity,
+    _deletable_masks,
     _down_degree_identity,
+    _k_configurations,
     chain_pair_stats,
-    enumerate_k_configurations,
 )
 from .lattice import (
     SubsetFamily,
@@ -288,15 +289,16 @@ def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
     fam = _family_arg(args.file)
-    # chain_pair_stats and each gap's enumeration run once, each serving
-    # its own entry and the identity that rests on it
+    # chain_pair_stats, the deletion test and each gap's enumeration run
+    # once, each serving its own entry and the identities that rest on it
     stats = chain_pair_stats(fam)
+    deletable = _deletable_masks(fam)
     out = {**_lubell_json(fam), **_chain_stats_json(stats)}
-    lhs, rhs, equal = _down_degree_identity(fam, stats)
+    lhs, rhs, equal = _down_degree_identity(fam, stats, deletable)
     configs = {}
     for k in range(1, args.max_gap + 1):
-        cfgs, counts = enumerate_k_configurations(fam, k)
-        ilhs, irhs, iok = _configuration_identity(fam, k, counts)
+        cfgs, counts = _k_configurations(fam, k, deletable)
+        ilhs, irhs, iok = _configuration_identity(fam, k, counts, deletable)
         configs[str(k)] = {
             "count": len(cfgs),
             "core_side": jsonio.encode_fraction(ilhs),

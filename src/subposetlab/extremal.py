@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import permutations
 from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
@@ -83,6 +84,82 @@ def enumerate_copies(
     return CopyHypergraph(tuple(sorted(images)), True)
 
 
+# Largest ground set whose symmetric group the value phase branches on: a
+# stabilizer then holds at most 2 * 7! elements.
+SYMMETRY_MAX_N = 7
+
+
+class _SubsetSymmetry:
+    """The permutations of [n] acting on vertices that are subsets of [n],
+    masks[v] the subset of vertex v; with complement=True, also each of
+    them followed by complementation.  The vertex set must be closed under
+    the group, so the orbit of a k-set is every vertex of size k, and of
+    size n - k under complementation.  The group is never listed: `orbit`
+    builds one vertex's stabilizer from the permutations of its set and of
+    the rest."""
+
+    def __init__(self, n: int, masks, complement: bool):
+        self.n = n
+        self.masks = masks
+        self.complement = complement
+        self.vertex_of = [-1] * (1 << n)
+        self.by_size = [0] * (n + 1)
+        for v, m in enumerate(masks):
+            self.vertex_of[m] = v
+            self.by_size[m.bit_count()] |= 1 << v
+
+    def _vertex_map(self, sources, targets, flip: int) -> tuple[int, ...]:
+        """The vertex map of the element that sends element sources[i] to
+        targets[i], sources listing all of [n], and then xors flip."""
+        to = [0] * self.n
+        for e, f in zip(sources, targets):
+            to[e] = 1 << f
+        images = [flip]  # the image of every mask, doubled element by element
+        for b in to:
+            images += [x ^ b for x in images]
+        vertex_of = self.vertex_of.__getitem__
+        return tuple(map(vertex_of, map(images.__getitem__, self.masks)))
+
+    def orbit(self, u: int) -> tuple[int, list[tuple[int, ...]]]:
+        """u's orbit as a vertex mask, and the elements that fix u as
+        distinct vertex maps."""
+        n, a = self.n, self.masks[u]
+        inside = bits(a)
+        outside = [e for e in range(n) if not a >> e & 1]
+        k = len(inside)
+        orbit = self.by_size[k]
+        # (image of inside, image of outside, xor): the permutations that
+        # keep u's set, and when complementation keeps its size, those that
+        # swap it with the rest and then complement
+        kinds = [(inside, outside, 0)]
+        if self.complement:
+            orbit |= self.by_size[n - k]
+            if 2 * k == n:
+                kinds.append((outside, inside, (1 << n) - 1))
+        sources = inside + outside
+        maps = {
+            self._vertex_map(sources, s + t, flip): None
+            for onto_in, onto_out, flip in kinds
+            for s in permutations(onto_in)
+            for t in permutations(onto_out)
+        }
+        return orbit, list(maps)
+
+
+def _orbit(group, u: int) -> tuple[int, list[tuple[int, ...]]]:
+    """u's orbit under group, a `_SubsetSymmetry` or a list of vertex
+    maps, as a vertex mask, and the elements of group that fix u."""
+    if type(group) is not list:
+        return group.orbit(u)
+    orbit, stab = 0, []
+    for g in group:
+        v = g[u]
+        orbit |= 1 << v
+        if v == u:
+            stab.append(g)
+    return orbit, stab
+
+
 class _Engine:
     """Branch and bound for a maximum-weight vertex set that holds no copy.
 
@@ -116,6 +193,24 @@ class _Engine:
     some f_i, and the least such i names the one child that holds it, so
     the children split the node's completions.  An include can complete
     a copy; that child is pruned as a dead copy when it is reached.
+    Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
+    Program. 2011), in `maximize` only: `symmetry`, when given, is called
+    once there and returns a `_SubsetSymmetry`, a group of vertex
+    permutations that maps the copies onto themselves and keeps every
+    weight.  Each node of that search carries its stabilizer G, the
+    elements that fix its included set and its excluded set: the whole
+    group at the root, a list of vertex maps below, None when only the
+    identity is left.  A node with a nontrivial G is packed and bounded as
+    above, then branches in two on u, the lowest free vertex of the branch
+    copy, and u's orbit O under G.  The child that includes all of O keeps
+    G and is searched first; the child that excludes u keeps G_u, the
+    elements that fix u.  A completion that includes all of O lies in the
+    first child.  One that excludes some v in O maps, under an element of
+    G taking v to u, onto a completion of the node of equal weight that
+    excludes u, so the second child holds an optimum whenever the first
+    does not.  Callers give a group only for n <= SYMMETRY_MAX_N, where a
+    stabilizer holds at most 2 * 7! elements.  A node with G None, and
+    every node of a feasibility search, branches on the copy as above.
     The incumbent (best_val, best_wit) starts as the empty set; a caller
     with a better seed sets it before `maximize`.  A feasibility search
     for weight >= target starts from best_val = target - 1 and stops at
@@ -123,9 +218,17 @@ class _Engine:
     """
 
     def __init__(
-        self, nverts: int, weights, copies, budget: Budget | None, levels=(), capacity=0
+        self,
+        nverts: int,
+        weights,
+        copies,
+        budget: Budget | None,
+        levels=(),
+        capacity=0,
+        symmetry=None,
     ):
         self.nverts = nverts
+        self.symmetry = symmetry
         self.weights = list(weights)
         self.levels = levels
         self.capacity = capacity
@@ -171,18 +274,25 @@ class _Engine:
         return gain <= best
 
     def _search(
-        self, included: int, excluded: int, w_out: int, alive: int, first: bool
+        self,
+        included: int,
+        excluded: int,
+        w_out: int,
+        alive: int,
+        first: bool,
+        group=None,
     ) -> bool:
         """Depth-first search below one node, w_out the weight of its
-        excluded set, raising best_val and best_wit; with first=True, True
-        as soon as best_val rises."""
+        excluded set and group its stabilizer (None when trivial), raising
+        best_val and best_wit; with first=True, True as soon as best_val
+        rises."""
         by_bit, miss, weights = self.by_bit, self.miss, self.weights
         classes, universe, total = self.classes, self.universe, self.total
         lubell_prunes = self._lubell_prunes if self.levels else None
         tick = self.budget.tick if self.budget is not None else None
-        stack = [(included, excluded, w_out, alive)]
+        stack = [(included, excluded, w_out, alive, group)]
         while stack:
-            included, excluded, w_out, alive = stack.pop()
+            included, excluded, w_out, alive, group = stack.pop()
             if tick is not None:
                 tick()
             free = universe & ~included & ~excluded
@@ -220,19 +330,34 @@ class _Engine:
                     fp ^= low
             if rest:
                 continue
+            if group is not None:
+                # orbital: exclude u alone, or include u's whole orbit
+                low = branch & -branch
+                u = low.bit_length() - 1
+                orbit, stab = _orbit(group, u)
+                stack.append((
+                    included,
+                    excluded | low,
+                    w_out + weights[u],
+                    alive & miss[u],
+                    stab if len(stab) > 1 else None,
+                ))
+                stack.append((included | orbit, excluded, w_out, alive, group))
+                continue
             while branch:
                 low = branch & -branch
                 v = low.bit_length() - 1
-                stack.append(
-                    (included, excluded | low, w_out + weights[v], alive & miss[v])
-                )
+                stack.append((
+                    included, excluded | low, w_out + weights[v], alive & miss[v], None
+                ))
                 included |= low
                 branch ^= low
         return False
 
     def maximize(self) -> None:
         """Raise the incumbent to an optimum, searching from the root."""
-        self._search(0, 0, 0, self.all_copies, False)
+        group = self.symmetry() if self.symmetry is not None else None
+        self._search(0, 0, 0, self.all_copies, False, group)
 
     def lexmin_witness(self, target: int, wit: int) -> int:
         """The set of weight >= target whose sorted vertex list is
@@ -299,6 +424,18 @@ def _level_scale(n: int) -> int:
     return lcm(*(comb(n, i) for i in range(n + 1)))
 
 
+def _lattice_symmetry(
+    n: int, pattern: Poset, budget: Budget | None
+) -> _SubsetSymmetry:
+    """The symmetry of B_n that maps copies of the pattern to copies:
+    the permutations of [n], and complementation too when the pattern is
+    isomorphic to its dual.  A weak embedding between posets of one size
+    is an isomorphism, so one weak-embedding search decides that."""
+    verts, _, _ = _lattice(n)
+    dual = Poset(pattern.size, pattern.down)
+    return _SubsetSymmetry(n, verts, contains_weak(dual, pattern, budget))
+
+
 def _run_exact(n, pattern, budget, level_weight, unit):
     """Branch and bound over the copies, each vertex weighing
     level_weight[|set|] units of `unit`, seeded with the band of
@@ -316,7 +453,14 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     |P| - 1) for la (Erdos), |P| - 1 for lambda.  When the seed reaches
     that, as it does for chain patterns, it is optimal and the maximize
     phase is skipped; copy enumeration, the witness phase and the re-check
-    run as always."""
+    run as always.
+
+    For n <= SYMMETRY_MAX_N the maximize phase branches on orbits of the
+    permutations of [n], joined by complementation when the pattern is
+    isomorphic to its dual (`_lattice_symmetry`); that test and the group
+    are built only when the phase runs, after the root Lubell check.  The
+    witness phase never uses the group, so the witness is still the least
+    optimum."""
     band = la_lower_bound(n, pattern, budget).witness
     seed_val = sum(level_weight[m.bit_count()] for m in band.members)
     seed = ExtremalResult(unit * seed_val, band, "lower-bound-only")
@@ -334,8 +478,17 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     scale = _level_scale(n)
     order = sorted(range(n + 1), key=lambda i: -level_weight[i] * comb(n, i))
     levels = [(masks[i], level_weight[i], scale // comb(n, i)) for i in order]
+    symmetry = None
+    if n <= SYMMETRY_MAX_N:
+        symmetry = lambda: _lattice_symmetry(n, pattern, budget)
     engine = _Engine(
-        len(verts), weights, ch.copies, budget, levels, (pattern.size - 1) * scale
+        len(verts),
+        weights,
+        ch.copies,
+        budget,
+        levels,
+        (pattern.size - 1) * scale,
+        symmetry,
     )
     engine.best_val, engine.best_wit = seed_val, _vertex_mask_of_family(band)
     if not engine._lubell_prunes(0, engine.universe):

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .budget import Budget
-from .extremal import _Engine
+from .extremal import SYMMETRY_MAX_N, _Engine, _SubsetSymmetry
 from .lattice import SubsetFamily, bits, elements_of_mask, mask_from_elements
 
 
@@ -511,11 +511,13 @@ def turan_oracle(
 
     The candidate edges, in ascending mask order, are the vertices of the
     extremal engine and the complete k-partite copies its copies: the value
-    comes from its branch and bound, the witness is the optimal edge set
-    whose sorted mask list is lexicographically least, re-checked free of
-    the forbidden copy.  The budget bounds copy enumeration and both
-    searches; an instance past TURAN_SIZE_LIMIT, with the copies counted
-    exactly before any is listed, raises ValueError before any tick.
+    comes from its branch and bound, which for n <= SYMMETRY_MAX_N
+    branches on orbits of the permutations of [n]; the witness is the
+    optimal edge set whose sorted mask list is lexicographically least,
+    re-checked free of the forbidden copy.  The budget bounds copy
+    enumeration and both searches; an instance past TURAN_SIZE_LIMIT,
+    with the copies counted exactly before any is listed, raises
+    ValueError before any tick.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -536,7 +538,10 @@ def turan_oracle(
         sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k)
     )
     copies = _kpartite_copies(edges, n, sizes, budget)
-    engine = _Engine(len(edges), [1] * len(edges), copies, budget)
+    symmetry = None
+    if n <= SYMMETRY_MAX_N:
+        symmetry = lambda: _SubsetSymmetry(n, edges, False)
+    engine = _Engine(len(edges), [1] * len(edges), copies, budget, (), 0, symmetry)
     engine.maximize()
     value = engine.best_val
     wit_mask = engine.lexmin_witness(value, engine.best_wit)

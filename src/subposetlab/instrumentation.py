@@ -77,6 +77,13 @@ def _deletable_mask(members: frozenset, b: int) -> int:
     return sum(1 << i for i in bits(b) if b ^ 1 << i in members)
 
 
+def _deletable_masks(family: SubsetFamily) -> list[int]:
+    """`_deletable_mask` of every member, in member order: the one pass
+    that the down-degree and configuration counts share."""
+    ms = family.member_set()
+    return [_deletable_mask(ms, b) for b in family.members]
+
+
 def down_degree(family: SubsetFamily, b: int) -> int:
     """Number of members one element below b.  b must be a member."""
     ms = family.member_set()
@@ -92,21 +99,21 @@ def down_degree_identity(family: SubsetFamily) -> tuple[Fraction, Fraction, bool
     sums the chain weight of every gap-1 member pair.  They agree term by
     term, so the boolean is an internal consistency check.
     """
-    return _down_degree_identity(family, chain_pair_stats(family))
+    stats = chain_pair_stats(family)
+    return _down_degree_identity(family, stats, _deletable_masks(family))
 
 
 def _down_degree_identity(
-    family: SubsetFamily, stats: ChainPairStats
+    family: SubsetFamily, stats: ChainPairStats, deletable: list[int]
 ) -> tuple[Fraction, Fraction, bool]:
-    """down_degree_identity with the family's chain_pair_stats given, so
-    that report computes them once."""
+    """down_degree_identity with the family's chain_pair_stats and
+    `_deletable_masks` given, so that report computes them once."""
     n = family.n
-    ms = family.member_set()
     degrees: dict[int, int] = {}  # summed d(B) per size |B|
-    for b in family.members:
+    for b, mask in zip(family.members, deletable):
         size = b.bit_count()
         if size:
-            degrees[size] = degrees.get(size, 0) + _deletable_mask(ms, b).bit_count()
+            degrees[size] = degrees.get(size, 0) + mask.bit_count()
     lhs = ratio_sum((d, comb(n, size) * size) for size, d in degrees.items())
     rhs = stats.gap_histogram.get(1, Fraction(0))
     return lhs, rhs, lhs == rhs
@@ -131,11 +138,18 @@ def enumerate_k_configurations(
     """All k-configurations, plus the count of configurations per core."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    return _k_configurations(family, k, _deletable_masks(family))
+
+
+def _k_configurations(
+    family: SubsetFamily, k: int, deletable: list[int]
+) -> tuple[tuple[KConfiguration, ...], dict[int, int]]:
+    """enumerate_k_configurations, k >= 1, with the family's
+    `_deletable_masks` given."""
     configs = []
     counts: dict[int, int] = {}
-    ms = family.member_set()
-    for b in family.members:
-        singles = [1 << i for i in bits(_deletable_mask(ms, b))]
+    for b, mask in zip(family.members, deletable):
+        singles = [1 << i for i in bits(mask)]
         for combo in combinations(singles, k):
             s = b & ~sum(combo)
             configs.append(KConfiguration(s, b))
@@ -151,24 +165,27 @@ def configuration_identity(
     Grouping by core gives sum of L(S)/C(n,|S|+k); grouping by member gives
     sum of C(d(B),k)/C(n,|B|).  Exactly equal for every family.
     """
-    _, counts = enumerate_k_configurations(family, k)
-    return _configuration_identity(family, k, counts)
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    deletable = _deletable_masks(family)
+    _, counts = _k_configurations(family, k, deletable)
+    return _configuration_identity(family, k, counts, deletable)
 
 
 def _configuration_identity(
-    family: SubsetFamily, k: int, counts: dict[int, int]
+    family: SubsetFamily, k: int, counts: dict[int, int], deletable: list[int]
 ) -> tuple[Fraction, Fraction, bool]:
     """configuration_identity with the per-core counts of
-    enumerate_k_configurations given, so that report enumerates once."""
+    enumerate_k_configurations and the family's `_deletable_masks` given,
+    so that report enumerates once."""
     n = family.n
     cores: dict[int, int] = {}  # summed L(S) per size |S| + k
     for s, cnt in counts.items():
         size = s.bit_count() + k
         cores[size] = cores.get(size, 0) + cnt
     members: dict[int, int] = {}  # summed C(d(B), k) per size |B|
-    ms = family.member_set()
-    for b in family.members:
-        d = _deletable_mask(ms, b).bit_count()
+    for b, mask in zip(family.members, deletable):
+        d = mask.bit_count()
         if d >= k:
             size = b.bit_count()
             members[size] = members.get(size, 0) + comb(d, k)

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from unittest import mock
 
 from subposetlab import (
     Hypergraph,
@@ -13,8 +14,10 @@ from subposetlab import (
     contains_weak,
     family_as_poset,
     from_cover_relations,
+    extremal,
     lubell_value,
 )
+from subposetlab.lattice import bits
 
 # The verbs that take --budget.
 BUDGETED_VERBS = frozenset({"la", "lambda", "search-rep", "turan", "verify-rep"})
@@ -144,3 +147,55 @@ def perm_chain_stats(fam):
         Fraction(triple, total),
         {g: Fraction(c, total) for g, c in hist.items()},
     )
+
+
+def assert_symmetry_is_exact(sym, copies, weight_lists):
+    """Every element of sym's group, listed from all n! permutations (and
+    complemented too when sym.complement), maps the copy set onto itself
+    and keeps every weight list; and `sym.orbit(u)` gives, for each vertex
+    u, exactly its orbit and its stabilizer."""
+    n, masks = sym.n, sym.masks
+    index = {m: v for v, m in enumerate(masks)}
+    flips = (0, (1 << n) - 1) if sym.complement else (0,)
+    group = {
+        tuple(index[sum(1 << p[e] for e in bits(m)) ^ flip] for m in masks)
+        for p in permutations(range(n))
+        for flip in flips
+    }
+    copies = set(copies)
+    for g in group:
+        assert {sum(1 << g[v] for v in bits(c)) for c in copies} == copies, g
+        for w in weight_lists:
+            assert all(w[g[v]] == w[v] for v in range(len(masks))), g
+    for u in range(len(masks)):
+        orbit, stab = sym.orbit(u)
+        assert orbit == sum({1 << g[u] for g in group}), u
+        assert len(stab) == len(set(stab))
+        assert set(stab) == {g for g in group if g[u] == u}, u
+
+
+def engines_built(module, run):
+    """The extremal engines that run() builds through module._Engine."""
+    built = []
+
+    class Recording(extremal._Engine):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    with mock.patch.object(module, "_Engine", Recording):
+        run()
+    return built
+
+
+def assert_orbital_matches_plain(engine):
+    """From the empty incumbent, the orbital maximize reaches the optimum
+    of the plain search, and its witness holds no copy and weighs that."""
+    engine.best_val = engine.best_wit = 0
+    engine._search(0, 0, 0, engine.all_copies, False)
+    plain = engine.best_val
+    engine.best_val = engine.best_wit = 0
+    engine.maximize()
+    assert engine.best_val == plain
+    assert all(c & ~engine.best_wit for c in engine.by_bit)
+    assert engine.weight_of(engine.best_wit) == plain

@@ -609,15 +609,23 @@ def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path
 
         return wrapper
 
-    for name in ("chain_pair_stats", "enumerate_k_configurations"):
+    for name in ("chain_pair_stats", "_deletable_masks", "_k_configurations"):
         wrapper = counted(getattr(instrumentation, name))
         monkeypatch.setattr(instrumentation, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
+    monkeypatch.setattr(
+        instrumentation, "_deletable_mask", counted(instrumentation._deletable_mask)
+    )
     sets = [[1], [2], [1, 2], [1, 3], [2, 3], [1, 2, 3], [1, 2, 4], [3, 4]]
     path = write_json(tmp_path, "fam.json", {"n": 4, "sets": sets})
     code, out, _ = run(capsys, "report", "--file", path, "--max-gap", "3")
     assert code == 0
-    assert sorted(calls) == ["chain_pair_stats"] + ["enumerate_k_configurations"] * 3
+    # the deletion test runs once per member, for the identities and all gaps
+    assert sorted(calls) == sorted(
+        ["_deletable_mask"] * len(sets)
+        + ["_deletable_masks", "chain_pair_stats"]
+        + ["_k_configurations"] * 3
+    )
     res = json.loads(out)
     assert res["down_degree_identity"]["equal"] is True
     assert [res["configurations"][k]["equal"] for k in "123"] == [True] * 3

@@ -30,7 +30,16 @@ from subposetlab import (
 )
 from subposetlab import extremal, posets
 from subposetlab.lattice import SubsetFamily, canonical_sort_key
-from conftest import all_families, brute_la, brute_lambda, random_poset, relabeled
+from conftest import (
+    all_families,
+    assert_orbital_matches_plain,
+    assert_symmetry_is_exact,
+    brute_la,
+    brute_lambda,
+    engines_built,
+    random_poset,
+    relabeled,
+)
 
 
 def test_enumerate_copies_chain2():
@@ -256,17 +265,8 @@ BOUND_PATTERNS = [
 def engine_and_free_sets(solver, n, pattern_text):
     """The engine that the solver builds, and (vertex mask, weight) of
     every pattern-free family in B_n."""
-    built = []
-
-    class Recording(extremal._Engine):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
     pattern = make_poset(pattern_text)
-    with mock.patch.object(extremal, "_Engine", Recording):
-        solver(n, pattern)
-    (engine,) = built
+    (engine,) = engines_built(extremal, lambda: solver(n, pattern))
     assert engine.levels
     free_sets = []
     for fam in all_families(n):
@@ -490,13 +490,13 @@ def test_witness_round_trip_consistency():
 TICK_CASES = [
     # solver, n, pattern, ticks before the per-node Lubell bound, ticks of
     # the copy enumeration, ticks now
-    (la_exact, 4, "fork:3", 4248, 892, 1004),
-    (la_exact, 5, "butterfly", 11406, 3127, 3322),
-    (la_exact, 5, "fork:2", 11951, 1465, 4306),
-    (la_exact, 5, "diamond:2", 7518, 2826, 3084),
-    (lambda_exact, 4, "diamond:2", 1118, 417, 1072),
-    (lambda_exact, 5, "butterfly", 13292, 3127, 4535),
-    (lambda_exact, 5, "fork:2", 4069, 1465, 1586),
+    (la_exact, 4, "fork:3", 4248, 892, 992),
+    (la_exact, 5, "butterfly", 11406, 3127, 3286),
+    (la_exact, 5, "fork:2", 11951, 1465, 2772),
+    (la_exact, 5, "diamond:2", 7518, 2826, 3045),
+    (lambda_exact, 4, "diamond:2", 1118, 417, 776),
+    (lambda_exact, 5, "butterfly", 13292, 3127, 3348),
+    (lambda_exact, 5, "fork:2", 4069, 1465, 1583),
 ]
 
 
@@ -508,18 +508,19 @@ TICK_CASES = [
 def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, ticks):
     """Budget ticks count the nodes of the copy enumeration and of every
     branch-and-bound search, so equal counts mean the same search trees.
-    The trees branch on the free vertices of the smallest packed copy and
-    are pruned by the Lubell and packing bounds and by dead copies; the
-    witness phase skips the searches that the incumbent already answers.
-    old_ticks is the count of the engine as first written, which branched
-    on the free vertex in the most alive copies and had no per-node Lubell
-    bound; the trees that branching on a copy grows, such as lambda(5,
-    butterfly), stay below it.  The copy enumeration follows the pattern's
+    The value phase branches on orbits of the lattice's symmetry while a
+    node's stabilizer is nontrivial, then on the free vertices of the
+    smallest packed copy; its trees are pruned by the Lubell and packing
+    bounds and by dead copies.  The witness phase skips the searches that
+    the incumbent already answers, so its ticks follow the value phase's
+    optimum.  old_ticks is the count of the engine as first written,
+    which branched on the free vertex in the most alive copies and had no
+    per-node Lubell bound.  The copy enumeration follows the pattern's
     placement order, which for the butterfly walks its cycle, and yields
     one embedding per orbit of the pattern's automorphism group; its
     ticks include the automorphism searches.  The search ticks, ticks -
-    enum_ticks, are those of the enumeration that yielded every
-    embedding: 112, 195, 2841, 258, 655, 1408 and 121.  A change of
+    enum_ticks, are 100, 159, 1307, 219, 359, 221 and 118; they include
+    the value phase's test of the pattern against its dual.  A change of
     branching rule, bound, witness search, placement order or symmetry
     breaking changes them.  The solvers also charge the band lower bound
     to the budget; lb is what it spends on its own."""
@@ -535,10 +536,10 @@ def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, tick
 
 
 def test_budget_spent_in_witness_phase_is_reported():
-    """At Budget(447) on top of the lower bound's ticks, the value of
+    """At Budget(437) on top of the lower bound's ticks, the value of
     la(4, diamond:2) is proven but the budget runs out while the witness
     is made canonical: the result keeps the search's witness, the middle
-    band, and says so.  447 is the largest budget that ends in the search,
+    band, and says so.  437 is the largest budget that ends in the search,
     found by scanning the budget; it moves with the ticks of the copy
     enumeration and of the maximize search.  (On la(5, fork:2) the search
     already ends at the least optimum, so a cut witness phase returns it.)"""
@@ -547,13 +548,83 @@ def test_budget_spent_in_witness_phase_is_reported():
     la_lower_bound(4, pattern, lb)
     full = la_exact(4, pattern)
     assert full.degraded is None
-    res = la_exact(4, pattern, Budget(447 + lb.used))
+    res = la_exact(4, pattern, Budget(437 + lb.used))
     assert (res.value, res.optimality) == (full.value, "proven")
     assert res.degraded == "budget-witness"
     assert res.witness != full.witness
     assert res.witness == la_lower_bound(4, pattern).witness
     assert len(res.witness.members) == res.value
     assert not contains_weak(family_as_poset(res.witness), pattern)
-    res = la_exact(4, pattern, Budget(447))
+    res = la_exact(4, pattern, Budget(437))
     assert res.optimality == "lower-bound-only"
     assert res.degraded == "budget-search"
+
+
+LADDER = ["chain:2", "chain:3", "butterfly", "fork:2", "fork:3", "diamond:2"]
+
+
+@pytest.mark.parametrize("pattern_text", LADDER + ["crown:6"])
+def test_lattice_symmetry_maps_copies_to_copies(pattern_text):
+    """For n <= 4, every permutation of [n], and complementation when the
+    pattern is self-dual, maps the copy set onto itself and keeps the la
+    and lambda weights; the stabilizers the search walks are exact."""
+    pattern = make_poset(pattern_text)
+    for n in range(1, 5):
+        sym = extremal._lattice_symmetry(n, pattern, None)
+        verts, _, _ = extremal._lattice(n)
+        lam = [extremal._level_scale(n) // comb(n, m.bit_count()) for m in verts]
+        copies = enumerate_copies(n, pattern).copies
+        assert_symmetry_is_exact(sym, copies, [[1] * len(verts), lam])
+
+
+@pytest.mark.parametrize(
+    "pattern_text,self_dual",
+    [("fork:2", False), ("fork:3", False), ("butterfly", True), ("diamond:2", True),
+     ("crown:6", True), ("chain:3", True)],
+)
+def test_complementation_only_for_self_dual_patterns(pattern_text, self_dual):
+    """A fork has one element below r others, its dual one above them, so
+    only the self-dual patterns get complementation."""
+    sym = extremal._lattice_symmetry(4, make_poset(pattern_text), None)
+    assert sym.complement is self_dual
+
+
+def recorded_engines(solver, n, pattern_text):
+    return engines_built(extremal, lambda: solver(n, make_poset(pattern_text)))
+
+
+@pytest.mark.parametrize("solver", [la_exact, lambda_exact])
+@pytest.mark.parametrize("pattern_text", LADDER)
+def test_orbital_maximize_reaches_the_plain_optimum(solver, pattern_text):
+    for n in range(1, 6):
+        # chain patterns close at the root and build no search engine
+        for engine in recorded_engines(solver, n, pattern_text):
+            assert_orbital_matches_plain(engine)
+
+
+def test_orbital_branching_takes_the_group_only_up_to_n7():
+    """Past SYMMETRY_MAX_N the value phase branches as without symmetry."""
+    assert extremal.SYMMETRY_MAX_N == 7
+    (engine,) = recorded_engines(la_exact, 5, "fork:2")
+    assert engine.symmetry is not None
+    with mock.patch.object(extremal, "SYMMETRY_MAX_N", 4):
+        (engine,) = recorded_engines(la_exact, 5, "fork:2")
+    assert engine.symmetry is None
+
+
+def test_open_crown_frontier_at_n5():
+    """La(5, O_6) = 16 and lambda(5, O_6) = 16/5, proven, with the least
+    witnesses recorded before the value phase used symmetry: for la the
+    singletons {1}, {2}, every 2-set but {4, 5}, and {1, 3, 4}, {2, 3, 5},
+    {1, 4, 5}, {2, 4, 5}, {3, 4, 5}; for lambda the empty set, the five
+    singletons, {1, 2, 3, 4} and [5]."""
+    la_sets = (1, 2, 3, 5, 6, 9, 10, 12, 17, 18, 20, 13, 22, 25, 26, 28)
+    lam_sets = (0, 1, 2, 4, 8, 16, 15, 31)
+    for solver, value, members in (
+        (la_exact, 16, la_sets),
+        (lambda_exact, Fraction(16, 5), lam_sets),
+    ):
+        res = solver(5, crown(6))
+        assert (res.optimality, res.degraded) == ("proven", None)
+        assert res.value == value
+        assert res.witness == SubsetFamily(5, members)

@@ -27,8 +27,14 @@ from subposetlab import (
     turan_delta,
     turan_oracle,
 )
+from subposetlab import hypergraphs
 from subposetlab.hypergraphs import _kpartite_copies, _kpartite_copy_count
-from conftest import pendant_pairs_below_k4
+from conftest import (
+    assert_orbital_matches_plain,
+    assert_symmetry_is_exact,
+    engines_built,
+    pendant_pairs_below_k4,
+)
 
 
 def graph(l, pairs):
@@ -564,14 +570,14 @@ def test_turan_oracle_budget():
 TURAN_TICK_CASES = [
     # n, sizes, ticks when the engine branched on the free vertex in the
     # most alive copies, ticks now
-    (5, (2, 2), 88, 91),
-    (6, (2, 2), 1430, 1195),
-    (7, (2, 2), 12641, 13508),
-    (5, (2, 3), 64, 58),
-    (6, (2, 3), 362, 368),
-    (5, (1, 1, 2), 123, 129),
-    (6, (1, 1, 2), 384, 360),
-    (7, (1, 1, 2), 1898, 1214),
+    (5, (2, 2), 88, 63),
+    (6, (2, 2), 1430, 236),
+    (7, (2, 2), 12641, 1188),
+    (5, (2, 3), 64, 38),
+    (6, (2, 3), 362, 143),
+    (5, (1, 1, 2), 123, 120),
+    (6, (1, 1, 2), 384, 319),
+    (7, (1, 1, 2), 1898, 922),
 ]
 
 
@@ -582,12 +588,27 @@ TURAN_TICK_CASES = [
 )
 def test_turan_oracle_ticks_are_locked(n, sizes, old_ticks, ticks):
     """Copy listing plus both searches; the bench solve round runs these.
-    The engine branches on the free vertices of its smallest packed copy,
-    which grows some of these trees (old_ticks, kept in the id, is the
-    count under the rule before) though every one runs faster."""
+    The value phase branches on orbits of the permutations of [n] while a
+    node's stabilizer is nontrivial, then on the free vertices of its
+    smallest packed copy.  old_ticks, kept in the id, is the count when
+    the engine branched on the free vertex in the most alive copies."""
     budget = Budget()
     turan_oracle(n, len(sizes), sizes, budget)
     assert budget.used == ticks
+
+
+@pytest.mark.parametrize(
+    "n,sizes", [(n, sizes) for n, sizes, _, _ in TURAN_TICK_CASES]
+)
+def test_turan_symmetry_is_exact_and_orbital_maximize_is_optimal(n, sizes):
+    """Every permutation of [n] maps the k-partite copies onto themselves;
+    from the empty incumbent the orbital maximize reaches the plain
+    search's optimum with a copy-free witness."""
+    (engine,) = engines_built(hypergraphs, lambda: turan_oracle(n, len(sizes), sizes))
+    sym = engine.symmetry()
+    assert not sym.complement
+    assert_symmetry_is_exact(sym, engine.by_bit, [engine.weights])
+    assert_orbital_matches_plain(engine)
 
 
 def test_turan_oracle_size_limit():
