@@ -60,7 +60,6 @@ from .jsonio import (
 from .lattice import (
     SubsetFamily,
     band_peak_level,
-    binom_ratio,
     canonical_sort_key,
     convexity_gap,
     elements_of_mask,

@@ -65,7 +65,8 @@ def enumerate_copies(
     stabilizer chain each base point must take the least host of its
     orbit's images, checked in the forward-checked domains, so a copy
     costs about 1/|Aut(pattern)| of the ticks of listing every embedding
-    (`posets._embeddings`).  Images are still deduplicated: where the
+    (`posets._embeddings`).  The search hands over each image as the host
+    mask it holds at the leaf.  Images are still deduplicated: where the
     host adds relations, embeddings from different orbits can share one,
     as the three ways to place a 2-chain and a lone element on a 3-chain.
     The automorphism searches charge the budget too.  Past `COPY_CAP`
@@ -74,10 +75,7 @@ def enumerate_copies(
         raise ValueError("pattern must be nonempty")
     _, _, host = _lattice(n)
     images: set[int] = set()
-    for phi in _embeddings(host, pattern, budget, one_per_orbit=True):
-        im = 0
-        for h in phi:
-            im |= 1 << h
+    for im in _embeddings(host, pattern, budget, one_per_orbit=True, images=True):
         images.add(im)
         if len(images) > COPY_CAP:
             return CopyHypergraph(tuple(sorted(images)), False)
@@ -160,6 +158,14 @@ def _orbit(group, u: int) -> tuple[int, list[tuple[int, ...]]]:
     return orbit, stab
 
 
+# _DIGIT[j] maps a byte to the digit b"1" when its bit j is set, else to
+# b"0": a translate table that turns one bit of every row into a base-2
+# numeral
+_DIGIT = [bytes(b"01"[x >> j & 1] for x in range(256)) for j in range(8)]
+# copies per chunk of the engine's column transpose
+_CHUNK = 1 << 16
+
+
 class _Engine:
     """Branch and bound for a maximum-weight vertex set that holds no copy.
 
@@ -167,9 +173,12 @@ class _Engine:
     costs one popcount per class.  Sets of copies are int bitsets: bit b
     stands for by_bit[b], the copies in reverse order, so `bit_length`
     finds the first one.  miss[v] holds the copies that avoid vertex v,
-    and `alive` the copies that no excluded vertex hits.  Each node
-    carries the weight of its excluded set, so the weight of its included
-    and free vertices is total minus that.
+    and `alive` the copies that no excluded vertex hits.  miss is built by
+    a transpose: the copies are written as rows of bytes, and the bit of v
+    in every row, one byte column translated to base-2 digits, is parsed
+    by `int` as the copies through v.  Each node carries the weight of its
+    excluded set, so the weight of its included and free vertices is total
+    minus that.
 
     Each node packs its alive copies greedily: take the first alive copy,
     drop every copy that meets its free part, repeat.  A copy the packing
@@ -241,15 +250,21 @@ class _Engine:
             classes[w] = classes.get(w, 0) | 1 << v
         self.classes = sorted(classes.items())
         self.total = self.weight_of(self.universe)
-        nbytes = len(copies) // 8 + 1
-        through = [bytearray(nbytes) for _ in range(nverts)]
-        for b, c in enumerate(self.by_bit):
-            while c:
-                low = c & -c
-                through[low.bit_length() - 1][b >> 3] |= 1 << (b & 7)
-                c ^= low
+        # through[v], the copies through v, read a column at a time from
+        # the copies written as w-byte rows, in chunks of _CHUNK copies so
+        # that no more than one chunk's rows are held at once; the first
+        # row of a chunk is its highest bit
+        w = (nverts + 7) >> 3
+        through = [0] * nverts
+        for start in range(0, len(copies), _CHUNK):
+            chunk = copies[start : start + _CHUNK]
+            rows = b"".join([c.to_bytes(w, "little") for c in chunk])
+            k = len(chunk)
+            for v in range(nverts):
+                column = rows[v >> 3 :: w].translate(_DIGIT[v & 7])
+                through[v] = through[v] << k | int(column, 2)
         self.all_copies = (1 << len(copies)) - 1
-        self.miss = [self.all_copies ^ int.from_bytes(m, "little") for m in through]
+        self.miss = [self.all_copies ^ t for t in through]
 
     def weight_of(self, mask: int) -> int:
         return sum(w * (mask & members).bit_count() for w, members in self.classes)

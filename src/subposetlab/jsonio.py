@@ -8,6 +8,7 @@ formatting, so equal values serialize to identical bytes.
 
 from __future__ import annotations
 
+from bisect import insort
 from decimal import Decimal
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -127,15 +128,31 @@ def certificate_to_json(cert: RepresentationCertificate) -> dict:
     return out
 
 
+def _chain_elements(chain) -> list[list[int]]:
+    """The 1-based element list of each member of a chain.  A member that
+    is the one before it plus one element copies that list and inserts the
+    element; any other member is read from its mask."""
+    rows: list[list[int]] = []
+    last = 0
+    for m in chain:
+        step = m ^ last
+        if rows and step & m == step and step.bit_count() == 1:
+            row = rows[-1].copy()
+            insort(row, step.bit_length())
+        else:
+            row = list(elements_of_mask(m))
+        rows.append(row)
+        last = m
+    return rows
+
+
 def decomposition_to_json(dec: ChainDecomposition) -> dict:
     return {
         "n": dec.n,
         "level_lo": dec.level_lo,
         "level_hi": dec.level_hi,
         "count": len(dec),
-        "chains": [
-            [list(elements_of_mask(m)) for m in chain] for chain in dec.chains
-        ],
+        "chains": [_chain_elements(chain) for chain in dec.chains],
     }
 
 

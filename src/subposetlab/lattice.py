@@ -294,13 +294,6 @@ def tail_mass(n: int) -> Fraction:
     return Fraction(2 * total, 1 << n)
 
 
-def binom_ratio(n: int, i: int, j: int) -> Fraction:
-    """Exact C(n, i) / C(n, j)."""
-    if not (0 <= i <= n and 0 <= j <= n):
-        raise ValueError("i and j must lie in [0, n]")
-    return Fraction(comb(n, i), comb(n, j))
-
-
 def falling_binomial(x: Fraction, s: int) -> Fraction:
     """Generalized binomial C(x, s) = x(x-1)...(x-s+1)/s! at rational x."""
     if s < 0:

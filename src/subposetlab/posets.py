@@ -335,11 +335,17 @@ def _embeddings(
     budget: Budget | None,
     cells: list[int] | None = None,
     one_per_orbit: bool = False,
+    images: bool = False,
 ):
-    """The search of `iter_embeddings`, with two extras.
+    """The search of `iter_embeddings`, with three extras.
 
     cells, when given, holds a host mask per pattern element, intersected
     into its static candidate set before the Hall check.
+
+    images=True yields each embedding's image as a host mask instead of
+    the tuple phi: at a leaf the hosts in use plus the last one placed are
+    that mask already, so no tuple is built.  The search and its ticks are
+    the same.
 
     one_per_orbit=True yields one embedding per orbit of Aut(pattern).
     After the Hall check, `_stabilizer_chain` gives base points b_1, b_2,
@@ -356,7 +362,7 @@ def _embeddings(
     """
     p, h = pattern.size, host.size
     if p == 0:
-        yield ()
+        yield 0 if images else ()
         return
     if p > h:
         return
@@ -420,7 +426,7 @@ def _embeddings(
             budget.tick()
         phi[order[depth]] = v
         if depth + 1 == p:
-            yield tuple(phi)
+            yield used | low if images else tuple(phi)
             continue
         free = ~(used | low)
         narrowed = dom.copy()

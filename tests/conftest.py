@@ -188,6 +188,20 @@ def engines_built(module, run):
     return built
 
 
+def per_bit_miss(nverts, copies):
+    """The extremal engine's miss sets as it once built them, one (copy,
+    vertex) pair at a time: bit b stands for copies[-1 - b]."""
+    nbytes = len(copies) // 8 + 1
+    through = [bytearray(nbytes) for _ in range(nverts)]
+    for b, c in enumerate(copies[::-1]):
+        while c:
+            low = c & -c
+            through[low.bit_length() - 1][b >> 3] |= 1 << (b & 7)
+            c ^= low
+    all_copies = (1 << len(copies)) - 1
+    return [all_copies ^ int.from_bytes(m, "little") for m in through]
+
+
 def assert_orbital_matches_plain(engine):
     """From the empty incumbent, the orbital maximize reaches the optimum
     of the plain search, and its witness holds no copy and weighs that."""

@@ -15,7 +15,6 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "subposetlab"
 INLINE = {
     ("lattice.py", "bits"),
     ("lattice.py", "elements_of_mask"),
-    ("extremal.py", "_Engine.__init__"),
     ("extremal.py", "_Engine._search"),
     ("posets.py", "_embeddings"),
     ("posets.py", "_has_distinct_hosts"),

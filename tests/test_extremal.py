@@ -37,6 +37,7 @@ from conftest import (
     brute_la,
     brute_lambda,
     engines_built,
+    per_bit_miss,
     random_poset,
     relabeled,
 )
@@ -124,6 +125,45 @@ def test_enumerate_copies_matches_every_embedding_on_relabeled_and_random_posets
     for _ in range(200):
         m = rng.randint(1, 6)
         assert_one_embedding_per_orbit(rng.randint(1, 4 if m <= 4 else 3), random_poset(rng, m))
+
+
+@pytest.mark.parametrize("n,pattern_text", [(4, "crown:6"), (5, "butterfly")])
+def test_leaf_masks_are_the_images_of_the_kept_embeddings(n, pattern_text):
+    """With images=True the search yields, at each leaf, the mask of hosts
+    it holds, which is the image of the embedding it would have yielded;
+    the ticks are the same."""
+    _, _, host = extremal._lattice(n)
+    pattern = make_poset(pattern_text)
+    plain, masked = Budget(), Budget()
+    kept = list(posets._embeddings(host, pattern, plain, one_per_orbit=True))
+    masks = list(
+        posets._embeddings(host, pattern, masked, one_per_orbit=True, images=True)
+    )
+    assert masks == [sum(1 << h for h in phi) for phi in kept]
+    assert masked.used == plain.used
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 65_535, 65_536, 65_537, 70_000])
+def test_engine_miss_matches_the_per_bit_reference(count):
+    """The column transpose gives the per-bit miss sets on random copy
+    lists: vertex counts that are and are not multiples of 8, copy counts
+    on both sides of a chunk edge, and columns far past 4,300 digits.
+    Each copy keeps about one vertex in eight; the empty copy and the full
+    one are mixed in."""
+    assert extremal._CHUNK == 65_536
+    rng = random.Random(count)
+    for nverts in (1, 5, 8, 21, 32, 64, 70):
+        full = (1 << nverts) - 1
+        copies = [
+            rng.getrandbits(nverts) & rng.getrandbits(nverts) & rng.getrandbits(nverts)
+            for _ in range(count)
+        ]
+        if count >= 2:
+            copies[rng.randrange(count)] = full
+            copies[rng.randrange(count)] = 0
+        engine = extremal._Engine(nverts, [1] * nverts, tuple(copies), None)
+        assert engine.miss == per_bit_miss(nverts, copies), nverts
+        assert engine.all_copies == (1 << count) - 1
 
 
 def test_automorphism_group_orders():
@@ -596,9 +636,11 @@ def recorded_engines(solver, n, pattern_text):
 @pytest.mark.parametrize("solver", [la_exact, lambda_exact])
 @pytest.mark.parametrize("pattern_text", LADDER)
 def test_orbital_maximize_reaches_the_plain_optimum(solver, pattern_text):
+    """Also: each engine's miss sets equal the per-bit reference's."""
     for n in range(1, 6):
         # chain patterns close at the root and build no search engine
         for engine in recorded_engines(solver, n, pattern_text):
+            assert engine.miss == per_bit_miss(engine.nverts, engine.by_bit[::-1])
             assert_orbital_matches_plain(engine)
 
 
@@ -617,14 +659,17 @@ def test_open_crown_frontier_at_n5():
     witnesses recorded before the value phase used symmetry: for la the
     singletons {1}, {2}, every 2-set but {4, 5}, and {1, 3, 4}, {2, 3, 5},
     {1, 4, 5}, {2, 4, 5}, {3, 4, 5}; for lambda the empty set, the five
-    singletons, {1, 2, 3, 4} and [5]."""
+    singletons, {1, 2, 3, 4} and [5].  The budgets spent, lower bound,
+    enumeration and both searches, lock the trees."""
     la_sets = (1, 2, 3, 5, 6, 9, 10, 12, 17, 18, 20, 13, 22, 25, 26, 28)
     lam_sets = (0, 1, 2, 4, 8, 16, 15, 31)
-    for solver, value, members in (
-        (la_exact, 16, la_sets),
-        (lambda_exact, Fraction(16, 5), lam_sets),
+    for solver, value, members, ticks in (
+        (la_exact, 16, la_sets, 216_033),
+        (lambda_exact, Fraction(16, 5), lam_sets, 160_817),
     ):
-        res = solver(5, crown(6))
+        budget = Budget()
+        res = solver(5, crown(6), budget)
         assert (res.optimality, res.degraded) == ("proven", None)
         assert res.value == value
         assert res.witness == SubsetFamily(5, members)
+        assert budget.used == ticks

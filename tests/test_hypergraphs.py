@@ -34,6 +34,7 @@ from conftest import (
     assert_symmetry_is_exact,
     engines_built,
     pendant_pairs_below_k4,
+    per_bit_miss,
 )
 
 
@@ -603,8 +604,10 @@ def test_turan_oracle_ticks_are_locked(n, sizes, old_ticks, ticks):
 def test_turan_symmetry_is_exact_and_orbital_maximize_is_optimal(n, sizes):
     """Every permutation of [n] maps the k-partite copies onto themselves;
     from the empty incumbent the orbital maximize reaches the plain
-    search's optimum with a copy-free witness."""
+    search's optimum with a copy-free witness.  The engine's miss sets
+    equal the per-bit reference's."""
     (engine,) = engines_built(hypergraphs, lambda: turan_oracle(n, len(sizes), sizes))
+    assert engine.miss == per_bit_miss(engine.nverts, engine.by_bit[::-1])
     sym = engine.symmetry()
     assert not sym.complement
     assert_symmetry_is_exact(sym, engine.by_bit, [engine.weights])

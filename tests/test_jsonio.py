@@ -30,6 +30,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     verify_representation,
 )
+from subposetlab.lattice import ChainDecomposition, elements_of_mask
 
 
 def test_encode_int_53_bit_rule():
@@ -133,6 +134,28 @@ def test_decomposition_payload():
     for chain_sets in obj["chains"]:
         sizes = [len(s) for s in chain_sets]
         assert sizes == sorted(sizes)
+
+
+def test_decomposition_payload_reads_members_that_skip_levels():
+    """A hand-built decomposition need not be saturated.  A member one
+    element above the one before it gets that element inserted in order;
+    one two elements above it, or one below it, is read whole."""
+    chains = (
+        (0b0100, 0b0101, 0b0111, 0b1111),
+        (0b0000, 0b0101, 0b0111),
+        (0b0010, 0b1000, 0b1001),
+        (0b0110, 0b0010),
+    )
+    obj = decomposition_to_json(ChainDecomposition(4, 0, 4, chains))
+    assert obj["chains"] == [
+        [[3], [1, 3], [1, 2, 3], [1, 2, 3, 4]],
+        [[], [1, 3], [1, 2, 3]],
+        [[2], [4], [1, 4]],
+        [[2, 3], [2]],
+    ]
+    assert obj["chains"] == [
+        [list(elements_of_mask(m)) for m in chain] for chain in chains
+    ]
 
 
 def test_dumps_is_stable():

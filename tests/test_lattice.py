@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from subposetlab import (
     SubsetFamily,
     band_peak_level,
-    binom_ratio,
     canonical_sort_key,
     convexity_gap,
     elements_of_mask,
@@ -226,12 +225,6 @@ def test_ln_bracket_contains_the_logarithm():
                 lo, hi = _ln_bracket(n, prec)
                 assert lo <= ln * 2**prec < hi
                 assert hi - lo < 2**prec >> 50
-
-
-def test_binom_ratio():
-    assert binom_ratio(6, 2, 3) == Fraction(15, 20)
-    with pytest.raises(ValueError):
-        binom_ratio(4, 5, 0)
 
 
 def test_falling_binomial_matches_comb_at_integers():
