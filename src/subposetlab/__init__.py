@@ -14,12 +14,8 @@ from .hypergraphs import (
     Hypergraph,
     Partition,
     contains_complete_kpartite,
-    count_monochromatic_ordered,
     cover_multiplicity,
-    crossing_edges,
     crossing_probability,
-    dedupe_edges,
-    extension_counts,
     is_k_partite,
     partition_threshold,
     random_balanced_partition,
@@ -35,10 +31,8 @@ from .instrumentation import (
     configuration_hypergraph,
     configuration_identity,
     configuration_turan_check,
-    down_degree,
     down_degree_identity,
     enumerate_k_configurations,
-    middle_set_classification,
 )
 from .jsonio import (
     certificate_to_json,

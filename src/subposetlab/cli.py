@@ -69,6 +69,14 @@ MAX_TAIL_N = 100_000
 # pairs, not with n: the 20-set chain at n = 50,000 takes under 0.01 s in
 # chain-stats or report.
 MAX_FAMILY_N = 50_000
+# Largest l * (edges + 1000) in the hypergraph file of partite, checked
+# before any edge is decoded.  An edge is an int of up to l bits, and a
+# vertex costs about 1,000 bits besides (its colour, its part and the
+# partition's checks), so memory is bounded near 2^30 bits of each: the
+# path on l = 32,000 vertices takes about 110 MB and 1 s, and one edge
+# on l = 1,000,000 vertices about 130 MB and 0.6 s (2-core x86, Python
+# 3.11).
+MAX_PARTITE_BITS = 2**30
 
 
 class _InputError(Exception):
@@ -238,6 +246,13 @@ def _cmd_turan(args) -> int:
 def _cmd_partite(args) -> int:
     obj = _load_json(args.file)
     try:
+        edges = obj.get("edges") if isinstance(obj, dict) else None
+        if isinstance(edges, list):
+            bits = jsonio.decode_int(obj.get("l", 0)) * (len(edges) + 1000)
+            if bits > MAX_PARTITE_BITS:
+                raise _InputError(
+                    f"{args.file}: l * (edges + 1000) must be at most {MAX_PARTITE_BITS}"
+                )
         h = jsonio.hypergraph_from_json(obj)
     except (ValueError, TypeError, KeyError) as e:
         raise _InputError(f"{args.file}: {e}") from e

@@ -2,9 +2,9 @@
 
 Edges are bitmasks (bit i-1 = vertex i), kept sorted by numeric value.
 Covers partiteness testing, complete-k-partite subhypergraph detection,
-crossing-edge machinery for balanced partitions, monochromatic ordered-copy
-counting with its extension-count identities, cover multiplicity, and an
-exact small-n Turan oracle that runs on the extremal branch and bound.
+balanced random partitions with their exact crossing probability, cover
+multiplicity, and an exact small-n Turan oracle that runs on the extremal
+branch and bound.
 """
 
 from __future__ import annotations
@@ -45,10 +45,6 @@ class Hypergraph:
     def edge_sets(self) -> tuple[tuple[int, ...], ...]:
         return tuple(elements_of_mask(e) for e in self.edges)
 
-    def degree(self, v: int) -> int:
-        bit = 1 << (v - 1)
-        return sum(1 for e in self.edges if e & bit)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -82,9 +78,6 @@ class Partition:
     @property
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(p) for p in self.parts)
-
-    def part_masks(self) -> tuple[int, ...]:
-        return tuple(mask_from_elements(p, self.l) for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -230,25 +223,26 @@ def _forced_coloring(root, edges_at, nbrs, color, k, budget) -> list[int] | None
     return done
 
 
-def _complete_kpartite(h: Hypergraph, pools, sizes, budget: Budget | None):
-    """Each choice of disjoint parts W_i, a sizes[i]-subset of pools[i],
+def _complete_kpartite(h: Hypergraph, sizes, budget: Budget | None):
+    """Each choice of disjoint parts W_i, sizes[i] vertices of h each,
     whose transversal k-sets are all edges of h, as (parts, transversal
-    masks), in lexicographic order of the parts; pools list their
-    vertices ascending.  On the complete k-graph every choice of disjoint
-    parts is one, so `_kpartite_copies` lists the Turan copies with it.
+    masks), in lexicographic order of the parts.  On the complete k-graph
+    every choice of disjoint parts is one, so `_kpartite_copies` lists the
+    Turan copies with it.
 
-    A vertex of part i lies on prod(sizes)/sizes[i] transversals, so one
-    of lower degree is never tried.  The last part is chosen among the
-    vertices extending every transversal of the earlier parts, so each
-    choice there is a copy.  One budget tick per part choice.  The search
-    keeps one frame per open part on an explicit stack.
+    A vertex of part i lies on prod(sizes)/sizes[i] transversals, so part
+    i draws from the vertices of at least that degree, ascending.  The
+    last part is chosen among the vertices extending every transversal of
+    the earlier parts, so each choice there is a copy.  One budget tick
+    per part choice.  The search keeps one frame per open part on an
+    explicit stack.
     """
     last = len(sizes) - 1
     edge_set = set(h.edges)
     degree = Counter(v for e in h.edges for v in elements_of_mask(e))
     total = prod(sizes)
     pools = [
-        [v for v in pool if degree[v] >= total // s] for pool, s in zip(pools, sizes)
+        [v for v in range(1, h.l + 1) if degree[v] >= total // s] for s in sizes
     ]
 
     def choices(i: int, stems: list[int], used: int):
@@ -300,22 +294,8 @@ def contains_complete_kpartite(
         raise ValueError("part sizes must be positive")
     if sum(sizes) > h.l:
         return None
-    copies = _complete_kpartite(h, [range(1, h.l + 1)] * k, sizes, budget)
+    copies = _complete_kpartite(h, sizes, budget)
     return next((parts for parts, _ in copies), None)
-
-
-def crossing_edges(h: Hypergraph, partition: Partition) -> tuple[int, ...]:
-    """Edges meeting every part exactly once."""
-    if len(partition.parts) != h.k:
-        raise ValueError(
-            f"partition has {len(partition.parts)} parts, hypergraph needs {h.k}"
-        )
-    if partition.l != h.l:
-        raise ValueError("partition and hypergraph vertex counts differ")
-    masks = partition.part_masks()
-    return tuple(
-        e for e in h.edges if all((e & pm).bit_count() == 1 for pm in masks)
-    )
 
 
 def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
@@ -352,63 +332,6 @@ def partition_threshold(k: int) -> Fraction:
     return Fraction(factorial(k), k**k)
 
 
-def count_monochromatic_ordered(
-    fam: ColoredFamily, partition: Partition, t
-) -> int:
-    """Number of ordered tuples (one t_i-tuple of distinct vertices per
-    part) whose every transversal k-set is an edge of a single member
-    hypergraph; a tuple monochromatic in several colors counts once per
-    color."""
-    t = tuple(t)
-    if len(partition.parts) != fam.k or len(t) != fam.k:
-        raise ValueError("partition parts and tuple sizes must match uniformity")
-    if partition.l != fam.l:
-        raise ValueError("partition and family vertex counts differ")
-    if any(x < 1 for x in t):
-        raise ValueError("tuple sizes must be positive")
-    copies = sum(
-        1
-        for h in fam.hypergraphs
-        for _ in _complete_kpartite(h, partition.parts, t, None)
-    )
-    return copies * prod(factorial(x) for x in t)
-
-
-def extension_counts(
-    fam: ColoredFamily, partition: Partition, prefix, tail
-) -> dict[int, int]:
-    """Per color i, the number of vertices v in the part after the prefix
-    such that every transversal of (prefix sets, {v}, tail vertices) is an
-    edge of member i.
-
-    prefix: one vertex subset per leading part (positions 0..l-1);
-    tail: one vertex per trailing part (positions l+2..k), so the extension
-    part is position l+1 and len(tail) must be k - len(prefix) - 1.
-    """
-    k = fam.k
-    prefix = tuple(tuple(sorted(set(p))) for p in prefix)
-    tail = tuple(tail)
-    lp = len(prefix)
-    if lp + 1 + len(tail) != k:
-        raise ValueError("prefix sets plus tail vertices must fill k-1 parts")
-    parts = partition.parts
-    if partition.l != fam.l or len(parts) != k:
-        raise ValueError("partition does not match the family")
-    for j, p in enumerate(prefix):
-        if not p or not set(p) <= set(parts[j]):
-            raise ValueError(f"prefix set {j} is not a nonempty subset of part {j}")
-    for j, v in enumerate(tail):
-        if v not in parts[lp + 1 + j]:
-            raise ValueError(f"tail vertex {v} not in part {lp + 1 + j}")
-
-    pools = (*prefix, parts[lp], *((v,) for v in tail))
-    sizes = tuple(len(p) for p in prefix) + (1,) * (len(tail) + 1)
-    return {
-        i: sum(1 for _ in _complete_kpartite(h, pools, sizes, None))
-        for i, h in enumerate(fam.hypergraphs)
-    }
-
-
 def cover_multiplicity(fam: ColoredFamily, r: int):
     """None when every (k-1)-subset of the vertices is covered by edges of
     at most r distinct colors; otherwise the first offending subset (in
@@ -424,17 +347,6 @@ def cover_multiplicity(fam: ColoredFamily, r: int):
         if len(colors) > r:
             return combo, colors
     return None
-
-
-def dedupe_edges(fam: ColoredFamily) -> ColoredFamily:
-    """Keep each edge only in its least-index color; later colors lose it."""
-    seen: set[int] = set()
-    out = []
-    for h in fam.hypergraphs:
-        kept = tuple(e for e in h.edges if e not in seen)
-        seen.update(kept)
-        out.append(Hypergraph(h.k, h.l, kept))
-    return ColoredFamily(tuple(out))
 
 
 @dataclass(frozen=True)
@@ -492,8 +404,7 @@ def _kpartite_copies(
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
     complete = Hypergraph(len(sizes), n, tuple(edges))
-    pools = [range(1, n + 1)] * len(sizes)
-    for _, transversals in _complete_kpartite(complete, pools, sizes, budget):
+    for _, transversals in _complete_kpartite(complete, sizes, budget):
         buf = bytearray(nbytes)
         for e in transversals:
             b = index[e]

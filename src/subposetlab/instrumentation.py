@@ -84,14 +84,6 @@ def _deletable_masks(family: SubsetFamily) -> list[int]:
     return [_deletable_mask(ms, b) for b in family.members]
 
 
-def down_degree(family: SubsetFamily, b: int) -> int:
-    """Number of members one element below b.  b must be a member."""
-    ms = family.member_set()
-    if b not in ms:
-        raise ValueError("b is not a member of the family")
-    return _deletable_mask(ms, b).bit_count()
-
-
 def down_degree_identity(family: SubsetFamily) -> tuple[Fraction, Fraction, bool]:
     """Two exact ways of averaging down-degrees over random full chains.
 
@@ -126,10 +118,6 @@ class KConfiguration:
 
     core: int
     member: int
-
-    @property
-    def deleted(self) -> int:
-        return self.member & ~self.core
 
 
 def enumerate_k_configurations(
@@ -314,28 +302,3 @@ def chain_cover_check(
             raise AssertionError("cover witness did not land in the family")
         chain.append(member)
     return ChainCoverViolation(shared, tuple(colors), tuple(chain))
-
-
-@dataclass(frozen=True)
-class SetClassification:
-    sub_count: int
-    super_count: int
-    few_below: bool
-    few_above: bool
-
-
-def middle_set_classification(
-    family: SubsetFamily, s: int, r: int
-) -> SetClassification:
-    """Counts of members strictly below and strictly above s, with flags
-    marking counts at most r-1.  s itself is counted on neither side."""
-    sub = 0
-    sup = 0
-    for m in family.members:
-        if m == s:
-            continue
-        if not m & ~s:
-            sub += 1
-        elif not s & ~m:
-            sup += 1
-    return SetClassification(sub, sup, sub <= r - 1, sup <= r - 1)

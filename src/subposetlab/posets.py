@@ -59,12 +59,6 @@ class Poset:
                     covers.append((u, v))
         return tuple(covers)
 
-    def minimal_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if not self.strict_down(i))
-
-    def maximal_elements(self) -> tuple[int, ...]:
-        return tuple(i for i in range(self.size) if not self.strict_up(i))
-
 
 def from_cover_relations(size: int, covers) -> Poset:
     """Poset as the transitive closure of the given strict relations.

@@ -34,6 +34,17 @@ def parser_flags() -> dict[str, set[str]]:
     }
 
 
+def crosses_every_edge(h, partition) -> bool:
+    """Whether the partition has h's vertex set and h.k parts, and each
+    edge of h meets each part in exactly one vertex."""
+    part_of = {v: i for i, part in enumerate(partition.parts) for v in part}
+    return (
+        partition.l == h.l
+        and len(partition.parts) == h.k
+        and all(sorted(part_of[v] for v in e) == list(range(h.k)) for e in h.edge_sets())
+    )
+
+
 def pendant_pairs_below_k4(m):
     """m triples {2i - 1, 2i, hub} and three triples whose pairs form a K4
     on the hub and the three labels above it.  The edges force no color

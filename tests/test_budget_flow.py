@@ -14,10 +14,6 @@ UNBUDGETED = {
         "the final re-check runs unbudgeted, so a found family is always returned",
     ("turan_oracle", "contains_complete_kpartite"):
         "the witness re-check",
-    ("count_monochromatic_ordered", "_complete_kpartite"):
-        "a counter with no budget parameter",
-    ("extension_counts", "_complete_kpartite"):
-        "a counter with no budget parameter",
 }
 
 

@@ -483,6 +483,20 @@ def test_partite_large_vertex_count(capsys, tmp_path):
     assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
 
 
+@pytest.mark.parametrize("l,shape", [(200_000, "path"), (1_100_000, "one")])
+def test_partite_bounds_the_file_before_decoding_it(capsys, tmp_path, l, shape):
+    # an edge is an int of up to l bits and a vertex costs about 1,000 bits
+    # more: unbounded, the path on l = 32,000 took 110 MB and one edge on
+    # l = 2,000,000 took 270 MB
+    edges = [[i, i + 1] for i in range(1, l)] if shape == "path" else [[1, 2]]
+    path = write_json(tmp_path, "big.json", {"k": 2, "l": l, "edges": edges})
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "partite", "--file", path)
+    assert time.monotonic() - t0 < 1
+    assert (code, out) == (2, "")
+    assert f"must be at most {cli.MAX_PARTITE_BITS}" in err
+
+
 def test_partite_and_verify_rep_color_components_apart(capsys, tmp_path):
     # disjoint edges below a triangle: a coloring search over the whole
     # graph took 2^m steps here, about 1.8 h for partite at m = 30

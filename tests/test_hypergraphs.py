@@ -2,7 +2,7 @@ import itertools
 import random
 import time
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -15,12 +15,8 @@ from subposetlab import (
     Hypergraph,
     Partition,
     contains_complete_kpartite,
-    count_monochromatic_ordered,
     cover_multiplicity,
-    crossing_edges,
     crossing_probability,
-    dedupe_edges,
-    extension_counts,
     is_k_partite,
     partition_threshold,
     random_balanced_partition,
@@ -32,6 +28,7 @@ from subposetlab.hypergraphs import _kpartite_copies, _kpartite_copy_count
 from conftest import (
     assert_orbital_matches_plain,
     assert_symmetry_is_exact,
+    crosses_every_edge,
     engines_built,
     pendant_pairs_below_k4,
     per_bit_miss,
@@ -54,7 +51,6 @@ def test_hypergraph_validation():
     h = graph(3, [[2, 3], [1, 2]])
     assert h.edges == (0b011, 0b110)
     assert h.edge_sets() == ((1, 2), (2, 3))
-    assert h.degree(2) == 2 and h.degree(3) == 1
 
 
 def test_partition_validation():
@@ -84,7 +80,7 @@ def test_is_k_partite_basics():
     assert is_k_partite(odd) is None
     even = graph(4, [[1, 2], [2, 3], [3, 4], [1, 4]])
     p = is_k_partite(even)
-    assert p is not None and crossing_edges(even, p) == even.edges
+    assert p is not None and crosses_every_edge(even, p)
     # isolated vertices land in the smallest part
     lone = graph(3, [[1, 2]])
     p = is_k_partite(lone)
@@ -129,7 +125,7 @@ def test_is_k_partite_matches_brute_bipartiteness(l, data):
     )
     if brute:
         assert found is not None
-        assert crossing_edges(h, found) == h.edges
+        assert crosses_every_edge(h, found)
     else:
         assert found is None
 
@@ -312,14 +308,6 @@ def test_contains_complete_kpartite_matches_brute_force():
         assert contains_complete_kpartite(h, sizes) == brute_least_kpartite(h, sizes)
 
 
-def test_crossing_edges():
-    h = graph(4, [[1, 2], [1, 3], [3, 4]])
-    p = Partition(4, ((1, 2), (3, 4)))
-    assert crossing_edges(h, p) == (0b0101,)
-    with pytest.raises(ValueError):
-        crossing_edges(h, Partition(4, ((1,), (2,), (3, 4))))
-
-
 def test_random_balanced_partition():
     p = random_balanced_partition(12, 3, seed=7)
     assert p.sizes == (4, 4, 4)
@@ -361,114 +349,6 @@ def test_crossing_probability_beats_threshold():
         crossing_probability(10, 3)
 
 
-def random_colored_family(l, k, colors, rng):
-    all_edges = list(itertools.combinations(range(1, l + 1), k))
-    hs = []
-    for _ in range(colors):
-        picked = [e for e in all_edges if rng.random() < 0.5]
-        hs.append(Hypergraph.from_edge_sets(k, l, picked))
-    return ColoredFamily(tuple(hs))
-
-
-def test_ordered_count_matches_crossing_edges():
-    rng = random.Random(11)
-    for _ in range(20):
-        fam = random_colored_family(6, 2, 3, rng)
-        part = random_balanced_partition(6, 2, seed=rng.randrange(1000))
-        expected = sum(len(crossing_edges(h, part)) for h in fam.hypergraphs)
-        assert count_monochromatic_ordered(fam, part, (1, 1)) == expected
-
-
-def test_ordered_count_extension_identity_k2():
-    rng = random.Random(23)
-    for _ in range(15):
-        fam = random_colored_family(8, 2, 2, rng)
-        part = random_balanced_partition(8, 2, seed=rng.randrange(1000))
-        for s in (1, 2, 3):
-            unordered = 0
-            for v in part.parts[1]:
-                d = extension_counts(fam, part, (), (v,))
-                unordered += sum(comb(d[i], s) for i in d)
-            got = count_monochromatic_ordered(fam, part, (s, 1))
-            assert got == factorial(s) * unordered
-
-
-def test_ordered_count_extension_identity_k3():
-    rng = random.Random(31)
-    for _ in range(8):
-        fam = random_colored_family(9, 3, 3, rng)
-        part = random_balanced_partition(9, 3, seed=rng.randrange(1000))
-        for s1, s2 in ((1, 1), (2, 1), (2, 2), (3, 2)):
-            unordered = 0
-            for prefix in itertools.combinations(part.parts[0], s1):
-                for v in part.parts[2]:
-                    d = extension_counts(fam, part, (prefix,), (v,))
-                    unordered += sum(comb(d[i], s2) for i in d)
-            got = count_monochromatic_ordered(fam, part, (s1, s2, 1))
-            assert got == factorial(s1) * factorial(s2) * unordered
-
-
-def is_copy(h, parts):
-    edges = set(h.edge_sets())
-    return all(tuple(sorted(t)) in edges for t in itertools.product(*parts))
-
-
-def brute_ordered_count(fam, partition, t):
-    """Ordered t_i-tuples of distinct vertices per part, listed outright,
-    with every transversal an edge of one member; once per member."""
-    return sum(
-        is_copy(h, tuples)
-        for h in fam.hypergraphs
-        for tuples in itertools.product(
-            *(itertools.permutations(p, x) for p, x in zip(partition.parts, t))
-        )
-    )
-
-
-def brute_extension_counts(fam, partition, prefix, tail):
-    lp = len(prefix)
-    return {
-        i: sum(
-            is_copy(h, (*prefix, (v,), *((u,) for u in tail)))
-            for v in partition.parts[lp]
-        )
-        for i, h in enumerate(fam.hypergraphs)
-    }
-
-
-@pytest.mark.parametrize("k", [2, 3])
-def test_ordered_count_and_extensions_match_brute_force(k):
-    rng = random.Random(37 + k)
-    l = 3 * k
-    for _ in range(12):
-        fam = random_colored_family(l, k, 2, rng)
-        part = random_balanced_partition(l, k, seed=rng.randrange(1000))
-        for _ in range(4):
-            t = tuple(rng.randint(1, 3) for _ in range(k))
-            got = count_monochromatic_ordered(fam, part, t)
-            assert got == brute_ordered_count(fam, part, t), t
-            lp = rng.randrange(k)
-            prefix = tuple(
-                tuple(rng.sample(part.parts[j], rng.randint(1, 3))) for j in range(lp)
-            )
-            tail = tuple(rng.choice(part.parts[j]) for j in range(lp + 1, k))
-            got = extension_counts(fam, part, prefix, tail)
-            assert got == brute_extension_counts(fam, part, prefix, tail)
-
-
-def test_extension_counts_validation():
-    fam = ColoredFamily((graph(4, [[1, 3], [2, 4]]),))
-    part = Partition(4, ((1, 2), (3, 4)))
-    with pytest.raises(ValueError):
-        extension_counts(fam, part, ((1,),), (3,))  # fills k parts
-    with pytest.raises(ValueError):
-        extension_counts(fam, part, (), (1,))  # tail vertex in wrong part
-    with pytest.raises(ValueError):
-        extension_counts(fam, part, ((3,),), ())  # prefix not inside part 0
-    assert extension_counts(fam, part, (), (3,)) == {0: 1}
-    assert extension_counts(fam, part, (), (4,)) == {0: 1}
-
-
 def test_cover_multiplicity():
     shared = graph(4, [[3, 4]])
     fam = ColoredFamily((shared, shared, shared))
@@ -479,17 +359,6 @@ def test_cover_multiplicity():
     assert cover_multiplicity(lopsided, 1) == ((1,), (0, 1))
     with pytest.raises(ValueError):
         cover_multiplicity(fam, -1)
-
-
-def test_dedupe_edges():
-    fam = ColoredFamily((graph(3, [[1, 2], [2, 3]]), graph(3, [[2, 3], [1, 3]])))
-    out = dedupe_edges(fam)
-    assert out.hypergraphs[0].edges == fam.hypergraphs[0].edges
-    assert out.hypergraphs[1].edge_sets() == ((1, 3),)
-    # every original edge survives in exactly one color
-    union = set(fam.hypergraphs[0].edges) | set(fam.hypergraphs[1].edges)
-    kept = [e for h in out.hypergraphs for e in h.edges]
-    assert sorted(kept) == sorted(union)
 
 
 def brute_turan_k22(n):

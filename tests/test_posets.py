@@ -71,8 +71,8 @@ def test_generator_shapes():
     assert height(fork(3)) == 2
     assert height(harp((4, 3, 2))) == 4
     c = crown(8)
-    assert c.minimal_elements() == (0, 1, 2, 3)
-    assert c.maximal_elements() == (4, 5, 6, 7)
+    assert [i for i in range(8) if not c.strict_down(i)] == [0, 1, 2, 3]
+    assert [i for i in range(8) if not c.strict_up(i)] == [4, 5, 6, 7]
     # every crown element covers/is covered by exactly two others
     for i in range(8):
         assert c.comparability_degree(i) == 2
@@ -86,8 +86,8 @@ def test_harp_shares_both_endpoints():
     h = harp((3, 3))
     # 2 shared endpoints + one interior element per chain
     assert h.size == 4
-    assert h.minimal_elements() == (0,)
-    assert h.maximal_elements() == (1,)
+    assert [i for i in range(4) if not h.strict_down(i)] == [0]
+    assert [i for i in range(4) if not h.strict_up(i)] == [1]
     assert height(h) == 3
 
 
