@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import permutations
 from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
@@ -82,8 +81,9 @@ def enumerate_copies(
     return CopyHypergraph(tuple(sorted(images)), True)
 
 
-# Largest ground set whose symmetric group the value phase branches on: a
-# stabilizer then holds at most 2 * 7! elements.
+# Largest ground set whose symmetric group the value phase branches on;
+# past it the search trees, and the incumbents of budget-degraded runs,
+# stay those of the plain search.
 SYMMETRY_MAX_N = 7
 
 
@@ -91,71 +91,83 @@ class _SubsetSymmetry:
     """The permutations of [n] acting on vertices that are subsets of [n],
     masks[v] the subset of vertex v; with complement=True, also each of
     them followed by complementation.  The vertex set must be closed under
-    the group, so the orbit of a k-set is every vertex of size k, and of
-    size n - k under complementation.  The group is never listed: `orbit`
-    builds one vertex's stabilizer from the permutations of its set and of
-    the rest."""
+    the group.
+
+    No group element is listed.  The search reaches only pointwise
+    stabilizers of a few vertices, and each is a state (cells, twisted):
+    cells partitions [n] into masks C, each paired with a partner cell C'
+    of its size, and the group is the permutations that keep every cell,
+    joined, when twisted, by each permutation that maps every C onto its
+    C' followed by complementation.  `root` is the whole group: the one
+    cell [n], its own partner.  A vertex set B lies in the orbit of A
+    when |B & C| = |A & C| for every cell, or, twisted, when
+    |B & C'| = |C| - |A & C| for every cell."""
 
     def __init__(self, n: int, masks, complement: bool):
         self.n = n
         self.masks = masks
         self.complement = complement
-        self.vertex_of = [-1] * (1 << n)
-        self.by_size = [0] * (n + 1)
+        self.everything = (1 << len(masks)) - 1
+        # having[e], the vertices whose set holds element e
+        self.having = [0] * n
         for v, m in enumerate(masks):
-            self.vertex_of[m] = v
-            self.by_size[m.bit_count()] |= 1 << v
+            for e in bits(m):
+                self.having[e] |= 1 << v
+        self.meetings: dict[int, list[int]] = {}
 
-    def _vertex_map(self, sources, targets, flip: int) -> tuple[int, ...]:
-        """The vertex map of the element that sends element sources[i] to
-        targets[i], sources listing all of [n], and then xors flip."""
-        to = [0] * self.n
-        for e, f in zip(sources, targets):
-            to[e] = 1 << f
-        images = [flip]  # the image of every mask, doubled element by element
-        for b in to:
-            images += [x ^ b for x in images]
-        vertex_of = self.vertex_of.__getitem__
-        return tuple(map(vertex_of, map(images.__getitem__, self.masks)))
+    def root(self):
+        """The state of the whole group."""
+        full = (1 << self.n) - 1
+        return ((full, full),), self.complement
 
-    def orbit(self, u: int) -> tuple[int, list[tuple[int, ...]]]:
-        """u's orbit as a vertex mask, and the elements that fix u as
-        distinct vertex maps."""
-        n, a = self.n, self.masks[u]
-        inside = bits(a)
-        outside = [e for e in range(n) if not a >> e & 1]
-        k = len(inside)
-        orbit = self.by_size[k]
-        # (image of inside, image of outside, xor): the permutations that
-        # keep u's set, and when complementation keeps its size, those that
-        # swap it with the rest and then complement
-        kinds = [(inside, outside, 0)]
-        if self.complement:
-            orbit |= self.by_size[n - k]
-            if 2 * k == n:
-                kinds.append((outside, inside, (1 << n) - 1))
-        sources = inside + outside
-        maps = {
-            self._vertex_map(sources, s + t, flip): None
-            for onto_in, onto_out, flip in kinds
-            for s in permutations(onto_in)
-            for t in permutations(onto_out)
-        }
-        return orbit, list(maps)
+    def _meeting(self, cell: int) -> list[int]:
+        """meet[j], the vertices whose set meets cell in exactly j elements,
+        built one element of cell at a time and kept on the instance."""
+        meet = self.meetings.get(cell)
+        if meet is None:
+            meet = [self.everything]
+            for e in bits(cell):
+                has = self.having[e]
+                meet = [a & ~has | b & has for a, b in zip(meet + [0], [0] + meet)]
+            self.meetings[cell] = meet
+        return meet
 
+    def orbit(self, state, u: int) -> int:
+        """u's orbit under the group of state, as a vertex mask."""
+        cells, twisted = state
+        a = self.masks[u]
+        orbit = self.everything
+        for c, _ in cells:
+            orbit &= self._meeting(c)[(a & c).bit_count()]
+        if twisted:
+            flipped = self.everything
+            for c, partner in cells:
+                flipped &= self._meeting(partner)[c.bit_count() - (a & c).bit_count()]
+            orbit |= flipped
+        return orbit
 
-def _orbit(group, u: int) -> tuple[int, list[tuple[int, ...]]]:
-    """u's orbit under group, a `_SubsetSymmetry` or a list of vertex
-    maps, as a vertex mask, and the elements of group that fix u."""
-    if type(group) is not list:
-        return group.orbit(u)
-    orbit, stab = 0, []
-    for g in group:
-        v = g[u]
-        orbit |= 1 << v
-        if v == u:
-            stab.append(g)
-    return orbit, stab
+    def stabilizer(self, state, u: int):
+        """The state of the elements of state's group that fix u, or None
+        when they fix every vertex.  With A u's set, each cell C splits into
+        C & A, partnered with C' - A, and C - A, partnered with C' & A: a
+        twisted element that fixes A maps A onto its complement, so it maps
+        C & A onto C' - A.  Such an element exists only when
+        |A & C| + |A & C'| = |C| for every cell.  S_n moves some vertex of
+        every vertex set the engine gets (all subsets, or the k-sets with
+        0 < k < n) unless every cell is one element and no twist is left."""
+        cells, twisted = state
+        a = self.masks[u]
+        split = []
+        for c, partner in cells:
+            if c & a:
+                split.append((c & a, partner & ~a))
+            if c & ~a:
+                split.append((c & ~a, partner & a))
+            if (a & c).bit_count() + (a & partner).bit_count() != c.bit_count():
+                twisted = False
+        if not twisted and len(split) == self.n:
+            return None
+        return tuple(split), twisted
 
 
 # _DIGIT[j] maps a byte to the digit b"1" when its bit j is set, else to
@@ -208,8 +220,9 @@ class _Engine:
     permutations that maps the copies onto themselves and keeps every
     weight.  Each node of that search carries its stabilizer G, the
     elements that fix its included set and its excluded set: the whole
-    group at the root, a list of vertex maps below, None when only the
-    identity is left.  A node with a nontrivial G is packed and bounded as
+    group at the root, below it a `_SubsetSymmetry` state, the pointwise
+    stabilizer of the excluded vertices, and None when only the identity
+    is left.  A node with a nontrivial G is packed and bounded as
     above, then branches in two on u, the lowest free vertex of the branch
     copy, and u's orbit O under G.  The child that includes all of O keeps
     G and is searched first; the child that excludes u keeps G_u, the
@@ -217,8 +230,7 @@ class _Engine:
     first child.  One that excludes some v in O maps, under an element of
     G taking v to u, onto a completion of the node of equal weight that
     excludes u, so the second child holds an optimum whenever the first
-    does not.  Callers give a group only for n <= SYMMETRY_MAX_N, where a
-    stabilizer holds at most 2 * 7! elements.  A node with G None, and
+    does not.  Callers give a group only for n <= SYMMETRY_MAX_N.  A node with G None, and
     every node of a feasibility search, branches on the copy as above.
     The incumbent (best_val, best_wit) starts as the empty set; a caller
     with a better seed sets it before `maximize`.  A feasibility search
@@ -295,16 +307,17 @@ class _Engine:
         w_out: int,
         alive: int,
         first: bool,
-        group=None,
+        sym: _SubsetSymmetry | None = None,
     ) -> bool:
         """Depth-first search below one node, w_out the weight of its
-        excluded set and group its stabilizer (None when trivial), raising
-        best_val and best_wit; with first=True, True as soon as best_val
-        rises."""
+        excluded set, raising best_val and best_wit; with first=True, True
+        as soon as best_val rises.  With sym the node's stabilizer is sym's
+        whole group."""
         by_bit, miss, weights = self.by_bit, self.miss, self.weights
         classes, universe, total = self.classes, self.universe, self.total
         lubell_prunes = self._lubell_prunes if self.levels else None
         tick = self.budget.tick if self.budget is not None else None
+        group = sym.root() if sym is not None else None
         stack = [(included, excluded, w_out, alive, group)]
         while stack:
             included, excluded, w_out, alive, group = stack.pop()
@@ -349,15 +362,16 @@ class _Engine:
                 # orbital: exclude u alone, or include u's whole orbit
                 low = branch & -branch
                 u = low.bit_length() - 1
-                orbit, stab = _orbit(group, u)
                 stack.append((
                     included,
                     excluded | low,
                     w_out + weights[u],
                     alive & miss[u],
-                    stab if len(stab) > 1 else None,
+                    sym.stabilizer(group, u),
                 ))
-                stack.append((included | orbit, excluded, w_out, alive, group))
+                stack.append((
+                    included | sym.orbit(group, u), excluded, w_out, alive, group
+                ))
                 continue
             while branch:
                 low = branch & -branch
@@ -371,8 +385,8 @@ class _Engine:
 
     def maximize(self) -> None:
         """Raise the incumbent to an optimum, searching from the root."""
-        group = self.symmetry() if self.symmetry is not None else None
-        self._search(0, 0, 0, self.all_copies, False, group)
+        sym = self.symmetry() if self.symmetry is not None else None
+        self._search(0, 0, 0, self.all_copies, False, sym)
 
     def lexmin_witness(self, target: int, wit: int) -> int:
         """The set of weight >= target whose sorted vertex list is

@@ -163,8 +163,10 @@ def perm_chain_stats(fam):
 def assert_symmetry_is_exact(sym, copies, weight_lists):
     """Every element of sym's group, listed from all n! permutations (and
     complemented too when sym.complement), maps the copy set onto itself
-    and keeps every weight list; and `sym.orbit(u)` gives, for each vertex
-    u, exactly its orbit and its stabilizer."""
+    and keeps every weight list.  The listed group is the oracle for sym's
+    states: the root's orbits, and for each vertex u and then each vertex
+    v, the orbits of G_u and G_{u,v}, and None exactly when that group
+    fixes every vertex."""
     n, masks = sym.n, sym.masks
     index = {m: v for v, m in enumerate(masks)}
     flips = (0, (1 << n) - 1) if sym.complement else (0,)
@@ -178,11 +180,29 @@ def assert_symmetry_is_exact(sym, copies, weight_lists):
         assert {sum(1 << g[v] for v in bits(c)) for c in copies} == copies, g
         for w in weight_lists:
             assert all(w[g[v]] == w[v] for v in range(len(masks))), g
+
+    def assert_state(state, elements, fixed):
+        assert (state is None) == (len(elements) == 1), fixed
+        if state is not None:
+            assert_orbits(state, elements, fixed)
+
+    def assert_orbits(state, elements, fixed):
+        for v in range(len(masks)):
+            orbit = sum({1 << g[v] for g in elements})
+            assert sym.orbit(state, v) == orbit, (fixed, v)
+
+    # the root is the whole group, trivial or not
+    root = sym.root()
+    assert_orbits(root, group, ())
     for u in range(len(masks)):
-        orbit, stab = sym.orbit(u)
-        assert orbit == sum({1 << g[u] for g in group}), u
-        assert len(stab) == len(set(stab))
-        assert set(stab) == {g for g in group if g[u] == u}, u
+        g_u = [g for g in group if g[u] == u]
+        s_u = sym.stabilizer(root, u)
+        assert_state(s_u, g_u, (u,))
+        if s_u is None:
+            continue
+        for v in range(len(masks)):
+            g_uv = [g for g in g_u if g[v] == v]
+            assert_state(sym.stabilizer(s_u, v), g_uv, (u, v))
 
 
 def engines_built(module, run):

@@ -1,5 +1,6 @@
 import functools
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
@@ -627,6 +628,49 @@ def test_complementation_only_for_self_dual_patterns(pattern_text, self_dual):
     only the self-dual patterns get complementation."""
     sym = extremal._lattice_symmetry(4, make_poset(pattern_text), None)
     assert sym.complement is self_dual
+
+
+def test_a_balanced_split_keeps_the_complemented_coset():
+    """At n = 4 with complementation, the elements that fix {1, 2} include
+    each permutation mapping {1, 2} onto {3, 4}, followed by
+    complementation, so the orbit of {1} under them also holds {1, 2, 3}
+    and {1, 2, 4}.  No locked solve reaches this coset: their first
+    orbital vertex is the empty set."""
+    verts, index, _ = extremal._lattice(4)
+    sym = extremal._SubsetSymmetry(4, verts, True)
+    state = sym.stabilizer(sym.root(), index[0b0011])
+    assert state[1]
+    orbit = sum(1 << index[m] for m in (0b0001, 0b0010, 0b0111, 0b1011))
+    assert sym.orbit(state, index[0b0001]) == orbit
+    # an unbalanced split drops it
+    assert not sym.stabilizer(sym.root(), index[0b0001])[1]
+
+
+def test_root_orbits_at_n7_list_no_group_element():
+    """At n = 7 the root orbit of a k-set is the k-sets, joined by the
+    (7 - k)-sets under complementation, and under the stabilizer of the
+    empty set it is the k-sets either way.  Listing that stabilizer, all
+    of S_7 as vertex maps, once peaked at 5.5 MB."""
+    verts, _, _ = extremal._lattice(7)
+    assert verts[0] == 0
+    by_size = [0] * 8
+    for v, m in enumerate(verts):
+        by_size[m.bit_count()] |= 1 << v
+    tracemalloc.start()
+    try:
+        for complement in (False, True):
+            sym = extremal._SubsetSymmetry(7, verts, complement)
+            root = sym.root()
+            empty = sym.stabilizer(root, 0)
+            for u, m in enumerate(verts):
+                k = m.bit_count()
+                flipped = by_size[7 - k] if complement else 0
+                assert sym.orbit(root, u) == by_size[k] | flipped
+                assert sym.orbit(empty, u) == by_size[k]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def recorded_engines(solver, n, pattern_text):
