@@ -37,7 +37,7 @@ from .instrumentation import (
 from .jsonio import (
     certificate_to_json,
     decode_int,
-    decomposition_to_json,
+    decomposition_text,
     dumps,
     encode_fraction,
     encode_int,

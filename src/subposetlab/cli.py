@@ -52,9 +52,8 @@ DEFAULT_SOLVE_BUDGET = 50_000_000
 # the band posets and the lattice poset take about 0.03 s at n = 10 and
 # 0.2 s at n = 12 (2-core x86, Python 3.11).
 MAX_SOLVE_N = 10
-# Largest --n for scd: n = 16 takes about 0.6 s and 50 MB for 7 MB of
-# output (2-core x86, Python 3.11, on a host where the bracket grouping
-# this replaced took 1.1 s and 81 MB), and each step up doubles all three.
+# Largest --n for scd: n = 16 takes about 0.3 s and 40 MB for 7 MB of
+# output (2-core x86, Python 3.11), and each step up doubles all three.
 MAX_SCD_N = 16
 # Largest --max-gap for report: a k-configuration deletes k of the n
 # elements, so every entry past n is zero.  64 gaps take about 0.05 s on a
@@ -274,9 +273,7 @@ def _cmd_scd(args) -> int:
         peak = band_peak_level(args.n, lo, hi)
     except ValueError as e:
         raise _InputError(str(e)) from e
-    body = jsonio.decomposition_to_json(dec)
-    head = {key: body.pop(key) for key in ("n", "level_lo", "level_hi")}
-    _emit({**head, "peak_level": peak, **body})
+    sys.stdout.write(jsonio.decomposition_text(dec, peak))
     return 0
 
 

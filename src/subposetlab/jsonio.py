@@ -8,13 +8,14 @@ formatting, so equal values serialize to identical bytes.
 
 from __future__ import annotations
 
-from bisect import insort
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
+from itertools import chain, islice, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .hypergraphs import Hypergraph, Partition
-from .lattice import ChainDecomposition, SubsetFamily, elements_of_mask
+from .lattice import ChainDecomposition, SubsetFamily
 from .posets import Poset, from_cover_relations, make_poset
 from .representations import KPartiteRepresentation, RepresentationCertificate
 
@@ -128,32 +129,54 @@ def certificate_to_json(cert: RepresentationCertificate) -> dict:
     return out
 
 
-def _chain_elements(chain) -> list[list[int]]:
-    """The 1-based element list of each member of a chain.  A member that
-    is the one before it plus one element copies that list and inserts the
-    element; any other member is read from its mask."""
-    rows: list[list[int]] = []
-    last = 0
-    for m in chain:
-        step = m ^ last
-        if rows and step & m == step and step.bit_count() == 1:
-            row = rows[-1].copy()
-            insort(row, step.bit_length())
-        else:
-            row = list(elements_of_mask(m))
-        rows.append(row)
-        last = m
-    return rows
+# between two elements of a chain member in the scd output
+_ELEMENT_SEP = ",\n        "
+_DECOMPOSITION_HEAD = (
+    '{\n  "n": %d,\n  "level_lo": %d,\n  "level_hi": %d,\n'
+    '  "peak_level": %d,\n  "count": %d,\n  "chains": '
+)
 
 
-def decomposition_to_json(dec: ChainDecomposition) -> dict:
-    return {
-        "n": dec.n,
-        "level_lo": dec.level_lo,
-        "level_hi": dec.level_hi,
-        "count": len(dec),
-        "chains": [_chain_elements(chain) for chain in dec.chains],
-    }
+@cache
+def _byte_elements(j: int) -> tuple[str, ...]:
+    """Entry b: the elements 8j + 1 to 8j + 8 that the byte value b picks
+    out, each with the element separator before it."""
+    return tuple(
+        "".join([_ELEMENT_SEP + str(8 * j + i + 1) for i in range(8) if b >> i & 1])
+        for b in range(256)
+    )
+
+
+def decomposition_text(dec: ChainDecomposition, peak_level: int) -> str:
+    """The scd output for a decomposition: dumps() of {n, level_lo,
+    level_hi, peak_level, count, chains}, each chain a list of members and
+    each member its sorted 1-based element list.
+
+    Every mask is cut into bytes, as many as the largest mask needs, and a
+    member's text is joined from one table entry per byte, so no element
+    list is built and no int is written on its own.
+    """
+    masks = list(chain.from_iterable(dec.chains))
+    width = max(1, (max(masks, default=0).bit_length() + 7) // 8)
+    data = b"".join(map(int.to_bytes, masks, repeat(width), repeat("little")))
+    columns = [map(_byte_elements(j).__getitem__, data[j::width]) for j in range(width)]
+    # a body opens with the element separator; the member's bracket takes
+    # the place of its comma
+    members = (
+        "[" + body[1:] + "\n      ]" if body else "[]"
+        for body in map("".join, zip(*columns))
+    )
+    chains = [
+        "[\n      " + ",\n      ".join(islice(members, len(c))) + "\n    ]" if c else "[]"
+        for c in dec.chains
+    ]
+    head = _DECOMPOSITION_HEAD % (dec.n, dec.level_lo, dec.level_hi, peak_level, len(dec))
+    if not chains:
+        return head + "[]\n}\n"
+    # one join, so the whole text (7 MB at n = 16) is copied once
+    chains[0] = head + "[\n    " + chains[0]
+    chains[-1] += "\n  ]\n}\n"
+    return ",\n    ".join(chains)
 
 
 def _float_text(x: float) -> str:

@@ -186,7 +186,9 @@ def full_symmetric_chains(
     if not 0 <= level_lo <= level_hi <= n:
         raise ValueError(f"invalid band [{level_lo}, {level_hi}] for n={n}")
     most = min(level_hi, n - level_lo)
-    chains = []
+    # chains by the size of their first member; first members are distinct,
+    # so sorting a bucket's tuples orders it by first member
+    by_size = [[] for _ in range(level_hi + 1)]
     # partial bottoms: (next position, mask, unmatched elements, elements,
     # unmatched non-elements as a mask)
     stack = [(0, 0, 0, 0, 0)]
@@ -197,7 +199,8 @@ def full_symmetric_chains(
             for i in reversed(bits(free)):
                 mask |= 1 << i
                 chain.append(mask)
-            chains.append(tuple(chain[max(0, level_lo - ones) : level_hi - ones + 1]))
+            skip = max(0, level_lo - ones)
+            by_size[ones + skip].append(tuple(chain[skip : level_hi - ones + 1]))
             continue
         bit = 1 << pos
         if open_:
@@ -207,7 +210,10 @@ def full_symmetric_chains(
         # an element needs a later non-element to match it
         if ones < most and open_ < n - pos - 1:
             stack.append((pos + 1, mask | bit, open_ + 1, ones + 1, free))
-    chains.sort(key=lambda c: canonical_sort_key(c[0]))
+    chains = []
+    for bucket in by_size:
+        bucket.sort()
+        chains += bucket
     return tuple(chains)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -611,6 +612,25 @@ def test_scd_at_the_n_limit_covers_every_subset_once(capsys):
     assert res["count"] == len(res["chains"]) == comb(n, n // 2)
     masks = sorted(sum(1 << (e - 1) for e in s) for ch in res["chains"] for s in ch)
     assert masks == list(range(1 << n))
+
+
+# sha256 of scd stdout, read while scd's output still went through dumps
+SCD_STDOUT_SHA256 = {
+    ("--n", "0"): "fb9141757b6a35c948272a11e2d21ae42474e63ea6e2680bb538f8699be651b3",
+    ("--n", "1"): "11cc708eccbfb0ac309ab7ec820291668226d9499d9009bfa2aadbb9964714c4",
+    ("--n", "8"): "ff6a1d2eaa4dd594fe2469c7bf57635245ce726eb2239655d6b3b9d5a68d5e2c",
+    ("--n", "9"): "4ff51171e1e5de22cbda2a72c677790deb31635bb47a3265d9256840bdf73017",
+    ("--n", "12", "--lo", "5", "--hi", "9"):
+        "774dfc59dafbda01524e2bc5562c27c0aa0d5585c8cb5afe5ee5f6eb164fcb86",
+    ("--n", "16"): "ca7e923fb9cfdaf908deddddf98b89562f68c2b1e740c11aba8271af59e07941",
+}
+
+
+def test_scd_stdout_bytes_are_locked(capsys):
+    for argv, digest in SCD_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, "scd", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path):

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from subposetlab import (
     Hypergraph,
     SubsetFamily,
+    band_peak_level,
     chain,
     crown,
     decode_int,
-    decomposition_to_json,
+    decomposition_text,
     dumps,
     encode_fraction,
     encode_int,
@@ -126,36 +127,47 @@ def test_partition_payload():
     assert partition_to_json(cert.partition) == [[1, 4], [2, 6], [3, 5, 7]]
 
 
-def test_decomposition_payload():
-    dec = symmetric_chain_decomposition(3, 1, 3)
-    obj = decomposition_to_json(dec)
-    assert obj["n"] == 3 and obj["level_lo"] == 1 and obj["level_hi"] == 3
-    assert obj["count"] == len(dec.chains) == 3
-    for chain_sets in obj["chains"]:
-        sizes = [len(s) for s in chain_sets]
-        assert sizes == sorted(sizes)
+def reference_decomposition_text(dec, peak_level):
+    payload = {
+        "n": dec.n,
+        "level_lo": dec.level_lo,
+        "level_hi": dec.level_hi,
+        "peak_level": peak_level,
+        "count": len(dec),
+        "chains": [[list(elements_of_mask(m)) for m in c] for c in dec.chains],
+    }
+    return json.dumps(payload, indent=2, separators=(",", ": ")) + "\n"
 
 
-def test_decomposition_payload_reads_members_that_skip_levels():
-    """A hand-built decomposition need not be saturated.  A member one
-    element above the one before it gets that element inserted in order;
-    one two elements above it, or one below it, is read whole."""
+def test_decomposition_text_matches_json_on_every_band():
+    """Every band up to n = 12, and for n = 13 to 16 the bottom and top
+    four levels (the whole n = 16 lattice is pinned in test_cli)."""
+    bands = [(n, lo, hi) for n in range(13) for lo in range(n + 1) for hi in range(lo, n + 1)]
+    bands += [(n, lo, hi) for n in range(13, 17) for lo, hi in ((0, 3), (n - 3, n))]
+    for n, lo, hi in bands:
+        dec = symmetric_chain_decomposition(n, lo, hi)
+        peak = band_peak_level(n, lo, hi)
+        assert decomposition_text(dec, peak) == reference_decomposition_text(dec, peak)
+
+
+def test_decomposition_text_writes_hand_built_members():
+    """A hand-built decomposition need not be saturated, nor keep its masks
+    below 2^n: every member is written from its own mask."""
     chains = (
+        (0b0000, 0b0101, 0b0111),  # the empty member, then two levels up
         (0b0100, 0b0101, 0b0111, 0b1111),
-        (0b0000, 0b0101, 0b0111),
         (0b0010, 0b1000, 0b1001),
-        (0b0110, 0b0010),
+        (0b0110, 0b0010),  # shrinking
+        (1 << 8, 1 << 7 | 1 << 8, 1 << 7 | 1 << 8 | 1),  # {9}, {8, 9}, {1, 8, 9}
+        (1 << 7, 0xFFFF),
+        (),
     )
-    obj = decomposition_to_json(ChainDecomposition(4, 0, 4, chains))
-    assert obj["chains"] == [
-        [[3], [1, 3], [1, 2, 3], [1, 2, 3, 4]],
-        [[], [1, 3], [1, 2, 3]],
-        [[2], [4], [1, 4]],
-        [[2, 3], [2]],
-    ]
-    assert obj["chains"] == [
-        [list(elements_of_mask(m)) for m in chain] for chain in chains
-    ]
+    for dec, peak in (
+        (ChainDecomposition(4, 0, 4, chains), 2),
+        (ChainDecomposition(20, 3, 20, ((1 << 16, 1 << 16 | 1 << 19, (1 << 20) - 1),)), 10),
+        (ChainDecomposition(3, 1, 1, ()), 1),
+    ):
+        assert decomposition_text(dec, peak) == reference_decomposition_text(dec, peak)
 
 
 def test_dumps_is_stable():
