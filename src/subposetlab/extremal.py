@@ -81,12 +81,6 @@ def enumerate_copies(
     return CopyHypergraph(tuple(sorted(images)), True)
 
 
-# Largest ground set whose symmetric group the value phase branches on;
-# past it the search trees, and the incumbents of budget-degraded runs,
-# stay those of the plain search.
-SYMMETRY_MAX_N = 7
-
-
 class _SubsetSymmetry:
     """The permutations of [n] acting on vertices that are subsets of [n],
     masks[v] the subset of vertex v; with complement=True, also each of
@@ -215,42 +209,32 @@ class _Engine:
     the children split the node's completions.  An include can complete
     a copy; that child is pruned as a dead copy when it is reached.
     Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
-    Program. 2011), in `maximize` only: `symmetry`, when given, is called
-    once there and returns a `_SubsetSymmetry`, a group of vertex
-    permutations that maps the copies onto themselves and keeps every
-    weight.  Each node of that search carries its stabilizer G, the
-    elements that fix its included set and its excluded set: the whole
-    group at the root, below it a `_SubsetSymmetry` state, the pointwise
-    stabilizer of the excluded vertices, and None when only the identity
-    is left.  A node with a nontrivial G is packed and bounded as
-    above, then branches in two on u, the lowest free vertex of the branch
-    copy, and u's orbit O under G.  The child that includes all of O keeps
-    G and is searched first; the child that excludes u keeps G_u, the
-    elements that fix u.  A completion that includes all of O lies in the
-    first child.  One that excludes some v in O maps, under an element of
-    G taking v to u, onto a completion of the node of equal weight that
-    excludes u, so the second child holds an optimum whenever the first
-    does not.  Callers give a group only for n <= SYMMETRY_MAX_N.  A node with G None, and
-    every node of a feasibility search, branches on the copy as above.
+    Program. 2011), in `maximize` only: its argument, when not None, is a
+    `_SubsetSymmetry`, a group of vertex permutations that maps the copies
+    onto themselves and keeps every weight.  Each node of that search
+    carries its stabilizer G, the elements that fix its included set and
+    its excluded set: the whole group at the root, below it a
+    `_SubsetSymmetry` state, the pointwise stabilizer of the excluded
+    vertices, and None when only the identity is left.  A node with a
+    nontrivial G is packed and bounded as above, then branches in two on
+    u, the lowest free vertex of the branch copy, and u's orbit O under G.
+    The child that includes all of O keeps G and is searched first; the
+    child that excludes u keeps G_u, the elements that fix u.  A
+    completion that includes all of O lies in the first child.  One that
+    excludes some v in O maps, under an element of G taking v to u, onto
+    a completion of the node of equal weight that excludes u, so the
+    second child holds an optimum whenever the first does not.  A node
+    with G None, and every node of a feasibility search, branches on the
+    copy as above.
     The incumbent (best_val, best_wit) starts as the empty set; a caller
     with a better seed sets it before `maximize`.  A feasibility search
     for weight >= target starts from best_val = target - 1 and stops at
     its first improvement.
     """
 
-    def __init__(
-        self,
-        nverts: int,
-        weights,
-        copies,
-        budget: Budget | None,
-        levels=(),
-        capacity=0,
-        symmetry=None,
-    ):
-        self.nverts = nverts
-        self.symmetry = symmetry
+    def __init__(self, weights, copies, budget: Budget | None, levels=(), capacity=0):
         self.weights = list(weights)
+        self.nverts = nverts = len(self.weights)
         self.levels = levels
         self.capacity = capacity
         self.by_bit = copies[::-1]
@@ -383,9 +367,9 @@ class _Engine:
                 branch ^= low
         return False
 
-    def maximize(self) -> None:
-        """Raise the incumbent to an optimum, searching from the root."""
-        sym = self.symmetry() if self.symmetry is not None else None
+    def maximize(self, sym: _SubsetSymmetry | None) -> None:
+        """Raise the incumbent to an optimum, searching from the root, on
+        orbits of sym's group while a node's stabilizer is nontrivial."""
         self._search(0, 0, 0, self.all_copies, False, sym)
 
     def lexmin_witness(self, target: int, wit: int) -> int:
@@ -484,12 +468,11 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     phase is skipped; copy enumeration, the witness phase and the re-check
     run as always.
 
-    For n <= SYMMETRY_MAX_N the maximize phase branches on orbits of the
-    permutations of [n], joined by complementation when the pattern is
-    isomorphic to its dual (`_lattice_symmetry`); that test and the group
-    are built only when the phase runs, after the root Lubell check.  The
-    witness phase never uses the group, so the witness is still the least
-    optimum."""
+    The maximize phase branches on orbits of the permutations of [n],
+    joined by complementation when the pattern is isomorphic to its dual
+    (`_lattice_symmetry`); that test and the group are built only when the
+    phase runs, after the root Lubell check.  The witness phase never uses
+    the group, so the witness is still the least optimum."""
     band = la_lower_bound(n, pattern, budget).witness
     seed_val = sum(level_weight[m.bit_count()] for m in band.members)
     seed = ExtremalResult(unit * seed_val, band, "lower-bound-only")
@@ -507,22 +490,11 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     scale = _level_scale(n)
     order = sorted(range(n + 1), key=lambda i: -level_weight[i] * comb(n, i))
     levels = [(masks[i], level_weight[i], scale // comb(n, i)) for i in order]
-    symmetry = None
-    if n <= SYMMETRY_MAX_N:
-        symmetry = lambda: _lattice_symmetry(n, pattern, budget)
-    engine = _Engine(
-        len(verts),
-        weights,
-        ch.copies,
-        budget,
-        levels,
-        (pattern.size - 1) * scale,
-        symmetry,
-    )
+    engine = _Engine(weights, ch.copies, budget, levels, (pattern.size - 1) * scale)
     engine.best_val, engine.best_wit = seed_val, _vertex_mask_of_family(band)
     if not engine._lubell_prunes(0, engine.universe):
         try:
-            engine.maximize()
+            engine.maximize(_lattice_symmetry(n, pattern, budget))
         except BudgetExceeded:
             wit = _family_from_vertex_mask(n, engine.best_wit)
             return ExtremalResult(

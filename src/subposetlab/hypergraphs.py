@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, factorial, prod
 
 from .budget import Budget
-from .extremal import SYMMETRY_MAX_N, _Engine, _SubsetSymmetry
+from .extremal import _Engine, _SubsetSymmetry
 from .lattice import SubsetFamily, bits, elements_of_mask, mask_from_elements
 
 
@@ -48,11 +48,10 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered partition of [l] into labeled parts."""
+    """Ordered partition of [l] into labeled parts, which may be empty."""
 
     l: int
     parts: tuple[tuple[int, ...], ...]
-    allow_empty: bool = False
 
     def __post_init__(self):
         object.__setattr__(
@@ -62,8 +61,6 @@ class Partition:
         # growing int takes time quadratic in l
         seen: set[int] = set()
         for p in self.parts:
-            if not p and not self.allow_empty:
-                raise ValueError("empty part in a partition not declared to allow them")
             for a, e in enumerate(p):
                 if not 1 <= e <= self.l:
                     raise ValueError(f"element {e} outside ground set [1, {self.l}]")
@@ -196,7 +193,7 @@ def is_k_partite(h: Hypergraph, budget: Budget | None = None) -> Partition | Non
                 i += 1
     for c in range(k):
         parts[c].extend(lone[i + c :: k])
-    return Partition(l, tuple(map(tuple, parts)), allow_empty=True)
+    return Partition(l, tuple(map(tuple, parts)))
 
 
 def _forced_coloring(root, edges_at, nbrs, color, k, budget) -> list[int] | None:
@@ -303,6 +300,8 @@ def random_balanced_partition(n: int, k: int, seed: int) -> Partition:
     reproducible from the seed."""
     if k < 1:
         raise ValueError("k must be positive")
+    if n < 1:
+        raise ValueError("n must be positive")
     if n % k:
         raise ValueError(f"k={k} must divide n={n}")
     rng = random.Random(seed)
@@ -422,13 +421,12 @@ def turan_oracle(
 
     The candidate edges, in ascending mask order, are the vertices of the
     extremal engine and the complete k-partite copies its copies: the value
-    comes from its branch and bound, which for n <= SYMMETRY_MAX_N
-    branches on orbits of the permutations of [n]; the witness is the
-    optimal edge set whose sorted mask list is lexicographically least,
-    re-checked free of the forbidden copy.  The budget bounds copy
-    enumeration and both searches; an instance past TURAN_SIZE_LIMIT,
-    with the copies counted exactly before any is listed, raises
-    ValueError before any tick.
+    comes from its branch and bound, which branches on orbits of the
+    permutations of [n]; the witness is the optimal edge set whose sorted
+    mask list is lexicographically least, re-checked free of the forbidden
+    copy.  The budget bounds copy enumeration and both searches; an instance
+    past TURAN_SIZE_LIMIT, with the copies counted exactly before any is
+    listed, raises ValueError before any tick.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -449,11 +447,8 @@ def turan_oracle(
         sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k)
     )
     copies = _kpartite_copies(edges, n, sizes, budget)
-    symmetry = None
-    if n <= SYMMETRY_MAX_N:
-        symmetry = lambda: _SubsetSymmetry(n, edges, False)
-    engine = _Engine(len(edges), [1] * len(edges), copies, budget, (), 0, symmetry)
-    engine.maximize()
+    engine = _Engine([1] * len(edges), copies, budget)
+    engine.maximize(_SubsetSymmetry(n, edges, False))
     value = engine.best_val
     wit_mask = engine.lexmin_witness(value, engine.best_wit)
     witness = Hypergraph(

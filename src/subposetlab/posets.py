@@ -60,13 +60,28 @@ class Poset:
         return tuple(covers)
 
 
+# Most elements a poset may have, and most cover pairs a generator may
+# list.  Each up row is an int of about as many bits as the poset has
+# elements, so memory grows with the square of its size, and none of that
+# work is charged to a budget: sizes from argv or JSON are checked before
+# any list is built.
+MAX_POSET_SIZE = 4096
+
+
+def _check_size(count: int, what: str = "elements") -> None:
+    if count > MAX_POSET_SIZE:
+        raise ValueError(f"{count} {what}, more than the {MAX_POSET_SIZE} allowed")
+
+
 def from_cover_relations(size: int, covers) -> Poset:
     """Poset as the transitive closure of the given strict relations.
 
     The relation list must be acyclic; it need not be a minimal cover set.
+    Raises ValueError past MAX_POSET_SIZE elements.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
+    _check_size(size)
     succ: list[set[int]] = [set() for _ in range(size)]
     for u, v in covers:
         if not (0 <= u < size and 0 <= v < size):
@@ -100,6 +115,7 @@ def chain(k: int) -> Poset:
     """Total order on k elements, 0 < 1 < ... < k-1."""
     if k < 1:
         raise ValueError("a chain needs at least one element")
+    _check_size(k)
     return from_cover_relations(k, [(i, i + 1) for i in range(k - 1)])
 
 
@@ -116,6 +132,7 @@ def crown(two_t: int) -> Poset:
     diagram."""
     if two_t < 4 or two_t % 2:
         raise ValueError("crown size must be an even integer >= 4")
+    _check_size(two_t)
     t = two_t // 2
     covers = []
     for i in range(t):
@@ -133,6 +150,7 @@ def fork(r: int) -> Poset:
     """One minimal element below r pairwise incomparable tops."""
     if r < 1:
         raise ValueError("fork needs at least one top")
+    _check_size(r + 1)
     return from_cover_relations(r + 1, [(0, i) for i in range(1, r + 1)])
 
 
@@ -140,6 +158,7 @@ def diamond(k: int) -> Poset:
     """One bottom, k pairwise incomparable middles, one top."""
     if k < 1:
         raise ValueError("diamond needs at least one middle element")
+    _check_size(k + 2)
     covers = [(0, i) for i in range(1, k + 1)]
     covers += [(i, k + 1) for i in range(1, k + 1)]
     return from_cover_relations(k + 2, covers)
@@ -158,16 +177,16 @@ def harp(lengths) -> Poset:
         raise ValueError("harp needs at least one chain")
     if any(l < 2 for l in lengths):
         raise ValueError("each chain length must be at least 2")
-    covers = []
+    _check_size(2 + sum(l - 2 for l in lengths))
+    # a set: chains of length 2 all give the one bottom-top pair
+    covers = set()
     size = 2
     bottom, top = 0, 1
     for l in lengths:
         interior = list(range(size, size + l - 2))
         size += l - 2
         path = [bottom] + interior + [top]
-        for a, b in zip(path, path[1:]):
-            if (a, b) not in covers:
-                covers.append((a, b))
+        covers.update(zip(path, path[1:]))
     return from_cover_relations(size, covers)
 
 
@@ -175,6 +194,7 @@ def complete_two_level(r: int, r2: int) -> Poset:
     """r bottoms, every one below each of r2 tops."""
     if r < 1 or r2 < 1:
         raise ValueError("both levels need at least one element")
+    _check_size(r * r2, "cover pairs")
     covers = [(i, r + j) for i in range(r) for j in range(r2)]
     return from_cover_relations(r + r2, covers)
 

@@ -17,6 +17,7 @@ from .hypergraphs import Hypergraph, Partition, is_k_partite
 from .lattice import SubsetFamily, bits, mask_from_elements
 from .posets import (
     Poset,
+    _check_size,
     _pattern_order,
     crown,
     family_as_poset,
@@ -116,11 +117,13 @@ def rep_even_cycle(t: int) -> KPartiteRepresentation:
 
 def rep_tight_cycle(k: int, t: int) -> KPartiteRepresentation:
     """k-sets are the kt cyclic intervals of length k on [kt], walked in
-    order; hosts crown(2kt)."""
+    order; hosts crown(2kt).  The walk's k^2 t entries, which bound the
+    crown's size too, are checked before it is built."""
     if k < 2:
         raise ValueError("k must be at least 2")
     if t < 2:
         raise ValueError("t must be at least 2")
+    _check_size(k * k * t, "walk entries")
     l = k * t
     return _closed_walk([[(i + j) % l + 1 for j in range(k)] for i in range(l)])
 

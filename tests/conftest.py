@@ -206,13 +206,19 @@ def assert_symmetry_is_exact(sym, copies, weight_lists):
 
 
 def engines_built(module, run):
-    """The extremal engines that run() builds through module._Engine."""
+    """The extremal engines that run() builds through module._Engine; each
+    keeps as sym the group its maximize was handed, None if it never ran."""
     built = []
 
     class Recording(extremal._Engine):
         def __init__(self, *args):
             super().__init__(*args)
+            self.sym = None
             built.append(self)
+
+        def maximize(self, sym):
+            self.sym = sym
+            super().maximize(sym)
 
     with mock.patch.object(module, "_Engine", Recording):
         run()
@@ -233,14 +239,15 @@ def per_bit_miss(nverts, copies):
     return [all_copies ^ int.from_bytes(m, "little") for m in through]
 
 
-def assert_orbital_matches_plain(engine):
-    """From the empty incumbent, the orbital maximize reaches the optimum
-    of the plain search, and its witness holds no copy and weighs that."""
+def assert_orbital_matches_plain(engine, sym):
+    """From the empty incumbent, maximize on sym's group reaches the
+    optimum of the plain search, and its witness holds no copy and weighs
+    that."""
     engine.best_val = engine.best_wit = 0
-    engine._search(0, 0, 0, engine.all_copies, False)
+    engine.maximize(None)
     plain = engine.best_val
     engine.best_val = engine.best_wit = 0
-    engine.maximize()
+    engine.maximize(sym)
     assert engine.best_val == plain
     assert all(c & ~engine.best_wit for c in engine.by_bit)
     assert engine.weight_of(engine.best_wit) == plain

@@ -254,6 +254,27 @@ def test_size_limits(capsys, argv, message):
     assert time.monotonic() - t0 < 1
 
 
+def test_oversized_posets_are_input_errors(capsys, tmp_path):
+    """A poset's up rows take memory quadratic in its size, so a size from
+    argv or JSON is bounded before any list is built; each of these once
+    took 0.4 to 1 GB or ran out of memory."""
+    target = write_json(
+        tmp_path, "rep.json",
+        {"k": 2, "l": 2, "family": [[1]], "target": {"size": 10**9, "covers": []}},
+    )
+    for argv in (
+        ["la", "--n", "3", "--pattern", "crown:100000"],
+        ["la", "--n", "3", "--pattern", "complete_two_level:1500,1500"],
+        ["gen-rep", "--kind", "even_cycle:20000"],
+        ["verify-rep", "--file", target],
+    ):
+        t0 = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "allowed" in err, argv
+        assert time.monotonic() - t0 < 1, argv
+
+
 def test_la_reports_degradation_on_stderr(capsys, monkeypatch):
     for verb in ("la", "lambda"):
         argv = (verb, "--n", "4", "--pattern", "chain:2")

@@ -4,7 +4,6 @@ import tracemalloc
 from fractions import Fraction
 from itertools import permutations
 from math import comb, factorial, prod
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -162,7 +161,7 @@ def test_engine_miss_matches_the_per_bit_reference(count):
         if count >= 2:
             copies[rng.randrange(count)] = full
             copies[rng.randrange(count)] = 0
-        engine = extremal._Engine(nverts, [1] * nverts, tuple(copies), None)
+        engine = extremal._Engine([1] * nverts, tuple(copies), None)
         assert engine.miss == per_bit_miss(nverts, copies), nverts
         assert engine.all_copies == (1 << count) - 1
 
@@ -680,22 +679,31 @@ def recorded_engines(solver, n, pattern_text):
 @pytest.mark.parametrize("solver", [la_exact, lambda_exact])
 @pytest.mark.parametrize("pattern_text", LADDER)
 def test_orbital_maximize_reaches_the_plain_optimum(solver, pattern_text):
-    """Also: each engine's miss sets equal the per-bit reference's."""
+    """Also: each engine's miss sets equal the per-bit reference's.  Chain
+    patterns close at the root and never call maximize, so the group is
+    built here, as `_run_exact` would."""
     for n in range(1, 6):
-        # chain patterns close at the root and build no search engine
+        sym = extremal._lattice_symmetry(n, make_poset(pattern_text), None)
         for engine in recorded_engines(solver, n, pattern_text):
             assert engine.miss == per_bit_miss(engine.nverts, engine.by_bit[::-1])
-            assert_orbital_matches_plain(engine)
+            assert_orbital_matches_plain(engine, sym)
 
 
-def test_orbital_branching_takes_the_group_only_up_to_n7():
-    """Past SYMMETRY_MAX_N the value phase branches as without symmetry."""
-    assert extremal.SYMMETRY_MAX_N == 7
-    (engine,) = recorded_engines(la_exact, 5, "fork:2")
-    assert engine.symmetry is not None
-    with mock.patch.object(extremal, "SYMMETRY_MAX_N", 4):
-        (engine,) = recorded_engines(la_exact, 5, "fork:2")
-    assert engine.symmetry is None
+def test_value_phase_at_n8_branches_on_the_group():
+    """maximize gets the lattice's symmetry at every n.  The budget covers
+    the lower bound and the copy enumeration of la(8, fork:2) with room
+    for the dual test, then runs out in the search."""
+    pattern = make_poset("fork:2")
+    spent = Budget()
+    la_lower_bound(8, pattern, spent)
+    enumerate_copies(8, pattern, spent)
+    results = []
+    (engine,) = engines_built(
+        extremal,
+        lambda: results.append(la_exact(8, pattern, Budget(spent.used + 1000))),
+    )
+    assert results[0].degraded == "budget-search"
+    assert (engine.sym.n, engine.sym.complement) == (8, False)
 
 
 def test_open_crown_frontier_at_n5():

@@ -35,7 +35,7 @@ from subposetlab import (
     rep_tight_cycle,
     verify_representation,
 )
-from subposetlab.posets import _pattern_order
+from subposetlab.posets import MAX_POSET_SIZE, _pattern_order
 from conftest import random_family, random_poset, relabeled
 
 
@@ -89,6 +89,45 @@ def test_harp_shares_both_endpoints():
     assert [i for i in range(4) if not h.strict_down(i)] == [0]
     assert [i for i in range(4) if not h.strict_up(i)] == [1]
     assert height(h) == 3
+
+
+@pytest.mark.parametrize("lengths", [(4, 3, 2), (3, 3), (5, 4, 3), (2,), (2, 2, 3)])
+def test_harp_is_the_closure_of_its_paths(lengths):
+    """harp keeps its cover pairs in a set, so a pair that several chains
+    share goes in once; the closure of every path's pairs, duplicates and
+    all, in chain order, is the same poset."""
+    covers, size = [], 2
+    for l in lengths:
+        path = [0, *range(size, size + l - 2), 1]
+        size += l - 2
+        covers += zip(path, path[1:])
+    assert harp(lengths) == from_cover_relations(size, covers)
+
+
+def test_poset_size_is_bounded_before_any_list_is_built():
+    """Each up row is an int of up to size bits, so a poset's memory grows
+    with the square of its size.  The bound is checked before the covers,
+    the walk or the closure's lists are built: a billion elements raise at
+    once, and complete_two_level bounds its r * r2 cover pairs."""
+    cap = MAX_POSET_SIZE
+    assert cap >= 4000
+    for spec in (f"crown:{cap}", f"chain:{cap}", f"antichain:{cap}",
+                 f"fork:{cap - 1}", f"diamond:{cap - 2}", f"harp:{cap}",
+                 "complete_two_level:64,64"):
+        make_poset(spec)
+    for spec in (f"crown:{cap + 2}", f"chain:{cap + 1}", f"antichain:{cap + 1}",
+                 f"fork:{cap}", f"diamond:{cap - 1}", f"harp:{cap + 1}",
+                 f"harp:{cap},3", "complete_two_level:64,65"):
+        with pytest.raises(ValueError, match="allowed"):
+            make_poset(spec)
+    with pytest.raises(ValueError, match="allowed"):
+        from_cover_relations(10**9, [])
+    # the walk has k * k * t entries
+    assert rep_tight_cycle(2, cap // 4).target.size == cap
+    with pytest.raises(ValueError, match="allowed"):
+        rep_tight_cycle(2, cap // 4 + 1)
+    with pytest.raises(ValueError, match="allowed"):
+        rep_tight_cycle(cap, 2)
 
 
 def test_butterfly_is_crown4():
