@@ -68,9 +68,10 @@ MAX_TAIL_N = 100_000
 # pairs, not with n: the 20-set chain at n = 50,000 takes under 0.01 s in
 # chain-stats or report.
 MAX_FAMILY_N = 50_000
-# Largest l * (edges + 1000) in the hypergraph file of partite, checked
-# before any edge is decoded.  An edge is an int of up to l bits, and a
-# vertex costs about 1,000 bits besides (its colour, its part and the
+# Largest l * (rows + 1000) in the hypergraph file of partite (its rows
+# are the edges) and the representation file of verify-rep (the family),
+# checked before any row is decoded.  A row is an int of up to l bits, and
+# a vertex costs about 1,000 bits besides (its colour, its part and the
 # partition's checks), so memory is bounded near 2^30 bits of each: the
 # path on l = 32,000 vertices takes about 110 MB and 1 s, and one edge
 # on l = 1,000,000 vertices about 130 MB and 0.6 s (2-core x86, Python
@@ -95,6 +96,17 @@ def _load_json(path: str):
         return json.loads(text)
     except ValueError as e:  # also integer literals past Python's digit limit
         raise _InputError(f"{path}: cannot decode JSON: {e}") from e
+
+
+def _check_partite_bits(path: str, obj, rows: str) -> None:
+    """Refuse a file whose l * (len(obj[rows]) + 1000) exceeds
+    MAX_PARTITE_BITS, before any of its rows is decoded."""
+    found = obj.get(rows) if isinstance(obj, dict) else None
+    if isinstance(found, list):
+        if jsonio.decode_int(obj.get("l", 0)) * (len(found) + 1000) > MAX_PARTITE_BITS:
+            raise _InputError(
+                f"{path}: l * ({rows} + 1000) must be at most {MAX_PARTITE_BITS}"
+            )
 
 
 def _family_arg(path: str) -> SubsetFamily:
@@ -147,6 +159,7 @@ def _chain_stats_json(stats: ChainPairStats) -> dict:
 def _cmd_verify_rep(args) -> int:
     obj = _load_json(args.file)
     try:
+        _check_partite_bits(args.file, obj, "family")
         rep = jsonio.representation_from_json(obj)
     except RepresentationSizeError as e:
         _emit({"verified": False, "reason": "sizes", "detail": str(e)})
@@ -245,13 +258,7 @@ def _cmd_turan(args) -> int:
 def _cmd_partite(args) -> int:
     obj = _load_json(args.file)
     try:
-        edges = obj.get("edges") if isinstance(obj, dict) else None
-        if isinstance(edges, list):
-            bits = jsonio.decode_int(obj.get("l", 0)) * (len(edges) + 1000)
-            if bits > MAX_PARTITE_BITS:
-                raise _InputError(
-                    f"{args.file}: l * (edges + 1000) must be at most {MAX_PARTITE_BITS}"
-                )
+        _check_partite_bits(args.file, obj, "edges")
         h = jsonio.hypergraph_from_json(obj)
     except (ValueError, TypeError, KeyError) as e:
         raise _InputError(f"{args.file}: {e}") from e

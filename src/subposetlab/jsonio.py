@@ -3,7 +3,8 @@
 Exactness rule: rationals are always {"num": str, "den": str}; integers
 wider than 53 bits become decimal strings so no consumer is forced through
 a double.  Encoders emit keys in a fixed order and dumps() uses fixed
-formatting, so equal values serialize to identical bytes.
+formatting, so equal values serialize to identical bytes; dumps() writes
+only str, int, bool, list and str-keyed dict, which is all they emit.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from .posets import Poset, from_cover_relations, make_poset
 from .representations import KPartiteRepresentation, RepresentationCertificate
 
 _SAFE = 1 << 53
-_INF = float("inf")
 _INT_ONLY = frozenset((int,))
 _END = object()
-_int_repr = int.__repr__
-_float_repr = float.__repr__
 
 
 def _digits(x: int) -> str:
@@ -179,65 +177,32 @@ def decomposition_text(dec: ChainDecomposition, peak_level: int) -> str:
     return ",\n    ".join(chains)
 
 
-def _float_text(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return _float_repr(x)
-
-
-def _key_text(key) -> str:
-    """A dict key as the string json.dumps writes for it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return _int_repr(key)
-    raise TypeError(
-        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-    )
-
-
 def dumps(obj) -> str:
     """Canonical text form: two-space indent, fixed separators, trailing
     newline, keys in insertion order.
 
     The text is exactly what ``json.dumps`` writes with an indent of 2 and
     the separators ``","`` and ``": "``, ASCII escapes included, plus the
-    newline.  Containers are walked on an explicit stack, and a list or
-    tuple of plain ints is written in one join.
+    newline.  Only a str, int, bool, list or str-keyed dict, of exactly that
+    type, is written; anything else raises TypeError.  Containers are walked
+    on an explicit stack, and a list of plain ints is written in one join.
     """
     out = []
     # open containers, innermost last: [items, is_dict, separator before
     # the next item, separator after the first, closing text, id]
     stack = []
-    open_ids = set()  # json's markers: a container met again inside itself
+    open_ids = set()  # a container met again inside itself
     value = obj
     while True:
-        if isinstance(value, str):
+        kind = type(value)
+        if kind is str:
             out.append(_encode_str(value))
-        elif value is None:
-            out.append("null")
-        elif value is True:
-            out.append("true")
-        elif value is False:
-            out.append("false")
-        elif isinstance(value, int):
-            out.append(_int_repr(value))
-        elif isinstance(value, float):
-            out.append(_float_text(value))
-        elif isinstance(value, (list, tuple, dict)):
-            is_dict = isinstance(value, dict)
+        elif kind is int:
+            out.append(str(value))
+        elif kind is bool:
+            out.append("true" if value else "false")
+        elif kind is list or kind is dict:
+            is_dict = kind is dict
             if not value:
                 out.append("{}" if is_dict else "[]")
             else:
@@ -245,7 +210,7 @@ def dumps(obj) -> str:
                 close = newline[:-2] + ("}" if is_dict else "]")
                 if not is_dict and _INT_ONLY.issuperset(map(type, value)):
                     # it holds no container, so it cannot hold itself
-                    out.append("[" + newline + ("," + newline).join(map(_int_repr, value)) + close)
+                    out.append("[" + newline + ("," + newline).join(map(str, value)) + close)
                 else:
                     if id(value) in open_ids:
                         raise ValueError("Circular reference detected")
@@ -254,9 +219,7 @@ def dumps(obj) -> str:
                     items = iter(value.items() if is_dict else value)
                     stack.append([items, is_dict, newline, "," + newline, close, id(value)])
         else:
-            raise TypeError(
-                f"Object of type {value.__class__.__name__} is not JSON serializable"
-            )
+            raise TypeError(f"cannot write a value of type {kind.__name__}")
         while stack:
             frame = stack[-1]
             item = next(frame[0], _END)
@@ -267,7 +230,9 @@ def dumps(obj) -> str:
                 continue
             if frame[1]:
                 key, value = item
-                out.append(frame[2] + _encode_str(_key_text(key)) + ": ")
+                if type(key) is not str:
+                    raise TypeError(f"cannot write a key of type {type(key).__name__}")
+                out.append(frame[2] + _encode_str(key) + ": ")
             else:
                 value = item
                 out.append(frame[2])

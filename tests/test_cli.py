@@ -505,15 +505,24 @@ def test_partite_large_vertex_count(capsys, tmp_path):
     assert res["partition"] == [list(range(1, l + 1, 2)), list(range(2, l + 1, 2))]
 
 
-@pytest.mark.parametrize("l,shape", [(200_000, "path"), (1_100_000, "one")])
+@pytest.mark.parametrize(
+    "l,shape", [(200_000, "path"), (1_100_000, "one"), (2_000_000, "rep")]
+)
 def test_partite_bounds_the_file_before_decoding_it(capsys, tmp_path, l, shape):
     # an edge is an int of up to l bits and a vertex costs about 1,000 bits
     # more: unbounded, the path on l = 32,000 took 110 MB and one edge on
-    # l = 2,000,000 took 270 MB
-    edges = [[i, i + 1] for i in range(1, l)] if shape == "path" else [[1, 2]]
-    path = write_json(tmp_path, "big.json", {"k": 2, "l": l, "edges": edges})
+    # l = 2,000,000 took 270 MB; verify-rep's family members are bounded
+    # the same way (unbounded, this file took 1.7 s and 265 MB)
+    if shape == "rep":
+        verb = "verify-rep"
+        obj = {"k": 2, "l": l, "family": [[1], [1, 2]], "target": "chain:2"}
+    else:
+        verb = "partite"
+        edges = [[i, i + 1] for i in range(1, l)] if shape == "path" else [[1, 2]]
+        obj = {"k": 2, "l": l, "edges": edges}
+    path = write_json(tmp_path, "big.json", obj)
     t0 = time.monotonic()
-    code, out, err = run(capsys, "partite", "--file", path)
+    code, out, err = run(capsys, verb, "--file", path)
     assert time.monotonic() - t0 < 1
     assert (code, out) == (2, "")
     assert f"must be at most {cli.MAX_PARTITE_BITS}" in err
@@ -652,6 +661,45 @@ def test_scd_stdout_bytes_are_locked(capsys):
         code, out, _ = run(capsys, "scd", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_every_verb_writes_the_stdlib_form(capsys, tmp_path):
+    """Stdout of every verb but scd, whose bytes are locked above, is what
+    json.dumps writes with an indent of 2 for the value it parses to, on
+    exit 1 as on exit 0."""
+    cycle = [[1], [2], [3], [4], [1, 2], [2, 3], [3, 4], [1, 4]]
+    rep = {"k": 2, "l": 7, "family": cycle, "target": "crown:8"}
+    reps = {
+        "sizes": {"k": 3, "l": 7, "family": [[1], [1, 2, 3]], "target": "crown:4"},
+        "embedding": {**rep, "family": cycle[:-1]},
+        "partite": {**rep, "family": cycle + [[5, 6], [6, 7], [5, 7]]},
+    }
+    files = {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in reps.items()}
+    family = write_json(tmp_path, "fam.json", {"n": 5, "sets": [[1], [1, 2], [3], [2, 3, 5]]})
+    edges = write_json(tmp_path, "edges.json", {"k": 2, "l": 4, "edges": [[1, 2], [3, 4]]})
+    cases = [
+        (0, "la", "--n", "4", "--pattern", "butterfly"),
+        (0, "lambda", "--n", "4", "--pattern", "fork:2"),
+        (0, "turan", "--n", "5", "--k", "2", "--sizes", "2,2"),
+        (0, "gen-rep", "--kind", "tight_cycle:3,2"),
+        (0, "verify-rep", "--file", str(FIXTURES / "o14.json")),
+        (1, "verify-rep", "--file", files["sizes"]),
+        (1, "verify-rep", "--file", files["embedding"]),
+        (1, "verify-rep", "--file", files["partite"]),
+        (0, "search-rep", "--target", "crown:8", "--k", "2", "--l-max", "4"),
+        (1, "search-rep", "--target", "crown:4", "--k", "2", "--l-max", "2"),
+        (0, "partite", "--file", edges),
+        (1, "partite", "--file", str(FIXTURES / "oddcycle.json")),
+        (0, "lubell", "--file", family),
+        (0, "chain-stats", "--file", family),
+        (0, "report", "--file", family, "--max-gap", "3"),
+        (0, "tail-check", "--n", "60"),
+    ]
+    assert {argv[0] for _, *argv in cases} == set(parser_flags()) - {"scd"}
+    for expected, *argv in cases:
+        code, out, _ = run(capsys, *argv)
+        assert code == expected, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path):

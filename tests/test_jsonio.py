@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 
 import pytest
@@ -177,52 +176,23 @@ def test_dumps_is_stable():
     assert dumps(obj) == text
 
 
-class _Int(int):
-    def __repr__(self):
-        return "not json"
-
-
-class _Str(str):
-    pass
-
-
-class _Dict(dict):
-    pass
-
-
 def reference_dumps(value) -> str:
     return json.dumps(value, indent=2, separators=(",", ": ")) + "\n"
 
 
 _scalars = (
     st.text()
-    | st.text().map(_Str)
     | st.sampled_from(["", '"\\/\b\f\n\r\t', "\x00\x1f\x7f", "é ü ∑ 😀 \u2028"])
-    | st.none()
     | st.booleans()
     | st.integers()
     | st.integers(min_value=2**53 - 2, max_value=2**70)
     | st.integers(max_value=-1)
-    | st.integers(-5, 5).map(_Int)
-    | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
-)
-_keys = (
-    st.text()
-    | st.text().map(_Str)
-    | st.integers()
-    | st.integers(-5, 5).map(_Int)
-    | st.booleans()
-    | st.none()
-    | st.floats()
 )
 _json_values = st.recursive(
     _scalars,
     lambda inner: st.lists(inner)
-    | st.lists(inner).map(tuple)
     | st.lists(st.integers(), min_size=1)
-    | st.dictionaries(_keys, inner)
-    | st.dictionaries(_keys, inner).map(_Dict),
+    | st.dictionaries(st.text(), inner),
     max_leaves=40,
 )
 
@@ -230,6 +200,18 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_dumps_matches_the_json_reference(value):
     assert dumps(value) == reference_dumps(value)
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
 
 
 def test_dumps_matches_the_json_errors():
@@ -240,17 +222,30 @@ def test_dumps_matches_the_json_errors():
     for value in (loop, table):
         with pytest.raises(ValueError, match="Circular reference detected"):
             dumps(value)
-    for value in ({"x": [1, {2}]}, {(1,): 2}, object(), Fraction(1, 2)):
-        with pytest.raises(TypeError) as ours:
+    # the formats hold no other kind: each is refused by its type's name,
+    # not written as json would write it
+    for value, what in (
+        (1.5, "value of type float"),
+        (None, "value of type NoneType"),
+        ((1,), "value of type tuple"),
+        ({1: 2}, "key of type int"),
+        ({"a": [{None: 1}]}, "key of type NoneType"),
+        ({_Str("a"): 1}, "key of type _Str"),
+        (_Str("a"), "value of type _Str"),
+        ([True, 2, _Str("a")], "value of type _Str"),
+        ([1, _Int(2)], "value of type _Int"),
+        ({"a": _Dict()}, "value of type _Dict"),
+        ({"x": [1, {2}]}, "value of type set"),
+        (object(), "value of type object"),
+        (Fraction(1, 2), "value of type Fraction"),
+    ):
+        with pytest.raises(TypeError, match=f"^cannot write a {what}$"):
             dumps(value)
-        with pytest.raises(TypeError) as ref:
-            reference_dumps(value)
-        assert str(ours.value) == str(ref.value)
 
 
 def test_dumps_repeats_a_shared_container():
     shared = [1, [2]]
-    value = {"a": shared, "b": (shared, shared)}
+    value = {"a": shared, "b": [shared, shared]}
     assert dumps(value) == reference_dumps(value)
 
 
