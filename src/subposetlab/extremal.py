@@ -64,12 +64,13 @@ def enumerate_copies(
     stabilizer chain each base point must take the least host of its
     orbit's images, checked in the forward-checked domains, so a copy
     costs about 1/|Aut(pattern)| of the ticks of listing every embedding
-    (`posets._embeddings`).  The search hands over each image as the host
-    mask it holds at the leaf.  Images are still deduplicated: where the
-    host adds relations, embeddings from different orbits can share one,
-    as the three ways to place a 2-chain and a lone element on a 3-chain.
-    The automorphism searches charge the budget too.  Past `COPY_CAP`
-    images the search stops, and the result is marked incomplete."""
+    (`posets._embeddings`).  The search hands over each image as a host
+    mask, read off the last position's domain without a leaf frame.
+    Images are still deduplicated: where the host adds relations,
+    embeddings from different orbits can share one, as the three ways to
+    place a 2-chain and a lone element on a 3-chain.  The automorphism
+    searches charge the budget too.  Past `COPY_CAP` images the search
+    stops, and the result is marked incomplete."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
     _, _, host = _lattice(n)

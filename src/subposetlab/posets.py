@@ -323,7 +323,10 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     comparabilities: inside a connected component every element after the
     first is comparable to one placed before it, whose host has already
     narrowed its domain; on a crown the search walks the cycle.  The budget
-    ticks once per candidate tried.
+    ticks once per candidate, as the candidate is tried, so a caller that
+    stops at the first embedding has spent the ticks up to it; the images
+    search of `_embeddings` charges the last position's candidates under
+    one placement together.
 
     Pruning cuts only subtrees that hold no embedding.  Before the first
     tick, the elements must be matchable to distinct hosts within their
@@ -357,9 +360,15 @@ def _embeddings(
     into its static candidate set before the Hall check.
 
     images=True yields each embedding's image as a host mask instead of
-    the tuple phi: at a leaf the hosts in use plus the last one placed are
-    that mask already, so no tuple is built.  The search and its ticks are
-    the same.
+    the tuple phi, and the search keeps no frame for the last position:
+    placing the leaf parent, the position before it, at v narrows the last
+    domain once, and the hosts left there are the leaves, each yielded as
+    the hosts in use plus itself.  Every candidate costs one tick, as in
+    the plain search, but a leaf parent charges its leaves together before
+    the first is yielded; so a search that runs to the end yields the
+    images of the plain search's embeddings, in its order, and spends its
+    ticks, and one cut short by the budget raises at the same leaf parent,
+    not at the same leaf.
 
     one_per_orbit=True yields one embedding per orbit of Aut(pattern).
     After the Hall check, `_stabilizer_chain` gives base points b_1, b_2,
@@ -374,12 +383,87 @@ def _embeddings(
     search that meet it, in the same order; the automorphism searches
     tick the same budget.
     """
-    p, h = pattern.size, host.size
+    p = pattern.size
     if p == 0:
         yield 0 if images else ()
         return
-    if p > h:
+    plan = _search_plan(host, pattern, budget, cells, one_per_orbit)
+    if plan is None:
         return
+    order, static, links = plan
+
+    # a frame holds its depth, the domains by position, the hosts in use
+    # and the candidates left at its depth; a domain holds the order
+    # constraints only, and the hosts in use are removed on reading, as
+    # dom[q] & ~used.  The frame being searched lives in locals and loops
+    # over its candidates; it is pushed only under a child it descends to.
+    last = p - 1
+    leaf_parent = last - 1 if images else -1  # -1: the plain search has leaf frames
+    phi = [-1] * p
+    stack = []
+    depth, dom, used, rest = 0, static, 0, static[0]
+    while True:
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if budget is not None:
+                budget.tick()
+            if depth == last:
+                if images:  # a one-element pattern: the root is the last position
+                    yield used | low
+                else:
+                    phi[order[depth]] = v
+                    yield tuple(phi)
+                continue
+            free = ~(used | low)
+            if depth == leaf_parent:
+                # every link of this depth points at the last position
+                leaves = dom[last] & free
+                for _, narrow in links[depth]:
+                    leaves &= narrow[v]
+                if leaves:
+                    if budget is not None:
+                        budget.tick(leaves.bit_count())
+                    held = used | low
+                    while leaves:
+                        h = leaves & -leaves
+                        leaves ^= h
+                        yield held | h
+                continue
+            phi[order[depth]] = v
+            narrowed = dom.copy()
+            for q, narrow in links[depth]:
+                narrowed[q] &= narrow[v]
+            for q in range(depth + 1, p):
+                if not narrowed[q] & free:
+                    break
+            else:
+                stack.append((depth, dom, used, rest))
+                depth, dom, used = depth + 1, narrowed, used | low
+                rest = narrowed[depth] & free
+        if not stack:
+            return
+        depth, dom, used, rest = stack.pop()
+
+
+def _search_plan(
+    host: Poset,
+    pattern: Poset,
+    budget: Budget | None,
+    cells: list[int] | None,
+    one_per_orbit: bool,
+):
+    """What `_embeddings` searches with, for a nonempty pattern: the
+    placement order, the static candidate set of each position, and the
+    links of each position; None when no embedding exists by the size or
+    the Hall check.  links[d] holds (q, narrow) for each later position q
+    whose element is constrained by the one at position d: placing it at v
+    narrows the domain at q by narrow[v].  With one_per_orbit, the
+    stabilizer chain's searches tick the budget here."""
+    p, h = pattern.size, host.size
+    if p > h:
+        return None
     order = _pattern_order(pattern)
     up = [host.strict_up(v) for v in range(h)]
     down = [host.strict_down(v) for v in range(h)]
@@ -402,10 +486,7 @@ def _embeddings(
     if cells is not None:
         static = [mask & cells[i] for mask, i in zip(static, order)]
     if not _has_distinct_hosts(static):
-        return
-    # links[d]: (q, narrow) for each later position q whose element is
-    # constrained by the one at position d: placing it at v narrows the
-    # domain at q by narrow[v]
+        return None
     position = [0] * p
     for d, i in enumerate(order):
         position[i] = d
@@ -422,35 +503,7 @@ def _embeddings(
         above = [-(2 << v) for v in range(h)]  # the hosts of index > v
         for b, others in _stabilizer_chain(pattern, order, budget):
             links[position[b]] += [(position[o], above) for o in others]
-
-    # a frame holds the domains by position, the hosts in use and the
-    # candidates left at its depth; a domain holds the order constraints
-    # only, and the hosts in use are removed on reading, as dom[q] & ~used
-    phi = [-1] * p
-    stack = [(0, static, 0, static[0])]
-    while stack:
-        depth, dom, used, rest = stack[-1]
-        if not rest:
-            stack.pop()
-            continue
-        low = rest & -rest
-        stack[-1] = (depth, dom, used, rest ^ low)
-        v = low.bit_length() - 1
-        if budget is not None:
-            budget.tick()
-        phi[order[depth]] = v
-        if depth + 1 == p:
-            yield used | low if images else tuple(phi)
-            continue
-        free = ~(used | low)
-        narrowed = dom.copy()
-        for q, narrow in links[depth]:
-            narrowed[q] &= narrow[v]
-        for q in range(depth + 1, p):
-            if not narrowed[q] & free:
-                break
-        else:
-            stack.append((depth + 1, narrowed, used | low, narrowed[depth + 1] & free))
+    return order, static, links
 
 
 def _refine(pattern: Poset, colors: list) -> list:

@@ -16,6 +16,7 @@ from subposetlab import (
     from_cover_relations,
     extremal,
     lubell_value,
+    posets,
 )
 from subposetlab.lattice import bits
 
@@ -251,3 +252,44 @@ def assert_orbital_matches_plain(engine, sym):
     assert engine.best_val == plain
     assert all(c & ~engine.best_wit for c in engine.by_bit)
     assert engine.weight_of(engine.best_wit) == plain
+
+
+def frame_per_candidate_embeddings(
+    host, pattern, budget, cells=None, one_per_orbit=False, images=False
+):
+    """`posets._embeddings` as it once searched, one stack frame per
+    candidate: every candidate tried rebuilds the top frame, and each
+    leaf, images or not, is a frame's candidate with its own tick."""
+    p = pattern.size
+    if p == 0:
+        yield 0 if images else ()
+        return
+    plan = posets._search_plan(host, pattern, budget, cells, one_per_orbit)
+    if plan is None:
+        return
+    order, static, links = plan
+    phi = [-1] * p
+    stack = [(0, static, 0, static[0])]
+    while stack:
+        depth, dom, used, rest = stack[-1]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        stack[-1] = (depth, dom, used, rest ^ low)
+        v = low.bit_length() - 1
+        if budget is not None:
+            budget.tick()
+        phi[order[depth]] = v
+        if depth + 1 == p:
+            yield used | low if images else tuple(phi)
+            continue
+        free = ~(used | low)
+        narrowed = dom.copy()
+        for q, narrow in links[depth]:
+            narrowed[q] &= narrow[v]
+        for q in range(depth + 1, p):
+            if not narrowed[q] & free:
+                break
+        else:
+            stack.append((depth + 1, narrowed, used | low, narrowed[depth + 1] & free))

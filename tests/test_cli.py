@@ -663,6 +663,85 @@ def test_scd_stdout_bytes_are_locked(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+# The stdout of every job of the benchmark's solve workload (the la and
+# lambda ladders at n = 4 and 5, la at n = 6 on chain:3, and turan) and of
+# the open crown at n = 5: each value, optimality and least witness, as
+# written at the commit before copy enumeration stopped keeping leaf frames.
+SOLVE_STDOUT_SHA256 = {
+    ("la", "--n", "4", "--pattern", "chain:2"):
+        "2e6635aff2805e5b057be5fbe5baad6993b52944bf7de670bdea90ec477ca347",
+    ("la", "--n", "4", "--pattern", "chain:3"):
+        "bb95ff28c7820111632f7148a0dc512cef71e238becf24f20c324173e7e14eef",
+    ("la", "--n", "4", "--pattern", "butterfly"):
+        "aae611634933bf20e5fb9f41f0ebbc941a07ffd4709a5d1326f96dccc8d16321",
+    ("la", "--n", "4", "--pattern", "fork:2"):
+        "54fa8481c426abc3db52fe5a78af9fe908c42f229495331d0c34a3eb40b7bcd8",
+    ("la", "--n", "4", "--pattern", "fork:3"):
+        "3b09f7c249d3126b1bfc7e866b32b7297ffafeaf3636a0449d4637fe6cfd05ac",
+    ("la", "--n", "4", "--pattern", "diamond:2"):
+        "08a97fb245b6d66f1cfe4f5548dd01f88c06609808e8c78a76737ae611bb8aef",
+    ("la", "--n", "5", "--pattern", "chain:2"):
+        "137631cc8294b293e003963a420845db1a6f23cee0c36d628522e52cce8c7032",
+    ("la", "--n", "5", "--pattern", "chain:3"):
+        "0a6e8ab50d847bb17c4ea5cdf1d39a9d963bb55ee4e8c8d8fc3faee151b7e04f",
+    ("la", "--n", "5", "--pattern", "butterfly"):
+        "b87ed67b085703571bf41dc6c0378137427ff076aefc5f0e7c84e74c8caa1cec",
+    ("la", "--n", "5", "--pattern", "fork:2"):
+        "1d7ad7774bb587908b417823bc7980e4baba38930f952de7cad3159c5982aaa5",
+    ("la", "--n", "5", "--pattern", "diamond:2"):
+        "3f5159aa478d4788d75c878c04e1dfc4fe82015ea0591104d2735887500c6fd1",
+    ("lambda", "--n", "4", "--pattern", "chain:2"):
+        "be8f7a4a3a81d35fae8e7b13f274bab3c2cb9feae695758432ada422e2a0fe20",
+    ("lambda", "--n", "4", "--pattern", "chain:3"):
+        "604285649b9f853fdfce6a0d19624f99ad1b461c229424fc3375abced1760632",
+    ("lambda", "--n", "4", "--pattern", "butterfly"):
+        "d121f4350c3eb74a9ccc26014e69b43b67c8de6e513b52e6d709b3ab5f038aa0",
+    ("lambda", "--n", "4", "--pattern", "fork:2"):
+        "7c32bf28a9cf916c84af78ae393e9895d3120f880ff4e605048a6356711c463c",
+    ("lambda", "--n", "4", "--pattern", "fork:3"):
+        "7dd2f91c46cef51787862adc19f489f1d4deeea7d01806ee57b85a2a72758018",
+    ("lambda", "--n", "4", "--pattern", "diamond:2"):
+        "ff133cc14b95384067d35504baa66d3fd450d2db79a1efe056f8533fa017098e",
+    ("lambda", "--n", "5", "--pattern", "chain:2"):
+        "f4b73b0939150a7fac034576c51fe056b9e114ba35aa2897c4210a031e3f112a",
+    ("lambda", "--n", "5", "--pattern", "chain:3"):
+        "fc9d107000eb93e30175b46653a7cf63c09c682861ada7b2e28dbaf57cc14303",
+    ("lambda", "--n", "5", "--pattern", "butterfly"):
+        "8d4e4781a43b3ba59d171be0d57e3b13ed99463e7c537d4a7c421fbb8adeb7f9",
+    ("lambda", "--n", "5", "--pattern", "fork:2"):
+        "4a0b9938be8cdbaf36ef1e554b04331e8bd47472cee1ce8a56812d462b076148",
+    ("la", "--n", "6", "--pattern", "chain:3"):
+        "3b58535abcdf33d9c04f3eb2b7503428d2e04d2d61329da6c541614a98db1a63",
+    ("turan", "--n", "5", "--k", "2", "--sizes", "2,2"):
+        "59a30487b2852ef93494197e7840deff09235e7407f62c565e16240bcf6ac3d2",
+    ("turan", "--n", "6", "--k", "2", "--sizes", "2,2"):
+        "b10aea7b2fb1be63c54da06a1461eb5cca054839bf2dd3c6be114c5577ac471b",
+    ("turan", "--n", "7", "--k", "2", "--sizes", "2,2"):
+        "13fb31ea9bcea83bc8b4e400346a3bb560f8e9a91aa9318340b8378228e69074",
+    ("turan", "--n", "5", "--k", "2", "--sizes", "2,3"):
+        "fe379a08e6dee916bf3364deae38591a4b0fe4361ce3d3072f7bf6a0188de03e",
+    ("turan", "--n", "6", "--k", "2", "--sizes", "2,3"):
+        "72b880aaf1d5c325353a6f58efbc344af84885e96b456859fa35bf708fe539d4",
+    ("turan", "--n", "5", "--k", "3", "--sizes", "1,1,2"):
+        "d11fef9bd0614c711ab68b3b6c6b7eea89742ada29f9678109ba430dd90afcd9",
+    ("turan", "--n", "6", "--k", "3", "--sizes", "1,1,2"):
+        "a5495cb12ec0a37053dc21080f135c724c12442ff6078c6bdceae18f778a1415",
+    ("turan", "--n", "7", "--k", "3", "--sizes", "1,1,2"):
+        "cdc3f89dd9e640430c64edaba8cfd1349b5cf9abc27573931947f4931d012b23",
+    ("la", "--n", "5", "--pattern", "crown:6"):
+        "3582028996c63ad48f39457fa906092a5951bad5ca7f25b3344b6cd4a9bc30ee",
+    ("lambda", "--n", "5", "--pattern", "crown:6"):
+        "3783c22bd7ad21c6adc393f84b5a36dfae9e68b3573045fe68ed82c04e375e5b",
+}
+
+
+def test_solve_stdout_bytes_are_locked(capsys):
+    for argv, digest in SOLVE_STDOUT_SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_every_verb_writes_the_stdlib_form(capsys, tmp_path):
     """Stdout of every verb but scd, whose bytes are locked above, is what
     json.dumps writes with an indent of 2 for the value it parses to, on

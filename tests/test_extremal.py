@@ -2,8 +2,8 @@ import functools
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
-from math import comb, factorial, prod
+from itertools import permutations, product
+from math import comb, factorial, perm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +20,7 @@ from subposetlab import (
     diamond,
     enumerate_copies,
     family_as_poset,
+    find_embedding,
     fork,
     iter_embeddings,
     la_exact,
@@ -37,6 +38,7 @@ from conftest import (
     brute_la,
     brute_lambda,
     engines_built,
+    frame_per_candidate_embeddings,
     per_bit_miss,
     random_poset,
     relabeled,
@@ -141,6 +143,65 @@ def test_leaf_masks_are_the_images_of_the_kept_embeddings(n, pattern_text):
     )
     assert masks == [sum(1 << h for h in phi) for phi in kept]
     assert masked.used == plain.used
+
+
+def test_search_loop_matches_the_frame_per_candidate_reference():
+    """The search yields what the loop with one frame per candidate
+    yielded, in its order, and spends the same ticks: plain and images,
+    every embedding and one per orbit, with and without cells, from
+    random patterns of 1 to 6 elements into small lattices and random
+    hosts.  chain:1's root is the last position, chain:2's root is the
+    leaf parent, and antichain:3's orbit links reach the last position;
+    the crown, the butterfly and the antichain have automorphisms, and
+    two chains beside a lone element are disconnected."""
+    rng = random.Random(4_661)
+    patterns = [chain(1), chain(2), antichain(3), crown(4), butterfly(),
+                posets.from_cover_relations(5, [(0, 1), (2, 3)])]
+    patterns += [random_poset(rng, 1 + k % 6) for k in range(30)]
+    hosts = [extremal._lattice(n)[2] for n in range(5)]
+    hosts += [random_poset(rng, rng.randint(4, 9)) for _ in range(6)]
+    runs = 0
+    for pattern in patterns:
+        for host in hosts:
+            if perm(host.size, pattern.size) > 20_000:
+                continue
+            cells = [rng.getrandbits(host.size) for _ in range(pattern.size)]
+            for args in product((None, cells), (False, True), (False, True)):
+                new, old = Budget(), Budget()
+                got = list(posets._embeddings(host, pattern, new, *args))
+                want = list(frame_per_candidate_embeddings(host, pattern, old, *args))
+                assert got == want, (pattern, host, args)
+                assert new.used == old.used, (pattern, host, args)
+                runs += bool(want)
+    assert runs > 500
+
+
+@pytest.mark.parametrize(
+    "n,pattern_text", [(2, "chain:1"), (3, "chain:2"), (4, "butterfly"), (4, "fork:2")]
+)
+def test_budget_runs_out_exactly_below_the_enumeration_ticks(n, pattern_text):
+    """Under every limit up to its full count, the copy enumeration raises
+    exactly when the limit is below the ticks it spends, though it charges
+    a leaf parent's leaves together; and the first embedding, one tick per
+    candidate, comes at the reference's tick or raises where it does."""
+    pattern = make_poset(pattern_text)
+    _, _, host = extremal._lattice(n)
+    full = Budget()
+    copies = enumerate_copies(n, pattern, full)
+    for limit in range(1, full.used + 1):
+        if limit < full.used:
+            with pytest.raises(BudgetExceeded):
+                enumerate_copies(n, pattern, Budget(limit))
+        else:
+            assert enumerate_copies(n, pattern, Budget(limit)) == copies
+        found = []
+        for search in (find_embedding, lambda *a: next(frame_per_candidate_embeddings(*a), None)):
+            budget = Budget(limit)
+            try:
+                found.append((search(host, pattern, budget), budget.used))
+            except BudgetExceeded:
+                found.append(("raised", budget.used))
+        assert found[0] == found[1], limit
 
 
 @pytest.mark.parametrize("count", [0, 1, 7, 8, 9, 65_535, 65_536, 65_537, 70_000])
