@@ -4,6 +4,10 @@ Results are canonical JSON on stdout; timing and diagnostics go to stderr
 so stdout stays byte-identical across runs.  Exit codes: 0 success, 1
 negative result (verification failed, nothing found, property false), 2
 usage or input error, 3 budget exhausted.
+
+An input error is a ValueError, raised where the input is checked (argv
+ranges here, files in `_load_json` and the `jsonio` decoders, specs and
+everything else in the library); `main` alone turns it into exit 2.
 """
 
 from __future__ import annotations
@@ -62,74 +66,32 @@ MAX_GAP = 64
 # Largest --n for tail-check: its time grows like n^2 and is about 1.2 s
 # at n = 100,000.
 MAX_TAIL_N = 100_000
-# Largest n in the family file of lubell, chain-stats and report.  It is
-# checked before any set is decoded, since a member holding element n is
-# an n-bit int.  Their time grows with the members and the comparable
-# pairs, not with n: the 20-set chain at n = 50,000 takes under 0.01 s in
-# chain-stats or report.
-MAX_FAMILY_N = 50_000
-# Largest l * (rows + 1000) in the hypergraph file of partite (its rows
-# are the edges) and the representation file of verify-rep (the family),
-# checked before any row is decoded.  A row is an int of up to l bits, and
-# a vertex costs about 1,000 bits besides (its colour, its part and the
-# partition's checks), so memory is bounded near 2^30 bits of each: the
-# path on l = 32,000 vertices takes about 110 MB and 1 s, and one edge
-# on l = 1,000,000 vertices about 130 MB and 0.6 s (2-core x86, Python
-# 3.11).
-MAX_PARTITE_BITS = 2**30
-
-
-class _InputError(Exception):
-    pass
+# Largest --k for search-rep: a tick costs about 12 us at k = 64 and grows
+# like k, so the default budget runs out in about 2 min there (crown:14,
+# --l-max 67; 2-core x86, Python 3.11) and in hours past a few hundred.
+MAX_SEARCH_K = 64
 
 
 def _load_json(path: str):
+    """The JSON document at path ('-' for stdin), or a ValueError naming it."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as e:
-        raise _InputError(f"cannot read {path}: {e}") from e
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValueError(f"cannot read {path}: {e}") from e
     try:
         return json.loads(text)
-    except ValueError as e:  # also integer literals past Python's digit limit
-        raise _InputError(f"{path}: cannot decode JSON: {e}") from e
-
-
-def _check_partite_bits(path: str, obj, rows: str) -> None:
-    """Refuse a file whose l * (len(obj[rows]) + 1000) exceeds
-    MAX_PARTITE_BITS, before any of its rows is decoded."""
-    found = obj.get(rows) if isinstance(obj, dict) else None
-    if isinstance(found, list):
-        if jsonio.decode_int(obj.get("l", 0)) * (len(found) + 1000) > MAX_PARTITE_BITS:
-            raise _InputError(
-                f"{path}: l * ({rows} + 1000) must be at most {MAX_PARTITE_BITS}"
-            )
-
-
-def _family_arg(path: str) -> SubsetFamily:
-    obj = _load_json(path)
-    try:
-        if isinstance(obj, dict) and jsonio.decode_int(obj.get("n", 0)) > MAX_FAMILY_N:
-            raise _InputError(f"{path}: n must be at most {MAX_FAMILY_N}")
-        return jsonio.family_from_json(obj)
-    except (ValueError, TypeError, KeyError) as e:
-        raise _InputError(f"{path}: {e}") from e
-
-
-def _spec_arg(text: str, kinds: dict):
-    try:
-        return from_spec(text, kinds)
-    except ValueError as e:
-        raise _InputError(str(e)) from e
+    except (ValueError, RecursionError) as e:  # also the digit and nesting limits
+        raise ValueError(f"{path}: cannot decode JSON: {e}") from e
 
 
 def _budget_arg(args) -> Budget | None:
     """--budget as a Budget, None for 0 (unlimited)."""
     if args.budget < 0:
-        raise _InputError("--budget must be at least 0")
+        raise ValueError("--budget must be at least 0")
     return Budget(args.budget) if args.budget else None
 
 
@@ -157,15 +119,11 @@ def _chain_stats_json(stats: ChainPairStats) -> dict:
 
 
 def _cmd_verify_rep(args) -> int:
-    obj = _load_json(args.file)
     try:
-        _check_partite_bits(args.file, obj, "family")
-        rep = jsonio.representation_from_json(obj)
+        rep = jsonio.representation_from_json(_load_json(args.file))
     except RepresentationSizeError as e:
         _emit({"verified": False, "reason": "sizes", "detail": str(e)})
         return 1
-    except (ValueError, TypeError, KeyError) as e:
-        raise _InputError(f"{args.file}: {e}") from e
     outcome = verify_representation(rep, _budget_arg(args))
     if isinstance(outcome, VerificationFailure):
         _emit({"verified": False, "reason": outcome.reason, "detail": outcome.detail})
@@ -182,16 +140,15 @@ _GENERATORS = {
 
 
 def _cmd_gen_rep(args) -> int:
-    _emit(jsonio.representation_to_json(_spec_arg(args.kind, _GENERATORS)))
+    _emit(jsonio.representation_to_json(from_spec(args.kind, _GENERATORS)))
     return 0
 
 
 def _cmd_search_rep(args) -> int:
-    target = _spec_arg(args.target, POSET_KINDS)
-    try:
-        cert = search_representation(target, args.k, args.l_max, _budget_arg(args))
-    except ValueError as e:
-        raise _InputError(str(e)) from e
+    if args.k > MAX_SEARCH_K:
+        raise ValueError(f"--k must be at most {MAX_SEARCH_K}")
+    target = from_spec(args.target, POSET_KINDS)
+    cert = search_representation(target, args.k, args.l_max, _budget_arg(args))
     if cert is None:
         _emit({"found": False})
         return 1
@@ -202,8 +159,8 @@ def _cmd_search_rep(args) -> int:
 def _cmd_solve(args) -> int:
     """la and lambda; a degraded result names its cause on stderr."""
     if not 1 <= args.n <= MAX_SOLVE_N:
-        raise _InputError(f"--n must be between 1 and {MAX_SOLVE_N}")
-    pattern = _spec_arg(args.pattern, POSET_KINDS)
+        raise ValueError(f"--n must be between 1 and {MAX_SOLVE_N}")
+    pattern = from_spec(args.pattern, POSET_KINDS)
     # looked up per call, not stored in the reused parser, so that a
     # replacement of cli.la_exact or cli.lambda_exact takes effect
     if args.command == "la":
@@ -226,22 +183,19 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_lubell(args) -> int:
-    _emit(_lubell_json(_family_arg(args.file)))
+    _emit(_lubell_json(jsonio.family_from_json(_load_json(args.file))))
     return 0
 
 
 def _cmd_chain_stats(args) -> int:
-    fam = _family_arg(args.file)
+    fam = jsonio.family_from_json(_load_json(args.file))
     _emit({"n": fam.n, "size": len(fam), **_chain_stats_json(chain_pair_stats(fam))})
     return 0
 
 
 def _cmd_turan(args) -> int:
-    try:
-        sizes = tuple(int_list(args.sizes))
-        res = turan_oracle(args.n, args.k, sizes, _budget_arg(args))
-    except ValueError as e:
-        raise _InputError(str(e)) from e
+    sizes = tuple(int_list(args.sizes))
+    res = turan_oracle(args.n, args.k, sizes, _budget_arg(args))
     _emit(
         {
             "n": args.n,
@@ -256,12 +210,7 @@ def _cmd_turan(args) -> int:
 
 
 def _cmd_partite(args) -> int:
-    obj = _load_json(args.file)
-    try:
-        _check_partite_bits(args.file, obj, "edges")
-        h = jsonio.hypergraph_from_json(obj)
-    except (ValueError, TypeError, KeyError) as e:
-        raise _InputError(f"{args.file}: {e}") from e
+    h = jsonio.hypergraph_from_json(_load_json(args.file))
     partition = is_k_partite(h, Budget(DEFAULT_SEARCH_BUDGET))
     if partition is None:
         _emit({"partite": False})
@@ -272,25 +221,19 @@ def _cmd_partite(args) -> int:
 
 def _cmd_scd(args) -> int:
     if args.n > MAX_SCD_N:
-        raise _InputError(f"--n must be at most {MAX_SCD_N}")
+        raise ValueError(f"--n must be at most {MAX_SCD_N}")
     lo = 0 if args.lo is None else args.lo
     hi = args.n if args.hi is None else args.hi
-    try:
-        dec = symmetric_chain_decomposition(args.n, lo, hi)
-        peak = band_peak_level(args.n, lo, hi)
-    except ValueError as e:
-        raise _InputError(str(e)) from e
+    dec = symmetric_chain_decomposition(args.n, lo, hi)
+    peak = band_peak_level(args.n, lo, hi)
     sys.stdout.write(jsonio.decomposition_text(dec, peak))
     return 0
 
 
 def _cmd_tail_check(args) -> int:
     if args.n > MAX_TAIL_N:
-        raise _InputError(f"--n must be at most {MAX_TAIL_N}")
-    try:
-        mass = tail_mass(args.n)
-    except ValueError as e:
-        raise _InputError(str(e)) from e
+        raise ValueError(f"--n must be at most {MAX_TAIL_N}")
+    mass = tail_mass(args.n)
     bound = Fraction(2, args.n * args.n)
     ok = mass < bound
     _emit(
@@ -306,8 +249,8 @@ def _cmd_tail_check(args) -> int:
 
 def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
-        raise _InputError(f"--max-gap must be between 0 and {MAX_GAP}")
-    fam = _family_arg(args.file)
+        raise ValueError(f"--max-gap must be between 0 and {MAX_GAP}")
+    fam = jsonio.family_from_json(_load_json(args.file))
     # chain_pair_stats, the deletion test and each gap's enumeration run
     # once, each serving its own entry and the identities that rest on it
     stats = chain_pair_stats(fam)
@@ -441,6 +384,9 @@ def main(argv=None) -> int:
     """Run one command line (``sys.argv[1:]`` when argv is None) and return
     its exit code; results go to stdout, diagnostics to stderr.
 
+    A ValueError out of a verb is an input error: its message goes to
+    stderr and the code is 2.  BudgetExceeded is 3.  Anything else, such
+    as the AssertionError of a failed re-check, is a fault and propagates.
     Usage errors and ``--help`` raise ``SystemExit`` from argparse (code 2
     and 0).  main may be called any number of times in one process: the
     parser is built on the first call and reused, and it holds no state of
@@ -450,7 +396,7 @@ def main(argv=None) -> int:
     start = time.monotonic()
     try:
         code = args.run(args)
-    except _InputError as e:
+    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BudgetExceeded as e:

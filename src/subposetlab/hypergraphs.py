@@ -390,15 +390,9 @@ def _kpartite_copies(
     """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
     positions of its edges in `edges`, the k-sets of [n] in ascending mask
     order: `_complete_kpartite` on the complete k-graph, one tick per part
-    choice.  Raises ValueError, before that graph is built or any tick,
-    when the copies would pass TURAN_SIZE_LIMIT."""
+    choice."""
     if sum(sizes) > n:
         return ()
-    if _kpartite_copy_count(n, sizes) * len(edges) > TURAN_SIZE_LIMIT:
-        raise ValueError(
-            f"more than {TURAN_SIZE_LIMIT // len(edges)} forbidden copies "
-            f"on {len(edges)} edges: too large for the exact search"
-        )
     index = {e: i for i, e in enumerate(edges)}
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
@@ -425,8 +419,8 @@ def turan_oracle(
     permutations of [n]; the witness is the optimal edge set whose sorted
     mask list is lexicographically least, re-checked free of the forbidden
     copy.  The budget bounds copy enumeration and both searches; an instance
-    past TURAN_SIZE_LIMIT, with the copies counted exactly before any is
-    listed, raises ValueError before any tick.
+    past TURAN_SIZE_LIMIT, with the copies counted exactly before any edge
+    or copy is listed, raises ValueError before any tick.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -441,8 +435,14 @@ def turan_oracle(
         # a single edge is already a complete (1,...,1) copy
         return TuranResult(0, empty, delta)
 
-    if comb(n, k) > TURAN_SIZE_LIMIT:
-        raise ValueError(f"{comb(n, k)} edges: too large for the exact search")
+    nedges = comb(n, k)
+    if nedges > TURAN_SIZE_LIMIT:
+        raise ValueError(f"{nedges} edges: too large for the exact search")
+    if sum(sizes) <= n and _kpartite_copy_count(n, sizes) * nedges > TURAN_SIZE_LIMIT:
+        raise ValueError(
+            f"more than {TURAN_SIZE_LIMIT // nedges} forbidden copies "
+            f"on {nedges} edges: too large for the exact search"
+        )
     edges = sorted(
         sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k)
     )

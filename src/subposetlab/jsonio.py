@@ -21,6 +21,16 @@ from .posets import Poset, from_cover_relations, make_poset
 from .representations import KPartiteRepresentation, RepresentationCertificate
 
 _SAFE = 1 << 53
+# Largest n of a family, checked before any set is decoded: a member
+# holding element n is an n-bit int.
+MAX_FAMILY_N = 50_000
+# Largest l * (rows + 1000) of a hypergraph (rows: its edges) or a
+# representation (its family), checked before any row is decoded.  A row is
+# an int of up to l bits and a vertex costs about 1,000 bits besides, so
+# memory stays near 2^30 bits of each: in partite, the path on l = 32,000
+# takes about 110 MB and 1 s, one edge on l = 1,000,000 about 130 MB and
+# 0.6 s (2-core x86, Python 3.11).
+MAX_PARTITE_BITS = 2**30
 _INT_ONLY = frozenset((int,))
 _END = object()
 
@@ -46,12 +56,22 @@ def _int_rows(rows) -> list[list[int]]:
     """An array of integer arrays, each integer read by decode_int: the
     members of a family or a representation, the edges of a hypergraph,
     the cover pairs of a poset."""
+    if not isinstance(rows, list):
+        raise ValueError(f"expected an array of arrays, got {type(rows).__name__}")
     out = []
     for row in rows:
         if not isinstance(row, list):
             raise ValueError(f"expected an array of integers, got {type(row).__name__}")
         out.append(list(map(decode_int, row)))
     return out
+
+
+def _vertex_rows(l: int, rows, what: str) -> list[list[int]]:
+    """_int_rows for the rows of a vertex set [l], refused before any is
+    decoded when l * (len(rows) + 1000) exceeds MAX_PARTITE_BITS."""
+    if isinstance(rows, list) and l * (len(rows) + 1000) > MAX_PARTITE_BITS:
+        raise ValueError(f"l * ({what} + 1000) must be at most {MAX_PARTITE_BITS}")
+    return _int_rows(rows)
 
 
 def encode_fraction(x: Fraction) -> dict:
@@ -65,7 +85,10 @@ def family_to_json(fam: SubsetFamily) -> dict:
 def family_from_json(obj) -> SubsetFamily:
     if not isinstance(obj, dict) or "n" not in obj or "sets" not in obj:
         raise ValueError("a family is an object with keys n and sets")
-    return SubsetFamily.from_sets(decode_int(obj["n"]), _int_rows(obj["sets"]))
+    n = decode_int(obj["n"])
+    if n > MAX_FAMILY_N:
+        raise ValueError(f"n must be at most {MAX_FAMILY_N}")
+    return SubsetFamily.from_sets(n, _int_rows(obj["sets"]))
 
 
 def poset_to_json(p: Poset) -> dict:
@@ -87,9 +110,9 @@ def hypergraph_to_json(h: Hypergraph) -> dict:
 def hypergraph_from_json(obj) -> Hypergraph:
     if not isinstance(obj, dict) or not {"k", "l", "edges"} <= set(obj):
         raise ValueError("a hypergraph is an object with keys k, l, edges")
-    return Hypergraph.from_edge_sets(
-        decode_int(obj["k"]), decode_int(obj["l"]), _int_rows(obj["edges"])
-    )
+    k = decode_int(obj["k"])
+    l = decode_int(obj["l"])
+    return Hypergraph.from_edge_sets(k, l, _vertex_rows(l, obj["edges"], "edges"))
 
 
 def partition_to_json(p: Partition) -> list:
@@ -114,7 +137,7 @@ def representation_from_json(obj) -> KPartiteRepresentation:
         )
     k = decode_int(obj["k"])
     l = decode_int(obj["l"])
-    fam = SubsetFamily.from_sets(l, _int_rows(obj["family"]))
+    fam = SubsetFamily.from_sets(l, _vertex_rows(l, obj["family"], "family"))
     target = poset_from_json(obj["target"])
     name = obj["target"] if isinstance(obj["target"], str) else None
     return KPartiteRepresentation(k, l, fam, target, name)

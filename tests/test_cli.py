@@ -186,6 +186,24 @@ def test_search_rep_long_target_and_wide_l_max(target, l_max, seconds):
     assert json.loads(proc.stdout)["found"] is True
 
 
+def test_search_rep_bounds_k(capsys):
+    # crown:6 closes with no representation in ticks growing like k^2 at a
+    # cost per tick growing like k: 4,287 ticks in 0.05 s at k = 64, and
+    # 161,199 in about 12 s at k = 400
+    k = cli.MAX_SEARCH_K
+    code, out, _ = run(
+        capsys, "search-rep", "--target", "crown:6", "--k", str(k), "--l-max", str(k + 2)
+    )
+    assert code == 1 and json.loads(out) == {"found": False}
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "search-rep", "--target", "crown:6", "--k", str(k + 1), "--l-max", "1000"
+    )
+    assert (code, out) == (2, "")
+    assert f"error: --k must be at most {k}" in err
+    assert time.monotonic() - t0 < 1
+
+
 def test_la_command(capsys):
     code, out, _ = run(capsys, "la", "--n", "3", "--pattern", "chain:2")
     assert code == 0
@@ -462,6 +480,24 @@ def test_turan_size_check_comes_before_listing(capsys):
     assert "budget of 1000 ticks exhausted" in err
 
 
+def test_turan_counts_the_copies_before_listing_the_edges(capsys):
+    # C(24, 12) = 2,704,156 edges pass the edge check, and listing them
+    # took about 4 s and 136 MB before the copy count refused the instance
+    t0 = time.monotonic()
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "turan", "--n", "24", "--k", "12", "--sizes", "1," * 11 + "2"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "error: more than 49 forbidden copies on 2704156 edges" in err
+    assert peak < 5 * 2**20
+    assert time.monotonic() - t0 < 0.1
+
+
 def test_partite_command(capsys, tmp_path):
     square = write_json(
         tmp_path,
@@ -525,7 +561,7 @@ def test_partite_bounds_the_file_before_decoding_it(capsys, tmp_path, l, shape):
     code, out, err = run(capsys, verb, "--file", path)
     assert time.monotonic() - t0 < 1
     assert (code, out) == (2, "")
-    assert f"must be at most {cli.MAX_PARTITE_BITS}" in err
+    assert f"must be at most {jsonio.MAX_PARTITE_BITS}" in err
 
 
 def test_partite_and_verify_rep_color_components_apart(capsys, tmp_path):
@@ -896,10 +932,10 @@ def test_family_verbs_print_past_the_digit_limit(capsys, tmp_path):
 
 @pytest.mark.parametrize("verb", ["lubell", "chain-stats", "report"])
 def test_chain_verbs_bound_n_in_the_family_file(capsys, tmp_path, verb):
-    # past cli.MAX_FAMILY_N every family verb exits 2 before any set is
+    # past jsonio.MAX_FAMILY_N every family verb exits 2 before any set is
     # decoded: a member holding element n is an n-bit mask, and
     # {"n": 10^8, "sets": [[10^8]]} peaked at 80 MB when it was decoded
-    limit = cli.MAX_FAMILY_N
+    limit = jsonio.MAX_FAMILY_N
     at = write_json(tmp_path, "at.json", {"n": limit, "sets": [[1], [1, 2]]})
     code, out, _ = run(capsys, verb, "--file", at)
     assert code == 0 and json.loads(out)["n"] == limit
@@ -923,7 +959,7 @@ def test_chain_verbs_finish_a_long_chain_at_the_n_limit(capsys, tmp_path, verb):
     # 190 comparable pairs at n = 50,000 took 11.4 s in chain-stats and
     # 23.1 s in report while each pair's weight was formed over n!
     sets = [list(range(1, k + 1)) for k in range(1, 21)]
-    path = write_json(tmp_path, "chain.json", {"n": cli.MAX_FAMILY_N, "sets": sets})
+    path = write_json(tmp_path, "chain.json", {"n": jsonio.MAX_FAMILY_N, "sets": sets})
     t0 = time.monotonic()
     code, out, _ = run(capsys, verb, "--file", path)
     assert time.monotonic() - t0 < 2
@@ -940,6 +976,27 @@ def test_oversized_integer_literal_is_an_input_error(capsys, tmp_path):
         code, out, err = run(capsys, verb, "--file", str(path))
         assert code == 2 and out == ""
         assert "cannot decode JSON" in err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (b"\xff\xfe{}", "cannot read"),  # not UTF-8
+        (b"[" * 100_000 + b"]" * 100_000, "cannot decode JSON"),  # past the recursion limit
+        (b'{"n": 3, "sets": 5, "k": 2, "l": 3, "edges": 5, "family": 5, "target": "chain:2"}',
+         "expected an array of arrays, got int"),
+    ],
+    ids=["not-utf-8", "deep", "rows-not-an-array"],
+)
+def test_unreadable_or_misshapen_file_is_an_input_error(capsys, tmp_path, text, message):
+    # the first two ended in a traceback and exit 1; the third was a
+    # TypeError that a catch-all in the CLI turned into exit 2
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    for verb in ("lubell", "chain-stats", "report", "partite", "verify-rep"):
+        code, out, err = run(capsys, verb, "--file", str(path))
+        assert (code, out) == (2, "")
+        assert "error: " in err and message in err
 
 
 def test_stdout_is_byte_identical_across_runs(capsys):

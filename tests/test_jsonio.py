@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from subposetlab import (
@@ -30,6 +30,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     verify_representation,
 )
+from subposetlab.jsonio import MAX_FAMILY_N, MAX_PARTITE_BITS
 from subposetlab.lattice import ChainDecomposition, elements_of_mask
 
 
@@ -264,3 +265,67 @@ def test_chain_poset_json_symmetry():
         {"size": 4, "covers": [[0, 1], [1, 2], [2, 3]]}
     ).up
     assert poset_from_json("chain:4").up == chain(4).up
+
+
+# What json.loads can return: scalars of every JSON kind (NaN and the
+# infinities included), small and decimal-string integers and poset specs
+# among them, in arrays and objects; and arrays of small integer arrays,
+# the shape of every row list.
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-2, 9) | st.integers() | st.floats()
+    | st.text(max_size=6) | st.sampled_from(["3", "-1", "2" * 5000, "crown:4", "chain:2"])
+)
+_ROWS = st.lists(st.lists(st.integers(-1, 9), max_size=4), max_size=5)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+# each file decoder and the keys its object needs
+DECODERS = {
+    family_from_json: ("n", "sets"),
+    hypergraph_from_json: ("k", "l", "edges"),
+    representation_from_json: ("k", "l", "family", "target"),
+    poset_from_json: ("size", "covers"),
+}
+
+
+@pytest.mark.parametrize("decode", DECODERS, ids=lambda f: f.__name__)
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_decoders_return_or_raise_value_error(decode, data):
+    """A decoder raises nothing but ValueError, whatever JSON it is given:
+    the CLI turns a ValueError into exit 2 and lets any other exception
+    through as a fault."""
+    value = st.one_of(JSON_VALUES, _ROWS)
+    obj = data.draw(JSON_VALUES | st.fixed_dictionaries(dict.fromkeys(DECODERS[decode], value)))
+    try:
+        decode(obj)
+    except ValueError:
+        pass
+
+
+def test_row_lists_must_be_arrays():
+    # iterating a string or an object would read its characters or keys
+    for rows in (5, "12", {"1": [1]}, None):
+        with pytest.raises(ValueError, match="expected an array of arrays"):
+            family_from_json({"n": 3, "sets": rows})
+        with pytest.raises(ValueError, match="expected an array of arrays"):
+            hypergraph_from_json({"k": 2, "l": 3, "edges": rows})
+
+
+def test_size_guards_come_before_any_row():
+    # a row that would not decode shows that none was read
+    bad_row = [[None]]
+    with pytest.raises(ValueError, match=f"n must be at most {MAX_FAMILY_N}"):
+        family_from_json({"n": MAX_FAMILY_N + 1, "sets": bad_row})
+    with pytest.raises(ValueError, match="expected an integer"):
+        family_from_json({"n": MAX_FAMILY_N, "sets": bad_row})
+    l = MAX_PARTITE_BITS // 1001 + 1  # one row past the bound
+    with pytest.raises(ValueError, match=r"l \* \(edges \+ 1000\) must be at most"):
+        hypergraph_from_json({"k": 2, "l": l, "edges": bad_row})
+    with pytest.raises(ValueError, match=r"l \* \(family \+ 1000\) must be at most"):
+        representation_from_json({"k": 2, "l": l, "family": bad_row, "target": "chain:2"})
+    with pytest.raises(ValueError, match="expected an integer"):
+        hypergraph_from_json({"k": 2, "l": l - 1, "edges": bad_row})
