@@ -63,8 +63,8 @@ MAX_SCD_N = 16
 # elements, so every entry past n is zero.  64 gaps take about 0.05 s on a
 # 96-set family over [9].
 MAX_GAP = 64
-# Largest --n for tail-check: its time grows like n^2 and is about 1.2 s
-# at n = 100,000.
+# Largest --n for tail-check: its time grows like n^2 and is about 1.1 s
+# at n = 100,000 (2-core x86, Python 3.11).
 MAX_TAIL_N = 100_000
 # Largest --k for search-rep: a tick costs about 12 us at k = 64 and grows
 # like k, so the default budget runs out in about 2 min there (crown:14,

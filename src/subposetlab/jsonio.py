@@ -99,7 +99,11 @@ def poset_from_json(v) -> Poset:
     if isinstance(v, str):
         return make_poset(v)
     if isinstance(v, dict) and "size" in v and "covers" in v:
-        return from_cover_relations(decode_int(v["size"]), _int_rows(v["covers"]))
+        size, covers = decode_int(v["size"]), _int_rows(v["covers"])
+        for i, cover in enumerate(covers):
+            if len(cover) != 2:
+                raise ValueError(f"cover {i} must be a pair of elements, got {len(cover)}")
+        return from_cover_relations(size, covers)
     raise ValueError("a poset is a generator string or {size, covers}")
 
 

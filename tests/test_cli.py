@@ -104,6 +104,12 @@ def test_verify_rep_input_errors(capsys, tmp_path):
     missing = write_json(tmp_path, "missing.json", {"k": 2})
     code, _, err = run(capsys, "verify-rep", "--file", str(missing))
     assert code == 2
+    for covers, message in (([[0, 1, 2]], "cover 0 must be a pair of elements, got 3"),
+                            ([[0]], "cover 0 must be a pair of elements, got 1")):
+        rep = {"k": 2, "l": 3, "family": [[1]], "target": {"size": 3, "covers": covers}}
+        code, out, err = run(capsys, "verify-rep", "--file", write_json(tmp_path, "t.json", rep))
+        assert code == 2 and out == ""
+        assert f"error: {message}" in err
 
 
 def test_gen_rep_kinds_and_errors(capsys):
@@ -776,6 +782,21 @@ def test_solve_stdout_bytes_are_locked(capsys):
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+# sha256 of the stdout of tail-check --n N, concatenated over N = 1..700,
+# 999, 14288, 54321 and 100000, as written while each level was still
+# decided against an atanh-series bracket of ln n
+TAIL_CHECK_STDOUT_SHA256 = "32e4776adc4d84659d7daa1497099fb60411ed931ebf6436e98d5f2a260a1464"
+
+
+def test_tail_check_stdout_bytes_are_locked(capsys):
+    digest = hashlib.sha256()
+    for n in [*range(1, 701), 999, 14288, 54321, 100_000]:
+        code, out, _ = run(capsys, "tail-check", "--n", str(n))
+        assert code == 0, n
+        digest.update(out.encode())
+    assert digest.hexdigest() == TAIL_CHECK_STDOUT_SHA256
 
 
 def test_every_verb_writes_the_stdlib_form(capsys, tmp_path):

@@ -89,6 +89,12 @@ def test_poset_round_trip():
         poset_from_json(17)
 
 
+def test_poset_covers_must_be_pairs():
+    for covers, i, got in (([[0, 1, 2]], 0, 3), ([[0, 1], [0]], 1, 1), ([[]], 0, 0)):
+        with pytest.raises(ValueError, match=f"^cover {i} must be a pair of elements, got {got}$"):
+            poset_from_json({"size": 3, "covers": covers})
+
+
 def test_hypergraph_round_trip():
     h = Hypergraph.from_edge_sets(2, 4, [[1, 2], [3, 4]])
     obj = hypergraph_to_json(h)
