@@ -88,11 +88,11 @@ def _load_json(path: str):
         raise ValueError(f"{path}: cannot decode JSON: {e}") from e
 
 
-def _budget_arg(args) -> Budget | None:
-    """--budget as a Budget, None for 0 (unlimited)."""
+def _budget_arg(args) -> Budget:
+    """--budget as a Budget, unlimited for 0."""
     if args.budget < 0:
         raise ValueError("--budget must be at least 0")
-    return Budget(args.budget) if args.budget else None
+    return Budget(args.budget or None)
 
 
 def _emit(obj) -> None:

@@ -240,7 +240,7 @@ class _Engine:
         self.capacity = capacity
         self.by_bit = copies[::-1]
         self.universe = (1 << nverts) - 1
-        self.budget = budget
+        self.budget = budget if budget is not None else Budget()
         self.best_val = self.best_wit = 0
         classes: dict[int, int] = {}
         for v, w in enumerate(self.weights):
@@ -301,13 +301,12 @@ class _Engine:
         by_bit, miss, weights = self.by_bit, self.miss, self.weights
         classes, universe, total = self.classes, self.universe, self.total
         lubell_prunes = self._lubell_prunes if self.levels else None
-        tick = self.budget.tick if self.budget is not None else None
+        tick = self.budget.tick
         group = sym.root() if sym is not None else None
         stack = [(included, excluded, w_out, alive, group)]
         while stack:
             included, excluded, w_out, alive, group = stack.pop()
-            if tick is not None:
-                tick()
+            tick()
             free = universe & ~included & ~excluded
             top = total - w_out
             if not alive:

@@ -122,6 +122,7 @@ def is_k_partite(h: Hypergraph, budget: Budget | None = None) -> Partition | Non
     forced vertex and per step of the search; vertices on no edge cost
     nothing.  Raises BudgetExceeded through the budget object if supplied.
     """
+    budget = budget if budget is not None else Budget()
     k, l = h.k, h.l
     # each vertex is its own neighbor, which is harmless: it has no color
     # while its color is chosen
@@ -158,8 +159,7 @@ def is_k_partite(h: Hypergraph, budget: Budget | None = None) -> Partition | Non
         used = [0] * (len(comp) + 1)
         idx = 0
         while 0 <= idx < len(comp):
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             v = comp[idx]
             color[v] = -1
             conflict = {color[u] for u in nbrs[v]}
@@ -207,8 +207,7 @@ def _forced_coloring(root, edges_at, nbrs, color, k, budget) -> list[int] | None
     for c, v in enumerate(done):
         color[v] = c
     for v in done:  # grows while it is walked
-        if budget is not None:
-            budget.tick()
+        budget.tick()
         for e in edges_at[v]:
             free = [u for u in e if color[u] < 0]
             if len(free) == 1:
@@ -234,6 +233,7 @@ def _complete_kpartite(h: Hypergraph, sizes, budget: Budget | None):
     per part choice.  The search keeps one frame per open part on an
     explicit stack.
     """
+    budget = budget if budget is not None else Budget()
     last = len(sizes) - 1
     edge_set = set(h.edges)
     degree = Counter(v for e in h.edges for v in elements_of_mask(e))
@@ -262,8 +262,7 @@ def _complete_kpartite(h: Hypergraph, sizes, budget: Budget | None):
             if frames:
                 parts.pop()
             continue
-        if budget is not None:
-            budget.tick()
+        budget.tick()
         grown = [s | 1 << (v - 1) for s in stems for v in combo]
         if len(parts) == last:
             yield (*parts, combo), grown

@@ -9,6 +9,7 @@ only str, int, bool, list and str-keyed dict, which is all they emit.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
@@ -31,6 +32,7 @@ MAX_FAMILY_N = 50_000
 # takes about 110 MB and 1 s, one edge on l = 1,000,000 about 130 MB and
 # 0.6 s (2-core x86, Python 3.11).
 MAX_PARTITE_BITS = 2**30
+_DECIMAL = re.compile("-?[0-9]+")  # not "+7", "1_0", " 12" or non-ASCII digits
 _INT_ONLY = frozenset((int,))
 _END = object()
 
@@ -47,9 +49,9 @@ def encode_int(x: int):
 def decode_int(v) -> int:
     if type(v) is int:  # not a bool, which JSON's true and false decode to
         return v
-    if isinstance(v, str):
-        return int(v, 10)
-    raise ValueError(f"expected an integer, got {type(v).__name__}")
+    if isinstance(v, str) and _DECIMAL.fullmatch(v):
+        return int(v)
+    raise ValueError(f"expected an integer or a string -?[0-9]+, got {type(v).__name__}")
 
 
 def _int_rows(rows) -> list[list[int]]:

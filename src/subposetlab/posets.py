@@ -332,10 +332,11 @@ def iter_embeddings(host: Poset, pattern: Poset, budget: Budget | None = None):
     tick, the elements must be matchable to distinct hosts within their
     static candidate sets (Hall's condition, checked by augmenting paths);
     otherwise nothing is yielded.  During the search every unplaced element
-    keeps a domain: placing i at v narrows it to the hosts strictly above v
-    when i < j, strictly below v when j < i, and removes v; a placement
-    that empties any domain is dropped after its tick.  The search runs on
-    an explicit stack, so patterns of any size are searched.
+    j keeps a domain: placing i at v narrows it to the hosts strictly above
+    v when i < j, strictly below v when j < i, and every domain is read
+    without the hosts in use; a placement that empties a domain it narrows
+    is dropped after its tick.  The search runs on an explicit stack, so
+    patterns of any size are searched.
 
     Every embedding is yielded, so each copy comes once per automorphism
     of the pattern; `extremal.enumerate_copies` runs the same search with
@@ -387,6 +388,7 @@ def _embeddings(
     if p == 0:
         yield 0 if images else ()
         return
+    budget = budget if budget is not None else Budget()
     plan = _search_plan(host, pattern, budget, cells, one_per_orbit)
     if plan is None:
         return
@@ -407,8 +409,7 @@ def _embeddings(
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if depth == last:
                 if images:  # a one-element pattern: the root is the last position
                     yield used | low
@@ -423,8 +424,7 @@ def _embeddings(
                 for _, narrow in links[depth]:
                     leaves &= narrow[v]
                 if leaves:
-                    if budget is not None:
-                        budget.tick(leaves.bit_count())
+                    budget.tick(leaves.bit_count())
                     held = used | low
                     while leaves:
                         h = leaves & -leaves
@@ -435,7 +435,6 @@ def _embeddings(
             narrowed = dom.copy()
             for q, narrow in links[depth]:
                 narrowed[q] &= narrow[v]
-            for q in range(depth + 1, p):
                 if not narrowed[q] & free:
                     break
             else:
@@ -450,7 +449,7 @@ def _embeddings(
 def _search_plan(
     host: Poset,
     pattern: Poset,
-    budget: Budget | None,
+    budget: Budget,
     cells: list[int] | None,
     one_per_orbit: bool,
 ):
@@ -536,7 +535,7 @@ def _refine(pattern: Poset, colors: list) -> list:
         count = len(rank)
 
 
-def _stabilizer_chain(pattern: Poset, order: list[int], budget: Budget | None):
+def _stabilizer_chain(pattern: Poset, order: list[int], budget: Budget):
     """Base points of Aut(pattern) with their orbits: (b, others) per base
     point, others the rest of the orbit of b under the automorphisms that
     fix the earlier base points.  |Aut(pattern)| is the product of the

@@ -245,6 +245,7 @@ def search_representation(
         if not (target.strict_up(e) | target.strict_down(e)) & placed:
             raise ValueError("only connected targets are searchable")
         placed |= 1 << e
+    budget = budget if budget is not None else Budget()
 
     member = [0] * target.size  # 0 until placed; every member is nonempty
     used: set[int] = set()
@@ -264,8 +265,7 @@ def search_representation(
             for v in parted:
                 del part[v]
         for cand, fresh in cands:
-            if budget is not None:
-                budget.tick()
+            budget.tick()
             if cand in used:
                 continue
             parted = _give_parts(cand, part, k) if cand.bit_count() == k else []

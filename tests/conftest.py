@@ -288,7 +288,6 @@ def frame_per_candidate_embeddings(
         narrowed = dom.copy()
         for q, narrow in links[depth]:
             narrowed[q] &= narrow[v]
-        for q in range(depth + 1, p):
             if not narrowed[q] & free:
                 break
         else:

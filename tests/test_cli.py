@@ -86,6 +86,14 @@ def test_verify_rep_embedding_failure(capsys, tmp_path):
     assert res["verified"] is False and res["reason"] == "embedding"
 
 
+def test_verify_rep_empty_target(capsys, tmp_path):
+    rep = {"k": 2, "l": 2, "family": [[1, 2]], "target": {"size": 0, "covers": []}}
+    code, out, _ = run(capsys, "verify-rep", "--file", write_json(tmp_path, "e.json", rep))
+    assert code == 0
+    res = json.loads(out)
+    assert res["verified"] is True and res["embedding"] == []
+
+
 def test_verify_rep_sizes_failure(capsys, tmp_path):
     rep = {"k": 3, "l": 7, "family": [[1], [1, 2, 3]], "target": "crown:4"}
     path = write_json(tmp_path, "sizes.json", rep)

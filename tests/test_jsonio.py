@@ -30,6 +30,7 @@ from subposetlab import (
     symmetric_chain_decomposition,
     verify_representation,
 )
+from subposetlab.cli import main
 from subposetlab.jsonio import MAX_FAMILY_N, MAX_PARTITE_BITS
 from subposetlab.lattice import ChainDecomposition, elements_of_mask
 
@@ -47,13 +48,27 @@ def test_int_round_trip(x):
     assert decode_int(encode_int(x)) == x
 
 
-def test_decode_int_rejects_junk():
+JUNK_INT_STRINGS = ("1_0", " 12 ", "12\n", "+7", "\u0661\u0662", "", "-")
+
+
+def test_decode_int_rejects_junk(capsys, tmp_path):
     with pytest.raises(ValueError):
         decode_int(True)
     with pytest.raises(ValueError):
         decode_int(1.5)
     with pytest.raises(ValueError):
         decode_int("0x10")
+    # int() reads all but the last two; the formats take only -?[0-9]+
+    for junk in JUNK_INT_STRINGS:
+        with pytest.raises(ValueError):
+            decode_int(junk)
+    assert decode_int("-0") == 0 and decode_int("0012") == 12
+    path = tmp_path / "f.json"
+    for junk in JUNK_INT_STRINGS:
+        path.write_text(json.dumps({"n": junk, "sets": [[1]]}))
+        assert main(["lubell", "--file", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
 
 
 @given(

@@ -392,6 +392,23 @@ def test_verify_large_even_cycle_representation():
     assert is_weak_embedding(family_as_poset(rep.family), rep.target, cert.embedding)
 
 
+def test_empty_pattern_embeds_once_without_a_tick():
+    empty = from_cover_relations(0, [])
+    for host in (empty, chain(3)):
+        budget = Budget()
+        assert list(iter_embeddings(host, empty, budget)) == [()]
+        assert budget.used == 0
+
+
+def test_is_weak_embedding_rejects_malformed_maps():
+    host = chain(3)
+    assert is_weak_embedding(host, chain(2), (0, 2))
+    assert not is_weak_embedding(host, chain(2), (0, 1, 2))  # wrong length
+    assert not is_weak_embedding(host, antichain(2), (1, 1))  # a repeated host
+    assert not is_weak_embedding(host, antichain(2), (0, 3))  # no host 3
+    assert not is_weak_embedding(host, antichain(2), (-1, 0))
+
+
 def test_embedding_budget_raises():
     host = family_as_poset(middle_levels(4, 5))
     with pytest.raises(BudgetExceeded):
