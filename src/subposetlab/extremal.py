@@ -16,7 +16,7 @@ from math import comb, lcm
 
 from .budget import Budget, BudgetExceeded
 from .lattice import SubsetFamily, bits, middle_levels
-from .posets import Poset, _embeddings, contains_weak, e_level, family_as_poset
+from .posets import Poset, _band, _embeddings, contains_weak, e_level
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,12 @@ class ExtremalResult:
 @functools.lru_cache(maxsize=32)
 def _lattice(n: int) -> tuple[tuple[int, ...], dict[int, int], Poset]:
     """The 2^n subsets in canonical order, the index of each, and their
-    inclusion poset, whose element i is the i-th subset."""
+    inclusion poset, whose element i is the i-th subset: the band
+    `posets._band(n, n + 1)`, which the band scan shares.  A process keeps
+    the 32 lattices last used; at n = 10 (`cli.MAX_SOLVE_N`) one holds
+    about 0.7 MB, its poset and the poset's search rows included."""
     fam = middle_levels(n, n + 1)
-    return fam.members, {m: i for i, m in enumerate(fam.members)}, family_as_poset(fam)
+    return fam.members, {m: i for i, m in enumerate(fam.members)}, _band(n, n + 1)
 
 
 # Most copy images kept before a solve degrades to the band bound: a memory
@@ -421,14 +424,16 @@ def _vertex_mask_of_family(fam: SubsetFamily) -> int:
 
 
 def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
-    """Size of the widest middle band free of the pattern, re-verified;
-    the budget bounds the band scan and the re-check."""
+    """Size of the widest middle band free of the pattern, re-verified by
+    a search of its own; the budget bounds the band scan and the re-check.
+    Both search the bands that `posets._band` keeps, so a process builds
+    each band once, not once per call."""
     m = e_level(pattern, n, budget)
     if m == 0:
         return ExtremalResult(0, SubsetFamily(n, ()), "lower-bound-only")
-    fam = middle_levels(n, m)
-    if contains_weak(family_as_poset(fam), pattern, budget):
+    if contains_weak(_band(n, m), pattern, budget):
         raise AssertionError("band reported free still hosts the pattern")
+    fam = middle_levels(n, m)
     return ExtremalResult(len(fam.members), fam, "lower-bound-only")
 
 
@@ -437,16 +442,26 @@ def _level_scale(n: int) -> int:
     return lcm(*(comb(n, i) for i in range(n + 1)))
 
 
+@functools.lru_cache(maxsize=32)
+def _lattice_group(n: int, complement: bool) -> _SubsetSymmetry:
+    """The permutations of [n] acting on `_lattice(n)`'s vertices, with
+    complementation when complement is True; one per process for each
+    (n, complement) while the cache holds it, so its `meetings` memo lasts
+    across solves."""
+    verts, _, _ = _lattice(n)
+    return _SubsetSymmetry(n, verts, complement)
+
+
 def _lattice_symmetry(
     n: int, pattern: Poset, budget: Budget | None
 ) -> _SubsetSymmetry:
     """The symmetry of B_n that maps copies of the pattern to copies:
     the permutations of [n], and complementation too when the pattern is
     isomorphic to its dual.  A weak embedding between posets of one size
-    is an isomorphism, so one weak-embedding search decides that."""
-    verts, _, _ = _lattice(n)
+    is an isomorphism, so one weak-embedding search decides that, on
+    every call; the group comes from `_lattice_group`."""
     dual = Poset(pattern.size, pattern.down)
-    return _SubsetSymmetry(n, verts, contains_weak(dual, pattern, budget))
+    return _lattice_group(n, contains_weak(dual, pattern, budget))
 
 
 def _run_exact(n, pattern, budget, level_weight, unit):

@@ -9,6 +9,7 @@ branch and bound.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -384,7 +385,7 @@ def _kpartite_copy_count(n: int, sizes) -> int:
 
 
 def _kpartite_copies(
-    edges: list[int], n: int, sizes, budget: Budget | None
+    edges: tuple[int, ...], n: int, sizes, budget: Budget | None
 ) -> tuple[int, ...]:
     """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
     positions of its edges in `edges`, the k-sets of [n] in ascending mask
@@ -395,7 +396,7 @@ def _kpartite_copies(
     index = {e: i for i, e in enumerate(edges)}
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
-    complete = Hypergraph(len(sizes), n, tuple(edges))
+    complete = Hypergraph(len(sizes), n, edges)
     for _, transversals in _complete_kpartite(complete, sizes, budget):
         buf = bytearray(nbytes)
         for e in transversals:
@@ -403,6 +404,17 @@ def _kpartite_copies(
             buf[b >> 3] |= 1 << (b & 7)
         copies.add(int.from_bytes(buf, "little"))
     return tuple(sorted(copies))
+
+
+@functools.lru_cache(maxsize=32)
+def _kset_group(n: int, k: int) -> tuple[tuple[int, ...], _SubsetSymmetry]:
+    """The k-sets of [n] in ascending mask order, and the permutations of
+    [n] acting on them; one pair per process for each (n, k) while the
+    cache holds it, so the group's `meetings` memo lasts across calls."""
+    edges = tuple(
+        sorted(sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k))
+    )
+    return edges, _SubsetSymmetry(n, edges, False)
 
 
 def turan_oracle(
@@ -442,12 +454,10 @@ def turan_oracle(
             f"more than {TURAN_SIZE_LIMIT // nedges} forbidden copies "
             f"on {nedges} edges: too large for the exact search"
         )
-    edges = sorted(
-        sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k)
-    )
+    edges, group = _kset_group(n, k)
     copies = _kpartite_copies(edges, n, sizes, budget)
     engine = _Engine([1] * len(edges), copies, budget)
-    engine.maximize(_SubsetSymmetry(n, edges, False))
+    engine.maximize(group)
     value = engine.best_val
     wit_mask = engine.lexmin_witness(value, engine.best_wit)
     witness = Hypergraph(

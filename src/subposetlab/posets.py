@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .budget import Budget
 from .lattice import SubsetFamily, bits, middle_levels
@@ -17,6 +17,11 @@ from .lattice import SubsetFamily, bits, middle_levels
 
 @dataclass(frozen=True)
 class Poset:
+    """A finite poset as bitmask rows.  `down` and `_host_rows`, what the
+    embedding search reads of the poset as a host, are built on first use
+    and kept on the instance; a poset kept in a cache, such as a band of
+    `_band`, builds them once per process."""
+
     size: int
     up: tuple[int, ...]  # up[i]: bitmask of elements >= i, self included
 
@@ -39,6 +44,19 @@ class Poset:
             for j in bits(self.up[i]):
                 rows[j] |= 1 << i
         return tuple(rows)
+
+    @cached_property
+    def _host_rows(self):
+        """What `_search_plan` reads of this poset as a host: the strict up
+        and down rows, the (up, down) counts of each element, and a memo of
+        the static candidate set per (up, down) demand, which
+        `_search_plan` fills; a search's cells go into a copy of a set,
+        never into the memo."""
+        up = tuple([row & ~(1 << v) for v, row in enumerate(self.up)])
+        down = tuple([row & ~(1 << v) for v, row in enumerate(self.down)])
+        offer = tuple([(u.bit_count(), d.bit_count()) for u, d in zip(up, down)])
+        by_need: dict[tuple[int, int], int] = {}
+        return up, down, offer, by_need
 
     def strict_up(self, i: int) -> int:
         return self.up[i] & ~(1 << i)
@@ -458,20 +476,18 @@ def _search_plan(
     links of each position; None when no embedding exists by the size or
     the Hall check.  links[d] holds (q, narrow) for each later position q
     whose element is constrained by the one at position d: placing it at v
-    narrows the domain at q by narrow[v].  With one_per_orbit, the
-    stabilizer chain's searches tick the budget here."""
+    narrows the domain at q by narrow[v].  The host's rows and candidate
+    sets come from `Poset._host_rows`, built once per host.  With
+    one_per_orbit, the stabilizer chain's searches tick the budget here."""
     p, h = pattern.size, host.size
     if p > h:
         return None
     order = _pattern_order(pattern)
-    up = [host.strict_up(v) for v in range(h)]
-    down = [host.strict_down(v) for v in range(h)]
     # static pruning: a host slot must offer at least as many elements
     # above and below as the pattern element demands; static[d] is the
     # candidate set of the element at position d of the order, built once
-    # per distinct demand
-    offer = [(up[v].bit_count(), down[v].bit_count()) for v in range(h)]
-    by_need: dict[tuple[int, int], int] = {}
+    # per distinct demand on the host
+    up, down, offer, by_need = host._host_rows
     static = []
     for i in order:
         need = (pattern.strict_up(i).bit_count(), pattern.strict_down(i).bit_count())
@@ -645,17 +661,31 @@ def is_weak_embedding(host: Poset, pattern: Poset, phi) -> bool:
     return True
 
 
+@lru_cache(maxsize=32)
+def _band(n: int, m: int) -> Poset:
+    """The inclusion poset of `middle_levels(n, m)`, its element i the
+    band's i-th member; `_band(n, n + 1)` is the whole lattice B_n.
+
+    A process keeps the 32 bands last used, each with the search rows its
+    embedding searches built (`Poset._host_rows`), so a session that
+    solves many instances at one n builds each band once; a single CLI
+    call gains nothing.  All eleven bands at n = 10, the largest n of
+    `la` and `lambda` (`cli.MAX_SOLVE_N`), hold about 5 MB with their
+    rows, the whole lattice about 0.6 MB of it."""
+    return family_as_poset(middle_levels(n, m))
+
+
 def e_level(pattern: Poset, n: int, budget: Budget | None = None) -> int:
     """Largest m such that the m middle levels of the lattice on [n] contain
     no weak copy of the pattern; n+1 when even the full lattice has none.
 
     Bands are nested in m, so the scan walks upward and stops at the first
-    band containing a copy.
+    band containing a copy.  Each band is read from `_band`, so it is
+    built once per process while the cache holds it.
     """
     if n < 1:
         raise ValueError("n must be positive")
     for m in range(1, n + 2):
-        host = family_as_poset(middle_levels(n, m))
-        if contains_weak(host, pattern, budget):
+        if contains_weak(_band(n, m), pattern, budget):
             return m - 1
     return n + 1

@@ -792,6 +792,37 @@ def test_solve_stdout_bytes_are_locked(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
+def test_solve_results_do_not_depend_on_job_order(capsys, monkeypatch):
+    """A process keeps the bands, their search rows and the symmetry
+    groups across solves, so every job but the first of its n starts from
+    warm caches.  Run forward and then in reverse in one process, the
+    locked jobs write the locked bytes and spend equal ticks both times."""
+    budgets = []
+
+    class Recording(Budget):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            budgets.append(self)
+
+    monkeypatch.setattr(cli, "Budget", Recording)
+    jobs = list(SOLVE_STDOUT_SHA256)
+    passes = []
+    for order in (jobs, jobs[::-1]):
+        used = {}
+        for argv in order:
+            budgets.clear()
+            code, out, _ = run(capsys, *argv)
+            assert code == 0
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == SOLVE_STDOUT_SHA256[argv], argv
+            (budget,) = budgets
+            used[argv] = budget.used
+        passes.append(used)
+    assert passes[0] == passes[1]
+
+
 # sha256 of the stdout of tail-check --n N, concatenated over N = 1..700,
 # 999, 14288, 54321 and 100000, as written while each level was still
 # decided against an atanh-series bracket of ln n

@@ -29,7 +29,7 @@ from subposetlab import (
     lubell_value,
     make_poset,
 )
-from subposetlab import extremal, posets
+from subposetlab import extremal, hypergraphs, posets
 from subposetlab.lattice import SubsetFamily, canonical_sort_key
 from conftest import (
     all_families,
@@ -636,6 +636,27 @@ def test_search_tree_tick_counts(solver, n, pattern, old_ticks, enum_ticks, tick
     assert ticks <= old_ticks
 
 
+# la_lower_bound's ticks, the band scan and the re-check, as spent while
+# every call built its bands afresh; equal at the first call and at a
+# call that reads the bands from the cache
+LOWER_BOUND_TICKS = [
+    (4, "fork:3", 4),
+    (5, "butterfly", 204),
+    (5, "fork:2", 3),
+    (5, "diamond:2", 7),
+    (6, "chain:3", 3),
+    (5, "crown:6", 6),
+]
+
+
+@pytest.mark.parametrize("n,pattern_text,ticks", LOWER_BOUND_TICKS)
+def test_lower_bound_ticks_are_locked(n, pattern_text, ticks):
+    for _ in range(2):
+        budget = Budget()
+        la_lower_bound(n, make_poset(pattern_text), budget)
+        assert budget.used == ticks
+
+
 def test_budget_spent_in_witness_phase_is_reported():
     """At Budget(437) on top of the lower bound's ticks, the value of
     la(4, diamond:2) is proven but the budget runs out while the witness
@@ -731,6 +752,38 @@ def test_root_orbits_at_n7_list_no_group_element():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_a_warm_shared_group_answers_as_a_fresh_one():
+    """One group per vertex set lives across solves (`_lattice_group`,
+    `hypergraphs._kset_group`), its `meetings` memo filled by them.  Along
+    stabilizer chains from every vertex, it gives the orbits and the
+    stabilizers of a group built afresh."""
+    la_exact(5, make_poset("butterfly"))
+    la_exact(5, make_poset("fork:2"))
+    hypergraphs.turan_oracle(6, 2, (2, 2))
+    groups = [extremal._lattice_group(5, c) for c in (False, True)]
+    groups.append(hypergraphs._kset_group(6, 2)[1])
+    for warm in groups:
+        assert warm.meetings
+        fresh = extremal._SubsetSymmetry(warm.n, warm.masks, warm.complement)
+        size = len(warm.masks)
+        for v in range(size):
+            assert warm.orbit(warm.root(), v) == fresh.orbit(fresh.root(), v)
+        for start in range(size):
+            u, ws, fs = start, warm.root(), fresh.root()
+            while True:
+                ws, fs = warm.stabilizer(ws, u), fresh.stabilizer(fs, u)
+                assert ws == fs
+                if ws is None:
+                    break
+                moved = []
+                for v in range(size):
+                    orbit = warm.orbit(ws, v)
+                    assert orbit == fresh.orbit(fs, v), (start, v)
+                    if orbit != 1 << v:
+                        moved.append(v)
+                u = moved[-1]  # a moved vertex, so the next group is smaller
 
 
 def recorded_engines(solver, n, pattern_text):

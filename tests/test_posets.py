@@ -35,7 +35,8 @@ from subposetlab import (
     rep_tight_cycle,
     verify_representation,
 )
-from subposetlab.posets import MAX_POSET_SIZE, _pattern_order
+from subposetlab import extremal, posets
+from subposetlab.posets import MAX_POSET_SIZE, Poset, _pattern_order
 from conftest import random_family, random_poset, relabeled
 
 
@@ -440,3 +441,39 @@ def test_e_level_band_is_free_and_next_is_not(n, pat_text):
     if m <= n:
         bigger = family_as_poset(middle_levels(n, m + 1))
         assert contains_weak(bigger, pattern)
+
+
+def test_cached_bands_equal_fresh_ones():
+    for n in range(1, 7):
+        for m in range(1, n + 2):
+            assert posets._band(n, m) == family_as_poset(middle_levels(n, m)), (n, m)
+
+
+@pytest.mark.parametrize(
+    "pattern_text", ["chain:3", "butterfly", "fork:2", "diamond:2", "crown:6"]
+)
+def test_search_plan_on_a_cached_host_equals_a_fresh_one(pattern_text):
+    """A host keeps its search rows and its candidate set per demand
+    (`Poset._host_rows`).  A search with cells, run first on a cold cached
+    host, leaves them as a fresh equal poset builds them: the plan of
+    every later search on the cached host equals the fresh one's, ticks
+    of the automorphism searches included."""
+    pattern = make_poset(pattern_text)
+    extremal._lattice.cache_clear()
+    posets._band.cache_clear()
+    for n in range(2, 6):
+        cached = extremal._lattice(n)[2]
+        h = cached.size
+        cells = [sum(1 << v for v in range(i % 2, h, 2)) for i in range(pattern.size)]
+        list(posets._embeddings(cached, pattern, Budget(), cells))
+        fresh = Poset(cached.size, cached.up)
+        for one_per_orbit in (False, True):
+            plans, spent = [], []
+            for host in (cached, fresh):
+                budget = Budget()
+                plans.append(
+                    posets._search_plan(host, pattern, budget, None, one_per_orbit)
+                )
+                spent.append(budget.used)
+            assert plans[0] == plans[1], (n, one_per_orbit)
+            assert spent[0] == spent[1]
