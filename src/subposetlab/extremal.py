@@ -43,14 +43,14 @@ class ExtremalResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _lattice(n: int) -> tuple[tuple[int, ...], dict[int, int], Poset]:
-    """The 2^n subsets in canonical order, the index of each, and their
-    inclusion poset, whose element i is the i-th subset: the band
-    `posets._band(n, n + 1)`, which the band scan shares.  A process keeps
-    the 32 lattices last used; at n = 10 (`cli.MAX_SOLVE_N`) one holds
-    about 0.7 MB, its poset and the poset's search rows included."""
-    fam = middle_levels(n, n + 1)
-    return fam.members, {m: i for i, m in enumerate(fam.members)}, _band(n, n + 1)
+def _lattice(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The 2^n subsets in canonical order and the index of each.  Their
+    inclusion poset, whose element i is the i-th subset, is the band
+    `posets._band(n, n + 1)`, read from that cache at each use so that the
+    copy enumeration and the band scan share one poset and its search
+    rows.  A process keeps the 32 lists last used."""
+    members = middle_levels(n, n + 1).members
+    return members, {m: i for i, m in enumerate(members)}
 
 
 # Most copy images kept before a solve degrades to the band bound: a memory
@@ -76,7 +76,7 @@ def enumerate_copies(
     stops, and the result is marked incomplete."""
     if pattern.size == 0:
         raise ValueError("pattern must be nonempty")
-    _, _, host = _lattice(n)
+    host = _band(n, n + 1)
     images: set[int] = set()
     for im in _embeddings(host, pattern, budget, one_per_orbit=True, images=True):
         images.add(im)
@@ -213,9 +213,11 @@ class _Engine:
     the children split the node's completions.  An include can complete
     a copy; that child is pruned as a dead copy when it is reached.
     Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
-    Program. 2011), in `maximize` only: its argument, when not None, is a
+    Program. 2011), in `maximize`: its argument, when not None, is a
     `_SubsetSymmetry`, a group of vertex permutations that maps the copies
-    onto themselves and keeps every weight.  Each node of that search
+    onto themselves and keeps every weight.  `lexmin_witness` takes the
+    same group and decides the whole orbit of a vertex out when that
+    vertex's feasibility search fails.  Each node of that search
     carries its stabilizer G, the elements that fix its included set and
     its excluded set: the whole group at the root, below it a
     `_SubsetSymmetry` state, the pointwise stabilizer of the excluded
@@ -375,48 +377,67 @@ class _Engine:
         orbits of sym's group while a node's stabilizer is nontrivial."""
         self._search(0, 0, 0, self.all_copies, False, sym)
 
-    def lexmin_witness(self, target: int, wit: int) -> int:
+    def lexmin_witness(self, target: int, wit: int, sym: _SubsetSymmetry | None) -> int:
         """The set of weight >= target whose sorted vertex list is
         lexicographically least; wit is a copy-free set of weight >= target,
-        such as the maximize phase's optimum.  Overwrites best_val and
-        best_wit.
+        such as the maximize phase's optimum, and sym, when not None, a
+        group as `maximize` takes.  Overwrites best_val and best_wit.
 
-        Greedy: each vertex in index order goes in when a feasibility
+        Greedy: each vertex i in index order goes in when a feasibility
         search still reaches the target with it, and out otherwise.  wit
         always holds every vertex decided in and none decided out: a vertex
         of wit goes in, and wit itself is the completion that proves the
         search would succeed, so it is not run; a vertex outside wit gets
         the search, and on success wit becomes its best_wit, which holds
-        the vertex and every earlier decision.  The decisions, and so the
-        set, are the greedy's; only searches with a known outcome are
+        the vertex and every earlier decision.
+
+        A failed search decides i's whole orbit out.  The greedy keeps G,
+        sym's whole group at first, and each vertex decided in narrows it
+        to its stabilizer (None, the identity alone, when that fixes every
+        vertex); a failed search for i decides every vertex of i's orbit
+        under G out, and G stays.  G fixes every vertex decided in and
+        maps the ones decided out, a union of its orbits, onto themselves,
+        so it maps the undecided ones onto themselves too, and i's orbit
+        lies among the undecided vertices from i on.  An element of G
+        taking i to j turns "no set of weight >= target holds the vertices
+        decided in and i, and avoids the ones decided out" into the same
+        statement for j, which stays true as the decisions grow: the plain
+        greedy would decide j out at its turn.  No vertex of wit is in the
+        orbit, since wit would be such a set for j.  The decisions, and so
+        the set, are the greedy's; only searches with a known outcome are
         skipped."""
         decided_in = 0
         decided_out = 0
         w_out = 0  # the weight of the vertices decided out
         alive = self.all_copies  # the copies avoiding every vertex decided out
+        group = sym.root() if sym is not None else None
         for i in range(self.nverts):
             bit = 1 << i
-            if wit & bit:
-                decided_in |= bit
+            if decided_out & bit:
                 continue
-            self.best_val = target - 1
-            if self._search(decided_in | bit, decided_out, w_out, alive, True):
-                decided_in |= bit
+            if not wit & bit:
+                self.best_val = target - 1
+                if not self._search(decided_in | bit, decided_out, w_out, alive, True):
+                    out = sym.orbit(group, i) if group is not None else bit
+                    decided_out |= out
+                    for v in bits(out):
+                        w_out += self.weights[v]
+                        alive &= self.miss[v]
+                    continue
                 wit = self.best_wit
-            else:
-                decided_out |= bit
-                w_out += self.weights[i]
-                alive &= self.miss[i]
+            decided_in |= bit
+            if group is not None:
+                group = sym.stabilizer(group, i)
         return decided_in
 
 
 def _family_from_vertex_mask(n: int, mask: int) -> SubsetFamily:
-    verts, _, _ = _lattice(n)
+    verts, _ = _lattice(n)
     return SubsetFamily.from_masks(n, tuple(verts[v] for v in bits(mask)))
 
 
 def _vertex_mask_of_family(fam: SubsetFamily) -> int:
-    _, index, _ = _lattice(fam.n)
+    _, index = _lattice(fam.n)
     m = 0
     for member in fam.members:
         m |= 1 << index[member]
@@ -448,7 +469,7 @@ def _lattice_group(n: int, complement: bool) -> _SubsetSymmetry:
     complementation when complement is True; one per process for each
     (n, complement) while the cache holds it, so its `meetings` memo lasts
     across solves."""
-    verts, _, _ = _lattice(n)
+    verts, _ = _lattice(n)
     return _SubsetSymmetry(n, verts, complement)
 
 
@@ -486,8 +507,13 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     The maximize phase branches on orbits of the permutations of [n],
     joined by complementation when the pattern is isomorphic to its dual
     (`_lattice_symmetry`); that test and the group are built only when the
-    phase runs, after the root Lubell check.  The witness phase never uses
-    the group, so the witness is still the least optimum."""
+    phase runs, after the root Lubell check, inside its budget handling.
+    The witness phase gets the same group, or None when maximize was
+    skipped: a vertex whose feasibility search fails is decided out with
+    its whole orbit under the elements that fix every vertex already
+    decided in, as the plain greedy would decide each of them
+    (`_Engine.lexmin_witness`), so the witness is still the least
+    optimum."""
     band = la_lower_bound(n, pattern, budget).witness
     seed_val = sum(level_weight[m.bit_count()] for m in band.members)
     seed = ExtremalResult(unit * seed_val, band, "lower-bound-only")
@@ -497,7 +523,7 @@ def _run_exact(n, pattern, budget, level_weight, unit):
         return replace(seed, degraded="budget-enumerate")
     if not ch.complete:
         return replace(seed, degraded="copy-cap")
-    verts, _, _ = _lattice(n)
+    verts, _ = _lattice(n)
     weights = [level_weight[m.bit_count()] for m in verts]
     masks = [0] * (n + 1)
     for v, m in enumerate(verts):
@@ -507,9 +533,11 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     levels = [(masks[i], level_weight[i], scale // comb(n, i)) for i in order]
     engine = _Engine(weights, ch.copies, budget, levels, (pattern.size - 1) * scale)
     engine.best_val, engine.best_wit = seed_val, _vertex_mask_of_family(band)
+    sym = None
     if not engine._lubell_prunes(0, engine.universe):
         try:
-            engine.maximize(_lattice_symmetry(n, pattern, budget))
+            sym = _lattice_symmetry(n, pattern, budget)
+            engine.maximize(sym)
         except BudgetExceeded:
             wit = _family_from_vertex_mask(n, engine.best_wit)
             return ExtremalResult(
@@ -518,7 +546,7 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     best, wit_mask = engine.best_val, engine.best_wit
     degraded = None
     try:
-        wit_mask = engine.lexmin_witness(best, wit_mask)
+        wit_mask = engine.lexmin_witness(best, wit_mask, sym)
     except BudgetExceeded:
         degraded = "budget-witness"  # keep the search's optimal witness
     if any(not c & ~wit_mask for c in ch.copies):

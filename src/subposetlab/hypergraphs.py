@@ -429,9 +429,13 @@ def turan_oracle(
     comes from its branch and bound, which branches on orbits of the
     permutations of [n]; the witness is the optimal edge set whose sorted
     mask list is lexicographically least, re-checked free of the forbidden
-    copy.  The budget bounds copy enumeration and both searches; an instance
-    past TURAN_SIZE_LIMIT, with the copies counted exactly before any edge
-    or copy is listed, raises ValueError before any tick.
+    copy.  Its greedy gets the same group: an edge whose feasibility
+    search fails is decided out with its whole orbit under the elements
+    that fix every edge already decided in, as the plain greedy would
+    decide each of them (`extremal._Engine.lexmin_witness`).  The budget
+    bounds copy enumeration and both searches; an instance past
+    TURAN_SIZE_LIMIT, with the copies counted exactly before any edge or
+    copy is listed, raises ValueError before any tick.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -459,7 +463,7 @@ def turan_oracle(
     engine = _Engine([1] * len(edges), copies, budget)
     engine.maximize(group)
     value = engine.best_val
-    wit_mask = engine.lexmin_witness(value, engine.best_wit)
+    wit_mask = engine.lexmin_witness(value, engine.best_wit, group)
     witness = Hypergraph(
         k, n, tuple(e for i, e in enumerate(edges) if wit_mask >> i & 1)
     )

@@ -208,22 +208,118 @@ def assert_symmetry_is_exact(sym, copies, weight_lists):
 
 def engines_built(module, run):
     """The extremal engines that run() builds through module._Engine; each
-    keeps as sym the group its maximize was handed, None if it never ran."""
+    keeps as sym the group its maximize was handed, None if it never ran,
+    and as witness_args the arguments of its lexmin_witness call."""
     built = []
 
     class Recording(extremal._Engine):
         def __init__(self, *args):
             super().__init__(*args)
             self.sym = None
+            self.witness_args = None
             built.append(self)
 
         def maximize(self, sym):
             self.sym = sym
             super().maximize(sym)
 
+        def lexmin_witness(self, target, wit, sym):
+            self.witness_args = target, wit, sym
+            return super().lexmin_witness(target, wit, sym)
+
     with mock.patch.object(module, "_Engine", Recording):
         run()
     return built
+
+
+def phase_ticks(run):
+    """run()'s result, and the ticks it spends in each phase of `la_exact`
+    and `lambda_exact`, summed over its solves: the band lower bound, the
+    copy enumeration, maximize and the witness phase.  Each solve must be
+    handed a Budget, which every phase charges."""
+    spent = dict.fromkeys(("lower_bound", "enumerate", "maximize", "witness"), 0)
+
+    def counted(phase, fn, budget_of):
+        def wrapper(*args):
+            budget = budget_of(args)
+            start = budget.used
+            try:
+                return fn(*args)
+            finally:
+                spent[phase] += budget.used - start
+
+        return wrapper
+
+    def passed(args):  # la_lower_bound(n, pattern, budget) and enumerate_copies
+        return args[2]
+
+    def engines(args):  # a method's self
+        return args[0].budget
+
+    E = extremal._Engine
+    with (
+        mock.patch.object(
+            extremal, "la_lower_bound", counted("lower_bound", extremal.la_lower_bound, passed)
+        ),
+        mock.patch.object(
+            extremal, "enumerate_copies", counted("enumerate", extremal.enumerate_copies, passed)
+        ),
+        mock.patch.object(E, "maximize", counted("maximize", E.maximize, engines)),
+        mock.patch.object(E, "lexmin_witness", counted("witness", E.lexmin_witness, engines)),
+    ):
+        result = run()
+    return result, spent
+
+
+def plain_lexmin_witness(engine, target, wit):
+    """`extremal._Engine.lexmin_witness` as it once ran, with no group:
+    each vertex in index order outside wit gets its own feasibility
+    search, and a failed one decides that vertex alone out."""
+    decided_in = 0
+    decided_out = 0
+    w_out = 0
+    alive = engine.all_copies
+    for i in range(engine.nverts):
+        bit = 1 << i
+        if wit & bit:
+            decided_in |= bit
+            continue
+        engine.best_val = target - 1
+        if engine._search(decided_in | bit, decided_out, w_out, alive, True):
+            decided_in |= bit
+            wit = engine.best_wit
+        else:
+            decided_out |= bit
+            w_out += engine.weights[i]
+            alive &= engine.miss[i]
+    return decided_in
+
+
+def assert_witness_matches_plain(engine):
+    """engine's lexmin_witness, run again on the arguments it was handed
+    (`engines_built`), returns the plain greedy's set, and no vertex it
+    decides out by orbit, with no search of its own, is in that set.
+    Returns those vertices, none when it had no group."""
+    target, wit, sym = engine.witness_args
+    searched = 0
+    search = engine._search
+
+    def recording(included, *args):
+        nonlocal searched
+        searched |= 1 << included.bit_length() - 1  # the vertex tried
+        return search(included, *args)
+
+    engine._search = recording
+    try:
+        got = engine.lexmin_witness(target, wit, sym)
+    finally:
+        del engine._search
+    want = plain_lexmin_witness(engine, target, wit)
+    assert got == want
+    by_orbit = engine.universe & ~got & ~searched
+    assert not by_orbit & want
+    assert sym is not None or not by_orbit
+    return by_orbit
 
 
 def per_bit_miss(nverts, copies):

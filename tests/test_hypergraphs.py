@@ -28,6 +28,7 @@ from subposetlab.hypergraphs import _kpartite_copies, _kpartite_copy_count
 from conftest import (
     assert_orbital_matches_plain,
     assert_symmetry_is_exact,
+    assert_witness_matches_plain,
     crosses_every_edge,
     engines_built,
     pendant_pairs_below_k4,
@@ -448,11 +449,11 @@ TURAN_TICK_CASES = [
     (7, (2, 2), 12641, 1188),
     (5, (2, 3), 64, 38),
     (6, (2, 3), 362, 143),
-    (5, (1, 1, 2), 123, 120),
-    (6, (1, 1, 2), 384, 319),
-    (7, (1, 1, 2), 1898, 922),
-    (8, (2, 2), 285743, 19440),
-    (8, (2, 3), 139625, 3457),
+    (5, (1, 1, 2), 123, 114),
+    (6, (1, 1, 2), 384, 309),
+    (7, (1, 1, 2), 1898, 907),
+    (8, (2, 2), 285743, 19425),
+    (8, (2, 3), 139625, 3443),
 ]
 
 
@@ -465,7 +466,8 @@ def test_turan_oracle_ticks_are_locked(n, sizes, old_ticks, ticks):
     """Copy listing plus both searches; the bench solve round runs these.
     The value phase branches on orbits of the permutations of [n] while a
     node's stabilizer is nontrivial, then on the free vertices of its
-    smallest packed copy.  old_ticks, kept in the id, is the count when
+    smallest packed copy; the witness phase decides a vertex's whole orbit
+    out when its search fails.  old_ticks, kept in the id, is the count when
     the engine branched on the free vertex in the most alive copies."""
     budget = Budget()
     turan_oracle(n, len(sizes), sizes, budget)
@@ -488,6 +490,18 @@ def test_turan_symmetry_is_exact_and_orbital_maximize_is_optimal(n, sizes):
     if n <= 7:
         assert_symmetry_is_exact(sym, engine.by_bit, [engine.weights])
     assert_orbital_matches_plain(engine, sym)
+
+
+@pytest.mark.parametrize(
+    "n,sizes", [(n, sizes) for n, sizes, _, _ in TURAN_TICK_CASES if n <= 7]
+)
+def test_turan_witness_phase_matches_the_plain_greedy(n, sizes):
+    """The witness phase, handed the value phase's group, returns the set
+    of the greedy that searches every edge outside the incumbent, and
+    decides no edge of that set out by orbit."""
+    (engine,) = engines_built(hypergraphs, lambda: turan_oracle(n, len(sizes), sizes))
+    assert engine.witness_args[2] is engine.sym
+    assert_witness_matches_plain(engine)
 
 
 def test_turan_oracle_size_limit():
