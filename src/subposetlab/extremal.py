@@ -43,14 +43,12 @@ class ExtremalResult:
 
 
 @functools.lru_cache(maxsize=32)
-def _lattice(n: int) -> tuple[tuple[int, ...], dict[int, int]]:
-    """The 2^n subsets in canonical order and the index of each.  Their
-    inclusion poset, whose element i is the i-th subset, is the band
-    `posets._band(n, n + 1)`, read from that cache at each use so that the
-    copy enumeration and the band scan share one poset and its search
-    rows.  A process keeps the 32 lists last used."""
-    members = middle_levels(n, n + 1).members
-    return members, {m: i for i, m in enumerate(members)}
+def _lattice(n: int) -> _SubsetSymmetry:
+    """The 2^n subsets in canonical order, with their index and S_n's
+    action, kept per n so its `meetings` memo lasts across solves.  Their
+    inclusion poset is `posets._band(n, n + 1)`, read from that cache at
+    each use, so the copy enumeration and the band scan share it."""
+    return _SubsetSymmetry(n, middle_levels(n, n + 1).members)
 
 
 # Most copy images kept before a solve degrades to the band bound: a memory
@@ -87,9 +85,9 @@ def enumerate_copies(
 
 class _SubsetSymmetry:
     """The permutations of [n] acting on vertices that are subsets of [n],
-    masks[v] the subset of vertex v; with complement=True, also each of
-    them followed by complementation.  The vertex set must be closed under
-    the group.
+    masks[v] the subset of vertex v, index[m] the vertex of subset m; a
+    twisted state also has each of them followed by complementation.  The
+    vertex set must be closed under the group of every state used.
 
     No group element is listed.  The search reaches only pointwise
     stabilizers of a few vertices, and each is a state (cells, twisted):
@@ -101,22 +99,22 @@ class _SubsetSymmetry:
     when |B & C| = |A & C| for every cell, or, twisted, when
     |B & C'| = |C| - |A & C| for every cell."""
 
-    def __init__(self, n: int, masks, complement: bool):
+    def __init__(self, n: int, masks):
         self.n = n
         self.masks = masks
-        self.complement = complement
+        self.index = {m: v for v, m in enumerate(masks)}
         self.everything = (1 << len(masks)) - 1
-        # having[e], the vertices whose set holds element e
-        self.having = [0] * n
-        for v, m in enumerate(masks):
-            for e in bits(m):
-                self.having[e] |= 1 << v
+        # having[e], the vertices whose set holds element e, read as a base-2
+        # numeral whose first digit is the last vertex's
+        self.having = [
+            int("".join("01"[m >> e & 1] for m in reversed(masks)), 2) for e in range(n)
+        ]
         self.meetings: dict[int, list[int]] = {}
 
-    def root(self):
-        """The state of the whole group."""
+    def root(self, twisted: bool):
+        """The state of the whole group, complemented too when twisted."""
         full = (1 << self.n) - 1
-        return ((full, full),), self.complement
+        return ((full, full),), twisted
 
     def _meeting(self, cell: int) -> list[int]:
         """meet[j], the vertices whose set meets cell in exactly j elements,
@@ -213,9 +211,9 @@ class _Engine:
     the children split the node's completions.  An include can complete
     a copy; that child is pruned as a dead copy when it is reached.
     Orbital branching (Ostrowski, Linderoth, Rossi and Smriglio, Math.
-    Program. 2011), in `maximize`: its argument, when not None, is a
-    `_SubsetSymmetry`, a group of vertex permutations that maps the copies
-    onto themselves and keeps every weight.  `lexmin_witness` takes the
+    Program. 2011), in `maximize`: `sym.root(twisted)`, when sym is not
+    None, is a group of vertex permutations that maps the copies onto
+    themselves and keeps every weight.  `lexmin_witness` takes the
     same group and decides the whole orbit of a vertex out when that
     vertex's feasibility search fails.  Each node of that search
     carries its stabilizer G, the elements that fix its included set and
@@ -298,16 +296,17 @@ class _Engine:
         alive: int,
         first: bool,
         sym: _SubsetSymmetry | None = None,
+        twisted: bool = False,
     ) -> bool:
         """Depth-first search below one node, w_out the weight of its
         excluded set, raising best_val and best_wit; with first=True, True
-        as soon as best_val rises.  With sym the node's stabilizer is sym's
-        whole group."""
+        as soon as best_val rises.  With sym the node's stabilizer is the
+        whole group `sym.root(twisted)`."""
         by_bit, miss, weights = self.by_bit, self.miss, self.weights
         classes, universe, total = self.classes, self.universe, self.total
         lubell_prunes = self._lubell_prunes if self.levels else None
         tick = self.budget.tick
-        group = sym.root() if sym is not None else None
+        group = sym.root(twisted) if sym is not None else None
         stack = [(included, excluded, w_out, alive, group)]
         while stack:
             included, excluded, w_out, alive, group = stack.pop()
@@ -372,16 +371,19 @@ class _Engine:
                 branch ^= low
         return False
 
-    def maximize(self, sym: _SubsetSymmetry | None) -> None:
+    def maximize(self, sym: _SubsetSymmetry | None, twisted: bool) -> None:
         """Raise the incumbent to an optimum, searching from the root, on
-        orbits of sym's group while a node's stabilizer is nontrivial."""
-        self._search(0, 0, 0, self.all_copies, False, sym)
+        orbits of sym's group, complemented too when twisted, while a
+        node's stabilizer is nontrivial."""
+        self._search(0, 0, 0, self.all_copies, False, sym, twisted)
 
-    def lexmin_witness(self, target: int, wit: int, sym: _SubsetSymmetry | None) -> int:
+    def lexmin_witness(
+        self, target: int, wit: int, sym: _SubsetSymmetry | None, twisted: bool
+    ) -> int:
         """The set of weight >= target whose sorted vertex list is
         lexicographically least; wit is a copy-free set of weight >= target,
-        such as the maximize phase's optimum, and sym, when not None, a
-        group as `maximize` takes.  Overwrites best_val and best_wit.
+        such as the maximize phase's optimum, and sym and twisted a group
+        as `maximize` takes.  Overwrites best_val and best_wit.
 
         Greedy: each vertex i in index order goes in when a feasibility
         search still reaches the target with it, and out otherwise.  wit
@@ -392,7 +394,7 @@ class _Engine:
         the vertex and every earlier decision.
 
         A failed search decides i's whole orbit out.  The greedy keeps G,
-        sym's whole group at first, and each vertex decided in narrows it
+        `sym.root(twisted)` at first, and each vertex decided in narrows it
         to its stabilizer (None, the identity alone, when that fixes every
         vertex); a failed search for i decides every vertex of i's orbit
         under G out, and G stays.  G fixes every vertex decided in and
@@ -410,7 +412,7 @@ class _Engine:
         decided_out = 0
         w_out = 0  # the weight of the vertices decided out
         alive = self.all_copies  # the copies avoiding every vertex decided out
-        group = sym.root() if sym is not None else None
+        group = sym.root(twisted) if sym is not None else None
         for i in range(self.nverts):
             bit = 1 << i
             if decided_out & bit:
@@ -432,16 +434,13 @@ class _Engine:
 
 
 def _family_from_vertex_mask(n: int, mask: int) -> SubsetFamily:
-    verts, _ = _lattice(n)
+    verts = _lattice(n).masks
     return SubsetFamily.from_masks(n, tuple(verts[v] for v in bits(mask)))
 
 
 def _vertex_mask_of_family(fam: SubsetFamily) -> int:
-    _, index = _lattice(fam.n)
-    m = 0
-    for member in fam.members:
-        m |= 1 << index[member]
-    return m
+    index = _lattice(fam.n).index
+    return sum(1 << index[member] for member in fam.members)
 
 
 def la_lower_bound(n: int, pattern: Poset, budget: Budget | None = None) -> ExtremalResult:
@@ -463,26 +462,11 @@ def _level_scale(n: int) -> int:
     return lcm(*(comb(n, i) for i in range(n + 1)))
 
 
-@functools.lru_cache(maxsize=32)
-def _lattice_group(n: int, complement: bool) -> _SubsetSymmetry:
-    """The permutations of [n] acting on `_lattice(n)`'s vertices, with
-    complementation when complement is True; one per process for each
-    (n, complement) while the cache holds it, so its `meetings` memo lasts
-    across solves."""
-    verts, _ = _lattice(n)
-    return _SubsetSymmetry(n, verts, complement)
-
-
-def _lattice_symmetry(
-    n: int, pattern: Poset, budget: Budget | None
-) -> _SubsetSymmetry:
-    """The symmetry of B_n that maps copies of the pattern to copies:
-    the permutations of [n], and complementation too when the pattern is
-    isomorphic to its dual.  A weak embedding between posets of one size
-    is an isomorphism, so one weak-embedding search decides that, on
-    every call; the group comes from `_lattice_group`."""
-    dual = Poset(pattern.size, pattern.down)
-    return _lattice_group(n, contains_weak(dual, pattern, budget))
+def _self_dual(pattern: Poset, budget: Budget | None) -> bool:
+    """Whether the pattern is isomorphic to its dual, so that complementing
+    B_n maps copies to copies: the twist of `_lattice(n)`'s root.  One
+    weak-embedding search decides it, an isomorphism at equal sizes."""
+    return contains_weak(Poset(pattern.size, pattern.down), pattern, budget)
 
 
 def _run_exact(n, pattern, budget, level_weight, unit):
@@ -506,9 +490,9 @@ def _run_exact(n, pattern, budget, level_weight, unit):
 
     The maximize phase branches on orbits of the permutations of [n],
     joined by complementation when the pattern is isomorphic to its dual
-    (`_lattice_symmetry`); that test and the group are built only when the
-    phase runs, after the root Lubell check, inside its budget handling.
-    The witness phase gets the same group, or None when maximize was
+    (`_self_dual`); that test runs only when the phase runs, after the
+    root Lubell check, inside its budget handling.  The witness phase gets
+    the same group and twist, or None when maximize was
     skipped: a vertex whose feasibility search fails is decided out with
     its whole orbit under the elements that fix every vertex already
     decided in, as the plain greedy would decide each of them
@@ -523,21 +507,19 @@ def _run_exact(n, pattern, budget, level_weight, unit):
         return replace(seed, degraded="budget-enumerate")
     if not ch.complete:
         return replace(seed, degraded="copy-cap")
-    verts, _ = _lattice(n)
-    weights = [level_weight[m.bit_count()] for m in verts]
-    masks = [0] * (n + 1)
-    for v, m in enumerate(verts):
-        masks[m.bit_count()] |= 1 << v
+    lat = _lattice(n)
+    weights = [level_weight[m.bit_count()] for m in lat.masks]
+    by_level = lat._meeting((1 << n) - 1)  # the vertices of each level
     scale = _level_scale(n)
     order = sorted(range(n + 1), key=lambda i: -level_weight[i] * comb(n, i))
-    levels = [(masks[i], level_weight[i], scale // comb(n, i)) for i in order]
+    levels = [(by_level[i], level_weight[i], scale // comb(n, i)) for i in order]
     engine = _Engine(weights, ch.copies, budget, levels, (pattern.size - 1) * scale)
     engine.best_val, engine.best_wit = seed_val, _vertex_mask_of_family(band)
-    sym = None
+    sym, twisted = None, False
     if not engine._lubell_prunes(0, engine.universe):
         try:
-            sym = _lattice_symmetry(n, pattern, budget)
-            engine.maximize(sym)
+            sym, twisted = lat, _self_dual(pattern, budget)
+            engine.maximize(sym, twisted)
         except BudgetExceeded:
             wit = _family_from_vertex_mask(n, engine.best_wit)
             return ExtremalResult(
@@ -546,7 +528,7 @@ def _run_exact(n, pattern, budget, level_weight, unit):
     best, wit_mask = engine.best_val, engine.best_wit
     degraded = None
     try:
-        wit_mask = engine.lexmin_witness(best, wit_mask, sym)
+        wit_mask = engine.lexmin_witness(best, wit_mask, sym, twisted)
     except BudgetExceeded:
         degraded = "budget-witness"  # keep the search's optimal witness
     if any(not c & ~wit_mask for c in ch.copies):

@@ -368,6 +368,10 @@ def turan_delta(sizes) -> Fraction:
 # copy list and each incidence index take about this much memory, and an
 # instance near the limit is far beyond what the exact search finishes.
 TURAN_SIZE_LIMIT = 1 << 27
+# Most entries, edges times k, of the complete k-graph that turan_oracle
+# returns when the parts cannot fit in [n]: n = 28, k = 5 (491,400) takes
+# about 0.5 s and 55 MB for 7 MB of output (2-core x86, Python 3.11).
+TURAN_WITNESS_LIMIT = 1 << 19
 
 
 def _kpartite_copy_count(n: int, sizes) -> int:
@@ -384,19 +388,14 @@ def _kpartite_copy_count(n: int, sizes) -> int:
     return count
 
 
-def _kpartite_copies(
-    edges: tuple[int, ...], n: int, sizes, budget: Budget | None
-) -> tuple[int, ...]:
+def _kpartite_copies(kset: _SubsetSymmetry, sizes, budget: Budget | None):
     """Every complete k-partite K(sizes) in K_n^(k), as a bitmask over the
-    positions of its edges in `edges`, the k-sets of [n] in ascending mask
-    order: `_complete_kpartite` on the complete k-graph, one tick per part
-    choice."""
-    if sum(sizes) > n:
-        return ()
-    index = {e: i for i, e in enumerate(edges)}
+    vertices of kset, `_kset_group(n, k)`: `_complete_kpartite` on the
+    complete k-graph, one tick per part choice."""
+    edges, index = kset.masks, kset.index
     nbytes = len(edges) // 8 + 1
     copies: set[int] = set()
-    complete = Hypergraph(len(sizes), n, edges)
+    complete = Hypergraph(len(sizes), kset.n, edges)
     for _, transversals in _complete_kpartite(complete, sizes, budget):
         buf = bytearray(nbytes)
         for e in transversals:
@@ -407,14 +406,13 @@ def _kpartite_copies(
 
 
 @functools.lru_cache(maxsize=32)
-def _kset_group(n: int, k: int) -> tuple[tuple[int, ...], _SubsetSymmetry]:
-    """The k-sets of [n] in ascending mask order, and the permutations of
-    [n] acting on them; one pair per process for each (n, k) while the
-    cache holds it, so the group's `meetings` memo lasts across calls."""
-    edges = tuple(
-        sorted(sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k))
-    )
-    return edges, _SubsetSymmetry(n, edges, False)
+def _kset_group(n: int, k: int) -> _SubsetSymmetry:
+    """The k-sets of [n] in ascending mask order, with their index and
+    the permutations of [n] acting on them; one per process for each
+    (n, k) while the cache holds it, so its `meetings` memo lasts across
+    calls."""
+    edges = (sum(1 << b for b in combo) for combo in itertools.combinations(range(n), k))
+    return _SubsetSymmetry(n, tuple(sorted(edges)))
 
 
 def turan_oracle(
@@ -435,7 +433,9 @@ def turan_oracle(
     decide each of them (`extremal._Engine.lexmin_witness`).  The budget
     bounds copy enumeration and both searches; an instance past
     TURAN_SIZE_LIMIT, with the copies counted exactly before any edge or
-    copy is listed, raises ValueError before any tick.
+    copy is listed, raises ValueError before any tick.  Parts too large for
+    [n] leave every edge: the complete k-graph, with no engine or tick,
+    and a ValueError before any edge is listed past TURAN_WITNESS_LIMIT.
     """
     sizes = tuple(sizes)
     if len(sizes) != k:
@@ -458,15 +458,17 @@ def turan_oracle(
             f"more than {TURAN_SIZE_LIMIT // nedges} forbidden copies "
             f"on {nedges} edges: too large for the exact search"
         )
-    edges, group = _kset_group(n, k)
-    copies = _kpartite_copies(edges, n, sizes, budget)
-    engine = _Engine([1] * len(edges), copies, budget)
-    engine.maximize(group)
-    value = engine.best_val
-    wit_mask = engine.lexmin_witness(value, engine.best_wit, group)
-    witness = Hypergraph(
-        k, n, tuple(e for i, e in enumerate(edges) if wit_mask >> i & 1)
-    )
+    if sum(sizes) > n:
+        # no copy fits in [n], so every edge stays
+        if nedges * k > TURAN_WITNESS_LIMIT:
+            raise ValueError(f"{nedges} edges of {k} vertices: too large a witness")
+        witness = Hypergraph.from_edge_sets(k, n, itertools.combinations(range(1, n + 1), k))
+    else:
+        kset = _kset_group(n, k)
+        engine = _Engine([1] * nedges, _kpartite_copies(kset, sizes, budget), budget)
+        engine.maximize(kset, False)
+        wit_mask = engine.lexmin_witness(engine.best_val, engine.best_wit, kset, False)
+        witness = Hypergraph(k, n, tuple(kset.masks[v] for v in bits(wit_mask)))
     if contains_complete_kpartite(witness, sizes) is not None:
         raise AssertionError("extremal witness hosts the forbidden copy")
-    return TuranResult(value, witness, delta)
+    return TuranResult(len(witness.edges), witness, delta)

@@ -25,12 +25,14 @@ _SAFE = 1 << 53
 # Largest n of a family, checked before any set is decoded: a member
 # holding element n is an n-bit int.
 MAX_FAMILY_N = 50_000
-# Largest l * (rows + 1000) of a hypergraph (rows: its edges) or a
-# representation (its family), checked before any row is decoded.  A row is
-# an int of up to l bits and a vertex costs about 1,000 bits besides, so
-# memory stays near 2^30 bits of each: in partite, the path on l = 32,000
-# takes about 110 MB and 1 s, one edge on l = 1,000,000 about 130 MB and
-# 0.6 s (2-core x86, Python 3.11).
+# Largest max(k, l) * (rows + 1000) of a hypergraph (rows: its edges) and
+# l * (rows + 1000) of a representation (its family; verify-rep needs
+# l >= k), checked before any row is decoded.  A row is an int of up to l
+# bits and a vertex or a part costs about 1,000 bits besides, so memory
+# stays near 2^30 bits: in partite, the path on l = 32,000 takes about
+# 110 MB and 1 s, one edge on l = 1,000,000 about 130 MB and 0.6 s, and no
+# edge in k = 1,073,741 parts about 125 MB and 1.5 s (2-core x86,
+# Python 3.11).
 MAX_PARTITE_BITS = 2**30
 _DECIMAL = re.compile("-?[0-9]+")  # not "+7", "1_0", " 12" or non-ASCII digits
 _INT_ONLY = frozenset((int,))
@@ -68,11 +70,12 @@ def _int_rows(rows) -> list[list[int]]:
     return out
 
 
-def _vertex_rows(l: int, rows, what: str) -> list[list[int]]:
-    """_int_rows for the rows of a vertex set [l], refused before any is
-    decoded when l * (len(rows) + 1000) exceeds MAX_PARTITE_BITS."""
-    if isinstance(rows, list) and l * (len(rows) + 1000) > MAX_PARTITE_BITS:
-        raise ValueError(f"l * ({what} + 1000) must be at most {MAX_PARTITE_BITS}")
+def _vertex_rows(size: int, rows, what: str) -> list[list[int]]:
+    """_int_rows for the rows over a vertex set, refused before any is
+    decoded when size * (len(rows) + 1000) exceeds MAX_PARTITE_BITS; what
+    names that product."""
+    if isinstance(rows, list) and size * (len(rows) + 1000) > MAX_PARTITE_BITS:
+        raise ValueError(f"{what} must be at most {MAX_PARTITE_BITS}")
     return _int_rows(rows)
 
 
@@ -118,7 +121,8 @@ def hypergraph_from_json(obj) -> Hypergraph:
         raise ValueError("a hypergraph is an object with keys k, l, edges")
     k = decode_int(obj["k"])
     l = decode_int(obj["l"])
-    return Hypergraph.from_edge_sets(k, l, _vertex_rows(l, obj["edges"], "edges"))
+    rows = _vertex_rows(max(k, l), obj["edges"], "max(k, l) * (edges + 1000)")
+    return Hypergraph.from_edge_sets(k, l, rows)
 
 
 def partition_to_json(p: Partition) -> list:
@@ -143,7 +147,7 @@ def representation_from_json(obj) -> KPartiteRepresentation:
         )
     k = decode_int(obj["k"])
     l = decode_int(obj["l"])
-    fam = SubsetFamily.from_sets(l, _vertex_rows(l, obj["family"], "family"))
+    fam = SubsetFamily.from_sets(l, _vertex_rows(l, obj["family"], "l * (family + 1000)"))
     target = poset_from_json(obj["target"])
     name = obj["target"] if isinstance(obj["target"], str) else None
     return KPartiteRepresentation(k, l, fam, target, name)

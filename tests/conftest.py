@@ -161,16 +161,16 @@ def perm_chain_stats(fam):
     )
 
 
-def assert_symmetry_is_exact(sym, copies, weight_lists):
+def assert_symmetry_is_exact(sym, twisted, copies, weight_lists):
     """Every element of sym's group, listed from all n! permutations (and
-    complemented too when sym.complement), maps the copy set onto itself
+    complemented too when twisted), maps the copy set onto itself
     and keeps every weight list.  The listed group is the oracle for sym's
     states: the root's orbits, and for each vertex u and then each vertex
     v, the orbits of G_u and G_{u,v}, and None exactly when that group
     fixes every vertex."""
     n, masks = sym.n, sym.masks
     index = {m: v for v, m in enumerate(masks)}
-    flips = (0, (1 << n) - 1) if sym.complement else (0,)
+    flips = (0, (1 << n) - 1) if twisted else (0,)
     group = {
         tuple(index[sum(1 << p[e] for e in bits(m)) ^ flip] for m in masks)
         for p in permutations(range(n))
@@ -193,7 +193,7 @@ def assert_symmetry_is_exact(sym, copies, weight_lists):
             assert sym.orbit(state, v) == orbit, (fixed, v)
 
     # the root is the whole group, trivial or not
-    root = sym.root()
+    root = sym.root(twisted)
     assert_orbits(root, group, ())
     for u in range(len(masks)):
         g_u = [g for g in group if g[u] == u]
@@ -208,24 +208,25 @@ def assert_symmetry_is_exact(sym, copies, weight_lists):
 
 def engines_built(module, run):
     """The extremal engines that run() builds through module._Engine; each
-    keeps as sym the group its maximize was handed, None if it never ran,
-    and as witness_args the arguments of its lexmin_witness call."""
+    keeps as sym and twisted the group and twist its maximize was handed,
+    None if it never ran, and as witness_args the arguments of its
+    lexmin_witness call."""
     built = []
 
     class Recording(extremal._Engine):
         def __init__(self, *args):
             super().__init__(*args)
-            self.sym = None
+            self.sym = self.twisted = None
             self.witness_args = None
             built.append(self)
 
-        def maximize(self, sym):
-            self.sym = sym
-            super().maximize(sym)
+        def maximize(self, sym, twisted):
+            self.sym, self.twisted = sym, twisted
+            super().maximize(sym, twisted)
 
-        def lexmin_witness(self, target, wit, sym):
-            self.witness_args = target, wit, sym
-            return super().lexmin_witness(target, wit, sym)
+        def lexmin_witness(self, target, wit, sym, twisted):
+            self.witness_args = target, wit, sym, twisted
+            return super().lexmin_witness(target, wit, sym, twisted)
 
     with mock.patch.object(module, "_Engine", Recording):
         run()
@@ -300,7 +301,7 @@ def assert_witness_matches_plain(engine):
     (`engines_built`), returns the plain greedy's set, and no vertex it
     decides out by orbit, with no search of its own, is in that set.
     Returns those vertices, none when it had no group."""
-    target, wit, sym = engine.witness_args
+    target, wit, sym, twisted = engine.witness_args
     searched = 0
     search = engine._search
 
@@ -311,7 +312,7 @@ def assert_witness_matches_plain(engine):
 
     engine._search = recording
     try:
-        got = engine.lexmin_witness(target, wit, sym)
+        got = engine.lexmin_witness(target, wit, sym, twisted)
     finally:
         del engine._search
     want = plain_lexmin_witness(engine, target, wit)
@@ -336,15 +337,15 @@ def per_bit_miss(nverts, copies):
     return [all_copies ^ int.from_bytes(m, "little") for m in through]
 
 
-def assert_orbital_matches_plain(engine, sym):
-    """From the empty incumbent, maximize on sym's group reaches the
-    optimum of the plain search, and its witness holds no copy and weighs
-    that."""
+def assert_orbital_matches_plain(engine, sym, twisted):
+    """From the empty incumbent, maximize on sym's group, complemented too
+    when twisted, reaches the optimum of the plain search, and its witness
+    holds no copy and weighs that."""
     engine.best_val = engine.best_wit = 0
-    engine.maximize(None)
+    engine.maximize(None, False)
     plain = engine.best_val
     engine.best_val = engine.best_wit = 0
-    engine.maximize(sym)
+    engine.maximize(sym, twisted)
     assert engine.best_val == plain
     assert all(c & ~engine.best_wit for c in engine.by_bit)
     assert engine.weight_of(engine.best_wit) == plain

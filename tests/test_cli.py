@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import shutil
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from subposetlab import (
     cli,
     crown,
     extremal,
+    hypergraphs,
     instrumentation,
     jsonio,
     la_lower_bound,
@@ -33,7 +35,7 @@ from subposetlab import (
     tail_mass,
 )
 from subposetlab.cli import main
-from conftest import BUDGETED_VERBS, parser_flags, pendant_pairs_below_k4
+from conftest import BUDGETED_VERBS, parser_flags, pendant_pairs_below_k4, random_band_family
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -494,6 +496,33 @@ def test_turan_size_check_comes_before_listing(capsys):
     assert "budget of 1000 ticks exhausted" in err
 
 
+@pytest.mark.parametrize("extra", [[], ["--budget", "2"]])
+def test_turan_without_a_copy_bounds_the_witness(capsys, extra):
+    # parts summing past n leave every edge; unbounded, this built the
+    # engine and took 59 s, 418 MB and 101 MB of stdout, whatever the budget
+    t0 = time.monotonic()
+    code, out, err = run(
+        capsys, "turan", "--n", "22", "--k", "11", "--sizes", "1," * 10 + "22", *extra
+    )
+    assert time.monotonic() - t0 < 0.5
+    assert (code, out) == (2, "")
+    assert "error: 705432 edges of 11 vertices: too large a witness" in err
+
+
+def test_turan_without_a_copy_answers_just_under_the_witness_bound(capsys):
+    limit = hypergraphs.TURAN_WITNESS_LIMIT
+    assert comb(28, 5) * 5 <= limit < comb(29, 5) * 5
+    # no tick is spent, so the least budget will do
+    code, out, _ = run(
+        capsys, "turan", "--n", "28", "--k", "5", "--sizes", "1,1,1,1,25", "--budget", "1"
+    )
+    assert code == 0
+    res = json.loads(out)
+    assert res["value"] == comb(28, 5) == len(res["witness"]["edges"])
+    code, out, err = run(capsys, "turan", "--n", "29", "--k", "5", "--sizes", "1,1,1,1,26")
+    assert (code, out) == (2, "") and "too large a witness" in err
+
+
 def test_turan_counts_the_copies_before_listing_the_edges(capsys):
     # C(24, 12) = 2,704,156 edges pass the edge check, and listing them
     # took about 4 s and 136 MB before the copy count refused the instance
@@ -576,6 +605,27 @@ def test_partite_bounds_the_file_before_decoding_it(capsys, tmp_path, l, shape):
     assert time.monotonic() - t0 < 1
     assert (code, out) == (2, "")
     assert f"must be at most {jsonio.MAX_PARTITE_BITS}" in err
+
+
+@pytest.mark.parametrize("k", [jsonio.MAX_PARTITE_BITS // 1000 + 1, 4_000_000])
+def test_partite_bounds_the_part_count(capsys, tmp_path, k):
+    # partite lists each of the k parts: unbounded, k = 4,000,000 with no
+    # edge took 7.5 s, 414 MB and 32 MB of stdout from a 37-byte file
+    path = write_json(tmp_path, "parts.json", {"k": k, "l": 1, "edges": []})
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "partite", "--file", path)
+    assert time.monotonic() - t0 < 0.5
+    assert (code, out) == (2, "")
+    assert f"max(k, l) * (edges + 1000) must be at most {jsonio.MAX_PARTITE_BITS}" in err
+
+
+def test_partite_answers_just_under_the_part_bound(capsys, tmp_path):
+    k = jsonio.MAX_PARTITE_BITS // 1000
+    path = write_json(tmp_path, "parts.json", {"k": k, "l": 1, "edges": []})
+    code, out, _ = run(capsys, "partite", "--file", path)
+    assert code == 0
+    # the lone vertex goes to the first part, and every other part is empty
+    assert out.count("[]") == k - 1 and '"partite": true' in out
 
 
 def test_partite_and_verify_rep_color_components_apart(capsys, tmp_path):
@@ -955,6 +1005,53 @@ def test_report_max_gap_bounds(capsys, tmp_path, gap, code):
     # a k-configuration deletes k of the n = 3 elements
     for k in range(4, int(gap) + 1):
         assert configs[str(k)]["count"] == 0
+
+
+def deletion_family(d):
+    """[d] and its d one-element deletions: [d] has d deletable elements
+    and heads C(d, k) configurations of gap k, each deletion none."""
+    full = list(range(1, d + 1))
+    return {"n": d, "sets": [full] + [[e for e in full if e != i] for i in full]}
+
+
+@pytest.mark.parametrize("d", [19, 22, 64])
+def test_report_counts_configurations_before_listing_them(capsys, tmp_path, d):
+    # unbounded, d = 20 took 2.4 s and 86 MB and d = 22 8.2 s and 291 MB
+    path = write_json(tmp_path, "fam.json", deletion_family(d))
+    t0 = time.monotonic()
+    code, out, err = run(capsys, "report", "--file", path, "--max-gap", str(d))
+    assert time.monotonic() - t0 < 0.5
+    assert (code, out) == (2, "")
+    assert f"error: {2**d - 1} configurations: too many to list" in err
+
+
+def test_report_answers_just_under_the_configuration_bound(capsys, tmp_path):
+    d = 18
+    assert 2**d - 1 <= cli.MAX_CONFIGURATIONS < 2 ** (d + 1) - 1
+    path = write_json(tmp_path, "fam.json", deletion_family(d))
+    code, out, _ = run(capsys, "report", "--file", path, "--max-gap", str(d))
+    assert code == 0
+    configs = json.loads(out)["configurations"]
+    assert [configs[str(k)]["count"] for k in range(1, d + 1)] == [
+        comb(d, k) for k in range(1, d + 1)
+    ]
+    assert all(entry["equal"] for entry in configs.values())
+    # the gaps that fit answer too
+    code, out, _ = run(capsys, "report", "--file", path, "--max-gap", "3")
+    assert code == 0 and json.loads(out)["configurations"]["3"]["count"] == comb(d, 3)
+
+
+def test_report_counts_match_the_enumeration(capsys, tmp_path):
+    rng = random.Random(7)
+    for n in range(1, 7):
+        fam = random_band_family(n, rng, 2 * n + 2, spread=n)
+        path = write_json(tmp_path, "fam.json", jsonio.family_to_json(fam))
+        code, out, _ = run(capsys, "report", "--file", path, "--max-gap", str(n + 1))
+        assert code == 0
+        configs = json.loads(out)["configurations"]
+        for k in range(1, n + 2):
+            listed, _ = instrumentation.enumerate_k_configurations(fam, k)
+            assert configs[str(k)]["count"] == len(listed), (n, k)
 
 
 def exact(v):

@@ -697,11 +697,12 @@ def test_lattice_symmetry_maps_copies_to_copies(pattern_text):
     and lambda weights; the stabilizers the search walks are exact."""
     pattern = make_poset(pattern_text)
     for n in range(1, 5):
-        sym = extremal._lattice_symmetry(n, pattern, None)
-        verts, _ = extremal._lattice(n)
+        sym = extremal._lattice(n)
+        verts = sym.masks
         lam = [extremal._level_scale(n) // comb(n, m.bit_count()) for m in verts]
         copies = enumerate_copies(n, pattern).copies
-        assert_symmetry_is_exact(sym, copies, [[1] * len(verts), lam])
+        twisted = extremal._self_dual(pattern, None)
+        assert_symmetry_is_exact(sym, twisted, copies, [[1] * len(verts), lam])
 
 
 @pytest.mark.parametrize(
@@ -712,8 +713,7 @@ def test_lattice_symmetry_maps_copies_to_copies(pattern_text):
 def test_complementation_only_for_self_dual_patterns(pattern_text, self_dual):
     """A fork has one element below r others, its dual one above them, so
     only the self-dual patterns get complementation."""
-    sym = extremal._lattice_symmetry(4, make_poset(pattern_text), None)
-    assert sym.complement is self_dual
+    assert extremal._self_dual(make_poset(pattern_text), None) is self_dual
 
 
 def test_a_balanced_split_keeps_the_complemented_coset():
@@ -722,14 +722,14 @@ def test_a_balanced_split_keeps_the_complemented_coset():
     complementation, so the orbit of {1} under them also holds {1, 2, 3}
     and {1, 2, 4}.  No locked solve reaches this coset: their first
     orbital vertex is the empty set."""
-    verts, index = extremal._lattice(4)
-    sym = extremal._SubsetSymmetry(4, verts, True)
-    state = sym.stabilizer(sym.root(), index[0b0011])
+    sym = extremal._lattice(4)
+    index = sym.index
+    state = sym.stabilizer(sym.root(True), index[0b0011])
     assert state[1]
     orbit = sum(1 << index[m] for m in (0b0001, 0b0010, 0b0111, 0b1011))
     assert sym.orbit(state, index[0b0001]) == orbit
     # an unbalanced split drops it
-    assert not sym.stabilizer(sym.root(), index[0b0001])[1]
+    assert not sym.stabilizer(sym.root(True), index[0b0001])[1]
 
 
 def test_root_orbits_at_n7_list_no_group_element():
@@ -737,20 +737,20 @@ def test_root_orbits_at_n7_list_no_group_element():
     (7 - k)-sets under complementation, and under the stabilizer of the
     empty set it is the k-sets either way.  Listing that stabilizer, all
     of S_7 as vertex maps, once peaked at 5.5 MB."""
-    verts, _ = extremal._lattice(7)
+    verts = extremal._lattice(7).masks
     assert verts[0] == 0
     by_size = [0] * 8
     for v, m in enumerate(verts):
         by_size[m.bit_count()] |= 1 << v
     tracemalloc.start()
     try:
-        for complement in (False, True):
-            sym = extremal._SubsetSymmetry(7, verts, complement)
-            root = sym.root()
+        sym = extremal._SubsetSymmetry(7, verts)
+        for twisted in (False, True):
+            root = sym.root(twisted)
             empty = sym.stabilizer(root, 0)
             for u, m in enumerate(verts):
                 k = m.bit_count()
-                flipped = by_size[7 - k] if complement else 0
+                flipped = by_size[7 - k] if twisted else 0
                 assert sym.orbit(root, u) == by_size[k] | flipped
                 assert sym.orbit(empty, u) == by_size[k]
         peak = tracemalloc.get_traced_memory()[1]
@@ -760,35 +760,41 @@ def test_root_orbits_at_n7_list_no_group_element():
 
 
 def test_a_warm_shared_group_answers_as_a_fresh_one():
-    """One group per vertex set lives across solves (`_lattice_group`,
-    `hypergraphs._kset_group`), its `meetings` memo filled by them.  Along
-    stabilizer chains from every vertex, it gives the orbits and the
-    stabilizers of a group built afresh."""
-    la_exact(5, make_poset("butterfly"))
-    la_exact(5, make_poset("fork:2"))
+    """One object per vertex set lives across solves (`extremal._lattice`,
+    `hypergraphs._kset_group`), its `meetings` memo filled by them: la at
+    n = 5 hands `_lattice(5)` to a self-dual pattern, twisted, and to a
+    fork, untwisted.  Along stabilizer chains from every vertex, in each
+    twist, the warm object gives the orbits and the stabilizers of one
+    built afresh."""
+    lat = extremal._lattice(5)
+    for pattern_text, twisted in (("butterfly", True), ("fork:2", False)):
+        (engine,) = recorded_engines(la_exact, 5, pattern_text)
+        assert engine.sym is lat and engine.twisted is twisted
     hypergraphs.turan_oracle(6, 2, (2, 2))
-    groups = [extremal._lattice_group(5, c) for c in (False, True)]
-    groups.append(hypergraphs._kset_group(6, 2)[1])
-    for warm in groups:
+    kset = hypergraphs._kset_group(6, 2)
+    for warm, twists in ((lat, (False, True)), (kset, (False,))):
         assert warm.meetings
-        fresh = extremal._SubsetSymmetry(warm.n, warm.masks, warm.complement)
+        fresh = extremal._SubsetSymmetry(warm.n, warm.masks)
+        assert fresh.index == warm.index
         size = len(warm.masks)
-        for v in range(size):
-            assert warm.orbit(warm.root(), v) == fresh.orbit(fresh.root(), v)
-        for start in range(size):
-            u, ws, fs = start, warm.root(), fresh.root()
-            while True:
-                ws, fs = warm.stabilizer(ws, u), fresh.stabilizer(fs, u)
-                assert ws == fs
-                if ws is None:
-                    break
-                moved = []
-                for v in range(size):
-                    orbit = warm.orbit(ws, v)
-                    assert orbit == fresh.orbit(fs, v), (start, v)
-                    if orbit != 1 << v:
-                        moved.append(v)
-                u = moved[-1]  # a moved vertex, so the next group is smaller
+        for twisted in twists:
+            wr, fr = warm.root(twisted), fresh.root(twisted)
+            for v in range(size):
+                assert warm.orbit(wr, v) == fresh.orbit(fr, v)
+            for start in range(size):
+                u, ws, fs = start, warm.root(twisted), fresh.root(twisted)
+                while True:
+                    ws, fs = warm.stabilizer(ws, u), fresh.stabilizer(fs, u)
+                    assert ws == fs
+                    if ws is None:
+                        break
+                    moved = []
+                    for v in range(size):
+                        orbit = warm.orbit(ws, v)
+                        assert orbit == fresh.orbit(fs, v), (twisted, start, v)
+                        if orbit != 1 << v:
+                            moved.append(v)
+                    u = moved[-1]  # a moved vertex, so the next group is smaller
 
 
 def recorded_engines(solver, n, pattern_text):
@@ -802,10 +808,10 @@ def test_orbital_maximize_reaches_the_plain_optimum(solver, pattern_text):
     patterns close at the root and never call maximize, so the group is
     built here, as `_run_exact` would."""
     for n in range(1, 6):
-        sym = extremal._lattice_symmetry(n, make_poset(pattern_text), None)
+        twisted = extremal._self_dual(make_poset(pattern_text), None)
         for engine in recorded_engines(solver, n, pattern_text):
             assert engine.miss == per_bit_miss(engine.nverts, engine.by_bit[::-1])
-            assert_orbital_matches_plain(engine, sym)
+            assert_orbital_matches_plain(engine, extremal._lattice(n), twisted)
 
 
 @pytest.mark.parametrize("solver", [la_exact, lambda_exact])
@@ -820,6 +826,7 @@ def test_orbit_closed_witness_phase_matches_the_plain_greedy(solver, pattern_tex
     for n in range(1, 6):
         for engine in recorded_engines(solver, n, pattern_text):
             assert engine.witness_args[2] is engine.sym
+            assert engine.witness_args[3] is bool(engine.twisted)
             skipped += assert_witness_matches_plain(engine).bit_count()
     if pattern_text.startswith("chain"):
         assert skipped == 0
@@ -861,7 +868,7 @@ def test_value_phase_at_n8_branches_on_the_group():
         lambda: results.append(la_exact(8, pattern, Budget(spent.used + 1000))),
     )
     assert results[0].degraded == "budget-search"
-    assert (engine.sym.n, engine.sym.complement) == (8, False)
+    assert engine.sym is extremal._lattice(8) and engine.twisted is False
 
 
 def test_open_crown_frontier_at_n5():

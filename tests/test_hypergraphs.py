@@ -486,10 +486,10 @@ def test_turan_symmetry_is_exact_and_orbital_maximize_is_optimal(n, sizes):
     (engine,) = engines_built(hypergraphs, lambda: turan_oracle(n, len(sizes), sizes))
     assert engine.miss == per_bit_miss(engine.nverts, engine.by_bit[::-1])
     sym = engine.sym
-    assert (sym.n, sym.complement) == (n, False)
+    assert sym is hypergraphs._kset_group(n, len(sizes)) and engine.twisted is False
     if n <= 7:
-        assert_symmetry_is_exact(sym, engine.by_bit, [engine.weights])
-    assert_orbital_matches_plain(engine, sym)
+        assert_symmetry_is_exact(sym, False, engine.by_bit, [engine.weights])
+    assert_orbital_matches_plain(engine, sym, False)
 
 
 @pytest.mark.parametrize(
@@ -513,15 +513,34 @@ def test_turan_oracle_size_limit():
     assert turan_oracle(60, 2, (30, 31)).value == comb(60, 2)
 
 
+def test_turan_without_a_copy_is_the_complete_k_graph():
+    """Parts summing past n leave no copy, so for every n <= 9 the answer
+    is C(n, k) with the complete k-graph as its witness, found with no
+    engine built and no tick spent."""
+    for n in range(10):
+        for k in range(2, n + 3):
+            shapes = set(itertools.combinations_with_replacement(range(1, 4), k))
+            shapes |= {(1,) * (k - 1) + (s,) for s in (n - k + 2, n + 1) if s > 1}
+            every = itertools.combinations(range(1, n + 1), k)
+            complete = Hypergraph.from_edge_sets(k, n, every)
+            for sizes in shapes:
+                if sum(sizes) <= n or max(sizes) == 1:
+                    continue
+                budget = Budget()
+                results = []
+                engines = engines_built(
+                    hypergraphs, lambda: results.append(turan_oracle(n, k, sizes, budget))
+                )
+                (res,) = results
+                assert (res.value, res.witness) == (comb(n, k), complete), (n, sizes)
+                assert engines == [] and budget.used == 0
+
+
 def test_kpartite_copy_count_matches_the_listing():
     for k in (2, 3):
         for sizes in itertools.product((1, 2, 3), repeat=k):
             for n in range(sum(sizes), 8):
-                edges = sorted(
-                    sum(1 << v for v in combo)
-                    for combo in itertools.combinations(range(n), k)
-                )
-                listed = _kpartite_copies(edges, n, sizes, None)
+                listed = _kpartite_copies(hypergraphs._kset_group(n, k), sizes, None)
                 assert _kpartite_copy_count(n, sizes) == len(listed), (n, sizes)
 
 

@@ -344,9 +344,14 @@ def test_size_guards_come_before_any_row():
     with pytest.raises(ValueError, match="expected an integer"):
         family_from_json({"n": MAX_FAMILY_N, "sets": bad_row})
     l = MAX_PARTITE_BITS // 1001 + 1  # one row past the bound
-    with pytest.raises(ValueError, match=r"l \* \(edges \+ 1000\) must be at most"):
+    with pytest.raises(ValueError, match=r"max\(k, l\) \* \(edges \+ 1000\) must be at most"):
         hypergraph_from_json({"k": 2, "l": l, "edges": bad_row})
     with pytest.raises(ValueError, match=r"l \* \(family \+ 1000\) must be at most"):
         representation_from_json({"k": 2, "l": l, "family": bad_row, "target": "chain:2"})
     with pytest.raises(ValueError, match="expected an integer"):
         hypergraph_from_json({"k": 2, "l": l - 1, "edges": bad_row})
+    # a part costs what a vertex does: partite lists each of the k parts
+    with pytest.raises(ValueError, match=r"max\(k, l\) \* \(edges \+ 1000\) must be at most"):
+        hypergraph_from_json({"k": l, "l": 2, "edges": bad_row})
+    with pytest.raises(ValueError, match="expected an integer"):
+        hypergraph_from_json({"k": l - 1, "l": 2, "edges": bad_row})
