@@ -27,9 +27,9 @@ from .hypergraphs import is_k_partite, turan_oracle
 from .instrumentation import (
     ChainPairStats,
     _configuration_identity,
+    _core_counts,
     _deletable_masks,
     _down_degree_identity,
-    _k_configurations,
     chain_pair_stats,
 )
 from .lattice import (
@@ -71,9 +71,9 @@ MAX_CONFIGURATIONS = 1 << 18
 # Largest --n for tail-check: its time grows like n^2 and is about 1.1 s
 # at n = 100,000 (2-core x86, Python 3.11).
 MAX_TAIL_N = 100_000
-# Largest --k for search-rep: a tick costs about 12 us at k = 64 and grows
-# like k, so the default budget runs out in about 2 min there (crown:14,
-# --l-max 67; 2-core x86, Python 3.11) and in hours past a few hundred.
+# Largest --k for search-rep: a tick costs about 11 us at k = 64 and grows
+# with k, so the default budget runs out in about 2 min there (crown:10,
+# --l-max 68 closes in 35,660 ticks and 0.4 s; 2-core x86, Python 3.11).
 MAX_SEARCH_K = 64
 
 
@@ -256,7 +256,7 @@ def _cmd_report(args) -> int:
     if not 0 <= args.max_gap <= MAX_GAP:
         raise ValueError(f"--max-gap must be between 0 and {MAX_GAP}")
     fam = jsonio.family_from_json(_load_json(args.file))
-    # chain_pair_stats, the deletion test and each gap's enumeration run
+    # chain_pair_stats, the deletion test and each gap's count run
     # once, each serving its own entry and the identities that rest on it
     stats = chain_pair_stats(fam)
     deletable = _deletable_masks(fam)
@@ -270,7 +270,7 @@ def _cmd_report(args) -> int:
     lhs, rhs, equal = _down_degree_identity(fam, stats, deletable)
     configs = {}
     for k in gaps:
-        _, counts = _k_configurations(fam, k, deletable)
+        counts = _core_counts(fam, k, deletable)
         ilhs, irhs, iok = _configuration_identity(fam, k, counts, deletable)
         configs[str(k)] = {
             "count": totals[k],

@@ -126,23 +126,27 @@ def enumerate_k_configurations(
     """All k-configurations, plus the count of configurations per core."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _k_configurations(family, k, _deletable_masks(family))
+    deletable = _deletable_masks(family)
+    configs = tuple(
+        KConfiguration(b & ~sum(combo), b)
+        for b, mask in zip(family.members, deletable)
+        for combo in combinations([1 << i for i in bits(mask)], k)
+    )
+    return configs, _core_counts(family, k, deletable)
 
 
-def _k_configurations(
+def _core_counts(
     family: SubsetFamily, k: int, deletable: list[int]
-) -> tuple[tuple[KConfiguration, ...], dict[int, int]]:
-    """enumerate_k_configurations, k >= 1, with the family's
-    `_deletable_masks` given."""
-    configs = []
+) -> dict[int, int]:
+    """The per-core counts of enumerate_k_configurations, k >= 1, with the
+    family's `_deletable_masks` given and no configuration built."""
     counts: dict[int, int] = {}
     for b, mask in zip(family.members, deletable):
         singles = [1 << i for i in bits(mask)]
         for combo in combinations(singles, k):
             s = b & ~sum(combo)
-            configs.append(KConfiguration(s, b))
             counts[s] = counts.get(s, 0) + 1
-    return tuple(configs), counts
+    return counts
 
 
 def configuration_identity(
@@ -156,16 +160,15 @@ def configuration_identity(
     if k < 1:
         raise ValueError("k must be at least 1")
     deletable = _deletable_masks(family)
-    _, counts = _k_configurations(family, k, deletable)
+    counts = _core_counts(family, k, deletable)
     return _configuration_identity(family, k, counts, deletable)
 
 
 def _configuration_identity(
     family: SubsetFamily, k: int, counts: dict[int, int], deletable: list[int]
 ) -> tuple[Fraction, Fraction, bool]:
-    """configuration_identity with the per-core counts of
-    enumerate_k_configurations and the family's `_deletable_masks` given,
-    so that report enumerates once."""
+    """configuration_identity with the family's `_core_counts` and
+    `_deletable_masks` given, so that report counts once."""
     n = family.n
     cores: dict[int, int] = {}  # summed L(S) per size |S| + k
     for s, cnt in counts.items():

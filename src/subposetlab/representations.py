@@ -9,7 +9,6 @@ representations from scratch.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .budget import Budget
@@ -152,52 +151,42 @@ def _closed_walk(walk: list[list[int]]) -> KPartiteRepresentation:
     )
 
 
-def _candidates(
-    target: Poset, e: int, member: list[int], k: int, vertices: int, l_max: int
-):
-    """Members for element e, each with its count of new vertices.
+def _room_for_tops(tops: int, sizes: list[int], extra: int) -> bool:
+    """Whether `tops` distinct k-sets can all cross a k-partition whose parts
+    hold `sizes` vertices now and at most `extra` more vertices later.
 
-    A top takes a k-set over the union of its placed lower covers; a bottom
-    below a placed top takes a (k-1)-subset of its placed upper covers'
-    intersection; the first element, a bottom or a top, takes a set of new
-    vertices.  Old vertices come before a block of new ones, fewest new
-    first, and each new vertex takes the next unused label, which explores
-    families up to relabeling of [l].
-    """
-    if target.strict_down(e):
-        base, size = 0, k
-        for j in bits(target.strict_down(e)):
-            base |= member[j]
-    else:
-        inter = -1  # all ones until a placed upper cover narrows it
-        for j in bits(target.strict_up(e)):
-            if member[j]:
-                inter &= member[j]
-        if inter != -1:
-            for combo in itertools.combinations(bits(inter), k - 1):
-                yield sum(1 << b for b in combo), 0
-            return
-        base, size = 0, k - 1
-    old = [v for v in range(vertices) if not base >> v & 1]
-    need = size - base.bit_count()
-    for fresh in range(min(need, l_max - vertices) + 1):
-        block = base | ((1 << fresh) - 1) << vertices
-        for combo in itertools.combinations(old, need - fresh):
-            yield block | sum(1 << b for b in combo), fresh
+    The crossing k-sets number the product of the part sizes.  Dealing the
+    extra vertices one by one to a smallest part makes that product
+    largest: the j smallest parts end level, within one of each other, for
+    the least j whose level stays at most the next part's size."""
+    s = sorted(sizes)
+    low = extra
+    for j in range(1, len(s) + 1):
+        low += s[j - 1]
+        if j == len(s) or low <= j * s[j]:
+            break
+    level, rem = divmod(low, j)
+    most = (level + 1) ** rem * level ** (j - rem)
+    for rest in s[j:]:
+        most *= rest
+    return tops <= most
 
 
-def _give_parts(kset: int, part: dict[int, int], k: int) -> list[int] | None:
-    """Give the vertices of kset that have no part yet the parts its other
-    vertices lack, in ascending order, and return them; None when two of
-    its vertices already share a part."""
-    vs = bits(kset)
-    have = {part[v] for v in vs if v in part}
-    new = [v for v in vs if v not in part]
-    if len(have) + len(new) < k:
-        return None
-    for v, p in zip(new, sorted(set(range(k)) - have)):
-        part[v] = p
-    return new
+def _hasse_distances(target: Poset, root: int) -> list[int]:
+    """Each element's distance from root in the Hasse graph of a connected
+    height-2 target, whose comparable pairs are all covers."""
+    dist = [-1] * target.size
+    dist[root] = 0
+    frontier = [root]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for v in bits(target.strict_up(u) | target.strict_down(u)):
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    reached.append(v)
+        frontier = reached
+    return dist
 
 
 def search_representation(
@@ -214,17 +203,50 @@ def search_representation(
     Only families with one member per target element are searched: the
     image of any embedding inside a larger representation is itself a
     representation, so minimal families lose nothing.  Elements are placed
-    in `posets._pattern_order`, the first a bottom or a top, one frame per
-    placed element on an explicit stack, each with one tick per candidate.
+    in `posets._pattern_order`, one frame per placed element on an explicit
+    stack.  The target must be connected and of height 2: every comparable
+    pair is then a cover, and every element after the first has a placed
+    cover when its turn comes.  The first element, a bottom or a top, takes
+    the first k - 1 or k vertices.  A later bottom takes a (k-1)-subset of
+    its placed upper covers' intersection.  A later top takes a k-set over
+    the union of its placed lower covers, which holds a (k-1)-set, so it
+    adds one vertex at most: each old vertex in turn, then the next unused
+    label, which explores families up to relabeling of [l].
 
-    Each vertex's part is search state.  A vertex gets its part the first
-    time it lies in a placed k-set: the vertices of that k-set with no part
-    yet take the parts the others lack, in ascending order, and a k-set
-    whose vertices repeat a part is rejected.  The target must be connected:
-    as every comparable pair of a height-2 poset is a cover, every k-set
-    after the first then contains a placed (k-1)-set whose vertices have
-    parts, so each new part is forced and the parts are the placed k-sets'
-    only k-partition up to relabeling.
+    Each vertex's part is search state, one vertex mask per part.  A vertex
+    gets its part the first time it lies in a placed k-set: the vertices of
+    that k-set with no part yet take the parts the others lack, in
+    ascending order.  As every k-set after the first contains a placed
+    (k-1)-set whose vertices have parts, each new part is forced and the
+    parts are the placed k-sets' only k-partition up to relabeling.
+
+    Four cuts drop the candidates and subtrees that no completion has.
+    The surviving candidates keep their order, so the family found is the
+    one the plain search finds, which tries every candidate and rejects a
+    repeated member or a k-set that repeats a part:
+
+    - Part filter.  A top whose lower covers' union is a (k-1)-set offers
+      only the old vertices of the one part that set lacks; any other
+      vertex repeats a part.
+    - Count bound.  Every top is a distinct k-set crossing the final
+      partition, so the tops number at most the product of the final part
+      sizes.  Each later top adds one vertex at most, so at most
+      min(l_max - vertices, tops left) vertices are still to come, and the
+      bound deals them to the smallest parts (`_room_for_tops`).  It is
+      checked before the first tick, on min(l_max, k - 1 + tops) vertices
+      in all, and after every placed top, which backtracks when it fails.
+    - Distance bound.  A cover changes a member by one element, so a
+      member differs from the first element's member in at most the
+      elements' distance in the Hasse graph, from one breadth-first search
+      per call.
+    - Spare subsets.  A top with r lower covers still to place needs r of
+      its (k-1)-subsets that are no member yet, for those covers take
+      distinct members inside it.  At k = 2 these subsets are singletons,
+      so a mask of the used singletons drops the old vertices before they
+      are listed, and a long crown's walk stays linear.
+
+    A tick is spent per candidate that passes the cuts, that is, per
+    member placed.
 
     For crown(2t), every member after the first is placed next to one
     already placed on the crown's cycle, and adds at most one vertex: a top
@@ -247,41 +269,152 @@ def search_representation(
         placed |= 1 << e
     budget = budget if budget is not None else Budget()
 
-    member = [0] * target.size  # 0 until placed; every member is nonempty
+    size = target.size
+    position = [0] * size
+    for i, e in enumerate(order):
+        position[e] = i
+    is_top = [bool(target.strict_down(e)) for e in range(size)]
+    # each element's covers placed before it, and how many of its lower
+    # covers are placed after it
+    earlier = []
+    later = []
+    for e in range(size):
+        below, above = target.strict_down(e), target.strict_up(e)
+        earlier.append([j for j in bits(below | above) if position[j] < position[e]])
+        later.append(sum(position[j] > position[e] for j in bits(below)))
+    reach = _hasse_distances(target, order[0])
+    tops = sum(is_top)
+    # the first element adds k - 1 or k vertices and every later top one
+    if not _room_for_tops(tops, [0] * k, min(l_max, k - 1 + tops)):
+        return None
+
+    member = [0] * size  # 0 until placed; every member is nonempty
     used: set[int] = set()
-    part: dict[int, int] = {}
-    vertices = 0
-    # a frame: the element's candidates, the member it placed, how many new
-    # vertices that member added, and the vertices it gave a part
-    stack = [[_candidates(target, order[0], member, k, 0, l_max), 0, 0, []]]
+    part = [0] * k  # the vertices of each part, as a mask
+    sizes = [0] * k  # and their counts
+
+    def spare(cand: int, r: int) -> bool:
+        """Whether r of cand's (k-1)-subsets are no member yet."""
+        rest = cand
+        while r and rest:
+            low = rest & -rest
+            rest ^= low
+            r -= cand ^ low not in used
+        return not r
+
+    def candidates(e: int, vertices: int, anchor: int, singles: int):
+        """The members e may take, each with its count of new vertices;
+        anchor is the first element's member and singles, at k = 2, the
+        used singletons."""
+        near = reach[e]
+        if not is_top[e]:
+            inter = -1
+            for j in earlier[e]:
+                inter &= member[j]
+            if inter.bit_count() == k:
+                # its (k-1)-subsets in combination order: largest out first
+                options = (inter ^ 1 << v for v in reversed(bits(inter)))
+            else:
+                options = [inter] if inter.bit_count() == k - 1 else []
+            for cand in options:
+                if cand not in used and (cand ^ anchor).bit_count() <= near:
+                    yield cand, 0
+            return
+        base = 0
+        for j in earlier[e]:
+            base |= member[j]
+        need = k - base.bit_count()
+        away = (base ^ anchor).bit_count()
+        if need == 0:
+            # the union of two or more placed lower covers
+            if (
+                away <= near
+                and base not in used
+                and all(p & base for p in part)
+                and spare(base, later[e])
+            ):
+                yield base, 0
+            return
+        if need != 1 or away - 1 > near:
+            return
+        gaps = [p for p in part if not p & base]
+        old = gaps[0] if len(gaps) == 1 else 0  # no part yet: no old vertex
+        if away + 1 > near:  # only a vertex of the anchor keeps e in reach
+            old &= anchor
+        if k == 2 and later[e]:
+            old &= ~singles
+        for v in bits(old):
+            cand = base | 1 << v
+            if cand not in used and spare(cand, later[e]):
+                yield cand, 0
+        # a new vertex leaves the k - 1 subsets that hold it unused
+        if away + 1 <= near and vertices < l_max and later[e] < k:
+            yield base | 1 << vertices, 1
+
+    root = order[0]
+    budget.tick()  # the first element's one candidate
+    vertices = k if is_top[root] else k - 1
+    anchor = member[root] = (1 << vertices) - 1
+    used.add(anchor)
+    left = tops  # tops still to place
+    parted = 0  # the vertices with a part
+    singles = 0
+    if is_top[root]:
+        left -= 1
+        parted = anchor
+        part[:] = [1 << p for p in range(k)]
+        sizes[:] = [1] * k
+    elif k == 2:
+        singles = anchor
+    fresh_at = [0] * size  # per depth: the new vertices the member added
+    gave_at = [0] * size  # per depth: the vertices it gave a part, as a mask
+    stack = [candidates(order[1], vertices, anchor, singles)]
     while stack:
-        frame = stack[-1]
-        cands, cand, fresh, parted = frame
-        e = order[len(stack) - 1]
+        depth = len(stack)
+        e = order[depth]
+        cand = member[e]
         if cand:  # back from a dead end: take the element's member out
             member[e] = 0
             used.discard(cand)
-            vertices -= fresh
-            for v in parted:
-                del part[v]
-        for cand, fresh in cands:
+            vertices -= fresh_at[depth]
+            if is_top[e]:
+                left += 1
+                gave = gave_at[depth]
+                if gave:
+                    parted ^= gave
+                    for i in range(k):
+                        if part[i] & gave:
+                            part[i] &= ~gave
+                            sizes[i] -= 1
+            elif k == 2:
+                singles ^= cand
+        for cand, fresh in stack[-1]:
             budget.tick()
-            if cand in used:
-                continue
-            parted = _give_parts(cand, part, k) if cand.bit_count() == k else []
-            if parted is not None:
-                break
+            break
         else:
             stack.pop()
             continue
         member[e] = cand
         used.add(cand)
         vertices += fresh
-        frame[1:] = cand, fresh, parted
-        if len(stack) == len(order):
+        fresh_at[depth] = fresh
+        if is_top[e]:
+            left -= 1
+            gave = gave_at[depth] = cand & ~parted
+            if gave:
+                parted |= gave
+                lacking = [i for i in range(k) if not part[i] & cand]
+                for v, i in zip(bits(gave), lacking):
+                    part[i] |= 1 << v
+                    sizes[i] += 1
+            extra = vertices - sum(sizes) + min(l_max - vertices, left)
+            if not _room_for_tops(tops, sizes, extra):
+                continue  # the next pass takes the member out
+        elif k == 2:
+            singles |= cand
+        if depth + 1 == size:
             break
-        cands = _candidates(target, order[len(stack)], member, k, vertices, l_max)
-        stack.append([cands, 0, 0, []])
+        stack.append(candidates(order[depth + 1], vertices, anchor, singles))
     else:
         return None
     rep = KPartiteRepresentation(

@@ -18,6 +18,7 @@ INLINE = {
     ("extremal.py", "_Engine._search"),
     ("posets.py", "_embeddings"),
     ("posets.py", "_has_distinct_hosts"),
+    ("representations.py", "search_representation.spare"),
 }
 
 

@@ -203,9 +203,9 @@ def test_search_rep_long_target_and_wide_l_max(target, l_max, seconds):
 
 
 def test_search_rep_bounds_k(capsys):
-    # crown:6 closes with no representation in ticks growing like k^2 at a
-    # cost per tick growing like k: 4,287 ticks in 0.05 s at k = 64, and
-    # 161,199 in about 12 s at k = 400
+    # crown:6 closes with no representation in 3k - 1 ticks at a cost per
+    # tick growing with k: 191 ticks in 0.003 s at k = 64, and 1,199 in
+    # 0.17 s at k = 400
     k = cli.MAX_SEARCH_K
     code, out, _ = run(
         capsys, "search-rep", "--target", "crown:6", "--k", str(k), "--l-max", str(k + 2)
@@ -937,7 +937,7 @@ def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path
 
         return wrapper
 
-    for name in ("chain_pair_stats", "_deletable_masks", "_k_configurations"):
+    for name in ("chain_pair_stats", "_deletable_masks", "_core_counts"):
         wrapper = counted(getattr(instrumentation, name))
         monkeypatch.setattr(instrumentation, name, wrapper)
         monkeypatch.setattr(cli, name, wrapper)
@@ -952,7 +952,7 @@ def test_report_computes_each_chain_statistic_once(capsys, monkeypatch, tmp_path
     assert sorted(calls) == sorted(
         ["_deletable_mask"] * len(sets)
         + ["_deletable_masks", "chain_pair_stats"]
-        + ["_k_configurations"] * 3
+        + ["_core_counts"] * 3
     )
     res = json.loads(out)
     assert res["down_degree_identity"]["equal"] is True

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from math import comb, prod
 
 import pytest
 
@@ -28,6 +29,7 @@ from subposetlab import (
     verify_representation,
 )
 from subposetlab.posets import _pattern_order
+from subposetlab.representations import _room_for_tops
 from conftest import crosses_every_edge
 
 
@@ -407,15 +409,122 @@ SWEEP_TARGETS = [f"crown:{n}" for n in range(4, 25, 2)] + [
 
 @pytest.mark.parametrize("spec", SWEEP_TARGETS)
 def test_search_matches_reference(spec):
-    """Same family and the same ticks as the hypergraph-recoloring search in
-    the same placement order, for k = 2..4 and l_max = k..k+8."""
+    """Same family as the hypergraph-recoloring search in the same placement
+    order, for k = 2..4 and l_max = k..k+8, in no more ticks: the reference
+    ticks every candidate, the search only those its cuts keep."""
     target = make_poset(spec)
     reference = functools.partial(reference_search, _pattern_order)
     for k in (2, 3, 4):
         for l_max in range(k, k + 9):
-            assert search_outcome(search_representation, target, k, l_max) == (
-                search_outcome(reference, target, k, l_max)
-            ), (spec, k, l_max)
+            found, ticks = search_outcome(search_representation, target, k, l_max)
+            ref_found, ref_ticks = search_outcome(reference, target, k, l_max)
+            assert found == ref_found, (spec, k, l_max)
+            assert ticks <= ref_ticks, (spec, k, l_max)
+
+
+@pytest.mark.parametrize(
+    "two_t, k, l_max, found, ticks",
+    [
+        # the seven search-rep jobs of the certify benchmark
+        (14, 3, 7, True, 16),
+        (14, 3, 6, False, 120),
+        (14, 4, 7, False, 575),
+        (16, 4, 8, True, 167),
+        (18, 3, 9, True, 19),
+        (20, 4, 10, True, 62),
+        (22, 3, 11, True, 41),
+        # one tick per element: the used singletons leave no old vertex
+        (1200, 2, 600, True, 1200),
+    ],
+)
+def test_search_ticks_are_locked(two_t, k, l_max, found, ticks):
+    budget = Budget()
+    cert = search_representation(crown(two_t), k, l_max, budget)
+    assert (cert is not None, budget.used) == (found, ticks)
+
+
+def test_room_for_tops_is_the_best_dealing():
+    """The count bound against every way of dealing the extra vertices."""
+    for k in (1, 2, 3):
+        for sizes in itertools.product(range(4), repeat=k):
+            for extra in range(6):
+                most = max(
+                    prod(s + d for s, d in zip(sizes, deal))
+                    for deal in itertools.product(range(extra + 1), repeat=k)
+                    if sum(deal) <= extra
+                )
+                assert _room_for_tops(most, list(sizes), extra), (sizes, extra)
+                assert not _room_for_tops(most + 1, list(sizes), extra), (sizes, extra)
+
+
+def balanced_product(l, k):
+    """The most k-sets crossing a k-partition of [l]: parts within one."""
+    q, r = divmod(l, k)
+    return (q + 1) ** r * q ** (k - r)
+
+
+def test_search_refutes_at_the_root_when_the_tops_cannot_cross():
+    """crown(2t) has t distinct 3-sets crossing one 3-partition, so fewer
+    crossing 3-sets than t on [l] rule l out before any tick."""
+    reference = functools.partial(reference_search, _pattern_order)
+    refuted = 0
+    for t in range(2, 32):
+        for l_max in range(3, t + 3):
+            if balanced_product(l_max, 3) >= t:
+                continue
+            budget = Budget()
+            assert search_representation(crown(2 * t), 3, l_max, budget) is None
+            assert budget.used == 0, (t, l_max)
+            if t <= 15:
+                assert reference(crown(2 * t), 3, l_max) is None, (t, l_max)
+            refuted += 1
+    assert refuted == 145
+
+
+@pytest.mark.parametrize("t", [29, 31])
+def test_long_odd_crowns_fit_once_the_tops_can_cross(t):
+    """crown(2t) at k = 3 for t = 29, 31: [9] has 27 crossing 3-sets, too
+    few (refuted above), and [10] has 36 and a representation."""
+    cert = search_representation(crown(2 * t), 3, 10)
+    assert cert is not None and cert.rep.l == 10
+
+
+def brute_force_crown(t, k, l):
+    """Whether some family of t (k-1)-sets and t k-sets over [l] represents
+    crown(2t), by trying them all: every crown element is comparable, so a
+    bottom lands on a (k-1)-set and a top on a k-set.  A family is tried
+    only when each (k-1)-set lies in two of its k-sets and each k-set holds
+    two of its (k-1)-sets, which crown(2t) needs."""
+    target = crown(2 * t)
+    smalls = [sum(1 << v for v in c) for c in itertools.combinations(range(l), k - 1)]
+    larges = [sum(1 << v for v in c) for c in itertools.combinations(range(l), k)]
+    for tops in itertools.combinations(larges, t):
+        under = [s for s in smalls if sum(s & ~top == 0 for top in tops) >= 2]
+        for bottoms in itertools.combinations(under, t):
+            if any(sum(s & ~top == 0 for s in bottoms) < 2 for top in tops):
+                continue
+            family = SubsetFamily.from_masks(l, bottoms + tops)
+            rep = KPartiteRepresentation(k, l, family, target)
+            if isinstance(verify_representation(rep), RepresentationCertificate):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_search_agrees_with_brute_force_on_tiny_crowns(k):
+    """Found or None as every family over [l] says, for l <= 5 and every
+    crown that has as many k-sets over [l] as tops."""
+    found = []
+    for l in range(k, 6):
+        for t in range(2, comb(l, k) + 1):
+            expect = brute_force_crown(t, k, l)
+            assert (search_representation(crown(2 * t), k, l) is not None) == expect, (
+                t, k, l
+            )
+            if expect:
+                found.append((t, l))
+    # only crown(8) fits: as the 4-cycle at k = 2, and as 3-sets on [5]
+    assert found == {2: [(4, 4), (4, 5)], 3: [(4, 5)]}[k]
 
 
 @pytest.mark.parametrize("t", range(2, 11))
